@@ -3,39 +3,13 @@
 //! `--json <path>` additionally writes the machine-readable results;
 //! `--faults <seed>` reruns the whole suite under deterministic fault
 //! injection (results stay bit-exact, simulated times absorb the recovery
-//! overhead) and finishes with a checkpoint/restart smoke;
-//! `--bench-json [path]` appends the thread-pool wall-clock benchmark,
-//! writing its rows to `path` (default `BENCH_pr4.json`) and printing a
-//! greppable `BENCH OK` / `BENCH SKIP` / `BENCH FAIL` verdict, then the
-//! seed-vs-optimized hot-path benchmark (`BENCH_pr5.json` next to it,
-//! verdict `BENCH_PR5 …`) and the out-of-core tree-pipeline benchmark
-//! (`BENCH_pr10.json`, verdict `BENCH_PR10 …`; the million-body gates
-//! need the dedicated `bench-pr10 --n 1048576` binary). Build with
-//! `--features alloc-count` to install the counting allocator and gate
-//! steady-state allocations at zero.
-
-#[cfg(feature = "alloc-count")]
-#[global_allocator]
-static ALLOC: par::arena::CountingAlloc = par::arena::CountingAlloc;
-
-/// `name` in the same directory as the `--bench-json` target.
-fn sibling_path(bench_path: &str, name: &str) -> String {
-    let p = std::path::Path::new(bench_path);
-    match p.parent() {
-        Some(dir) if !dir.as_os_str().is_empty() => dir.join(name).to_string_lossy().into_owned(),
-        _ => name.to_string(),
-    }
-}
+//! overhead) and finishes with a checkpoint/restart smoke.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cfg = harness::config_from_args(&args);
     let steps = cfg.steps;
     let json_path = args.iter().position(|a| a == "--json").and_then(|p| args.get(p + 1)).cloned();
-    let bench_path = args.iter().position(|a| a == "--bench-json").map(|p| match args.get(p + 1) {
-        Some(v) if !v.starts_with("--") => v.clone(),
-        _ => "BENCH_pr4.json".to_string(),
-    });
 
     println!("== PTPM fast N-body reproduction: full experiment suite ==\n");
     if let Some(seed) = cfg.fault_seed {
@@ -59,31 +33,6 @@ fn main() {
 
     let mut runner = harness::Runner::new(results.config.clone());
     harness::error::or_exit(harness::trace_export::run_trace_flag(&args, &mut runner));
-
-    if let Some(path) = bench_path {
-        println!("\n== thread-pool wall-clock benchmark ==");
-        let report = harness::bench_json::run_bench(&results.config);
-        print!("{}", harness::bench_json::render(&report));
-        harness::error::or_exit(report.write_json(&path));
-        println!("benchmark rows written to {path}");
-        println!("{}", report.verdict());
-
-        println!("\n== SoA hot-path benchmark (seed vs optimized) ==");
-        let pr5 = harness::bench_pr5::run_bench(&results.config);
-        print!("{}", harness::bench_pr5::render(&pr5));
-        let pr5_path = sibling_path(&path, "BENCH_pr5.json");
-        harness::error::or_exit(pr5.write_json(&pr5_path));
-        println!("hot-path rows written to {pr5_path}");
-        println!("{}", pr5.verdict());
-
-        println!("\n== out-of-core tree-pipeline benchmark ==");
-        let pr10 = harness::bench_pr10::run_bench(&results.config);
-        print!("{}", harness::bench_pr10::render(&pr10));
-        let pr10_path = sibling_path(&path, "BENCH_pr10.json");
-        harness::error::or_exit(pr10.write_json(&pr10_path));
-        println!("out-of-core rows written to {pr10_path}");
-        println!("{}", pr10.verdict());
-    }
 
     if let Some(seed) = results.config.fault_seed {
         println!("\n== fault-recovery smoke (seed {seed}) ==");

@@ -18,26 +18,20 @@
 //! `NBODY_THREADS` environment variable is the flagless equivalent), and
 //! the out-of-core trio `--shards <N>` / `--mem-budget <bytes>` /
 //! `--device-tree` (Morton-sharded streaming and the on-device tree
-//! pipeline — bit-exact vs the in-core host path, gated by
-//! [`bench_pr10`]);
-//! `repro-all` additionally accepts `--bench-json [path]` to measure and
-//! record the thread-pool wall-clock speedups (see [`bench_json`]) plus
-//! the seed-vs-optimized hot-path comparison (see [`bench_pr5`], written
-//! next to the thread-pool rows as `BENCH_pr5.json`; build with
-//! `--features alloc-count` to also gate steady-state heap allocations at
-//! zero); the
-//! figure/table binaries accept
+//! pipeline — bit-exact vs the in-core host path, pinned by
+//! `tests/shard_invariance.rs`); the figure/table binaries accept
 //! `--trace <path>` to also write an execution trace of all four plans
 //! (Chrome trace JSON, or CSV when the path ends in `.csv` — see
 //! [`trace_export`]). The `trace` binary captures traces without running
 //! any experiment, and the `faults` binary demonstrates checkpoint/restart
 //! fault tolerance end to end.
+//!
+//! Wall-clock performance is not measured here: the one benchmark is
+//! `perfbench/` at the repository root, declared by `BENCHMARK.json` (see
+//! `perfbench/README.md`).
 
 #![warn(missing_docs)]
 
-pub mod bench_json;
-pub mod bench_pr10;
-pub mod bench_pr5;
 pub mod chart;
 pub mod config;
 pub mod cpu_baseline;

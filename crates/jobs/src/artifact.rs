@@ -209,25 +209,21 @@ pub fn write_artifacts(
 mod tests {
     use super::*;
     use crate::runner::{run_job, RunOptions, RunStatus};
+    use crate::scratch::ScratchDir;
     use crate::spec::JobSpec;
     use plans::prelude::PlanKind;
     use workloads::spec::WorkloadSpec;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("nbody-ptpm-jobs-artifact").join(name);
-        std::fs::remove_dir_all(&dir).ok();
-        dir
-    }
-
     #[test]
     fn artifacts_are_written_parseable_and_deterministic() {
         let spec = JobSpec::new(WorkloadSpec::plummer(96, 7), PlanKind::JwParallel, 2);
-        let dir = tmp("emit");
-        let result = match run_job(&spec, &dir, &RunOptions::default()).unwrap() {
+        let scratch = ScratchDir::new("artifact-emit");
+        let dir = scratch.path();
+        let result = match run_job(&spec, dir, &RunOptions::default()).unwrap() {
             RunStatus::Complete(result) => *result,
             other => panic!("unexpected status {other:?}"),
         };
-        let set = write_artifacts(&result, &dir, &crate::fsx::RealFs).unwrap();
+        let set = write_artifacts(&result, dir, &crate::fsx::RealFs).unwrap();
         let bench: BenchRecord =
             serde_json::from_str(&std::fs::read_to_string(&set.bench_json).unwrap()).unwrap();
         assert_eq!(bench.job, result.hash_hex);
@@ -250,30 +246,27 @@ mod tests {
 
         // second emission is byte-identical
         let csv2 = {
-            let dir2 = tmp("emit-again");
-            let set2 = write_artifacts(&result, &dir2, &crate::fsx::RealFs).unwrap();
-            let text = std::fs::read_to_string(&set2.trace_csv).unwrap();
-            std::fs::remove_dir_all(&dir2).ok();
-            text
+            let dir2 = ScratchDir::new("artifact-emit-again");
+            let set2 = write_artifacts(&result, dir2.path(), &crate::fsx::RealFs).unwrap();
+            std::fs::read_to_string(&set2.trace_csv).unwrap()
         };
         assert_eq!(csv, csv2);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn plan_source_provenance_reaches_the_artifact() {
         let mut spec = JobSpec::new(WorkloadSpec::plummer(64, 9), PlanKind::IParallel, 1);
         spec.plan_source = Some("auto:db-hit".to_string());
-        let dir = tmp("provenance");
-        let result = match run_job(&spec, &dir, &RunOptions::default()).unwrap() {
+        let scratch = ScratchDir::new("artifact-provenance");
+        let dir = scratch.path();
+        let result = match run_job(&spec, dir, &RunOptions::default()).unwrap() {
             RunStatus::Complete(result) => *result,
             other => panic!("unexpected status {other:?}"),
         };
-        let set = write_artifacts(&result, &dir, &crate::fsx::RealFs).unwrap();
+        let set = write_artifacts(&result, dir, &crate::fsx::RealFs).unwrap();
         let bench: BenchRecord =
             serde_json::from_str(&std::fs::read_to_string(&set.bench_json).unwrap()).unwrap();
         assert_eq!(bench.plan_source.as_deref(), Some("auto:db-hit"));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -216,36 +216,30 @@ pub fn fuzz(scratch: &Path, stride: u64) -> Result<CrashpointReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("nbody-ptpm-jobs-crashpoint").join(name);
-        std::fs::remove_dir_all(&dir).ok();
-        dir
-    }
+    use crate::scratch::ScratchDir;
 
     #[test]
     fn lifecycle_is_deterministic_and_rich_enough() {
         // the prefix enumeration is only meaningful if the op sequence is
         // reproducible, and the acceptance bar wants >= 50 crash points
+        let scratch = ScratchDir::new("crashpoint-det");
         let a = CrashFs::counting();
         let mut acked = Vec::new();
-        lifecycle(&tmp("det-a"), a.clone(), &mut acked).unwrap();
+        lifecycle(&scratch.join("a"), a.clone(), &mut acked).unwrap();
         assert_eq!(acked.len(), 3);
         let b = CrashFs::counting();
-        lifecycle(&tmp("det-b"), b.clone(), &mut Vec::new()).unwrap();
+        lifecycle(&scratch.join("b"), b.clone(), &mut Vec::new()).unwrap();
         assert_eq!(a.ops_used(), b.ops_used(), "mutation count must be reproducible");
         assert!(a.ops_used() >= 50, "lifecycle has {} mutations, want >= 50", a.ops_used());
-        std::fs::remove_dir_all(tmp("det-a").parent().unwrap()).ok();
     }
 
     #[test]
     fn sampled_prefixes_recover() {
         // debug-mode sample; the CI release gate runs stride 1 over all
         // prefixes via tests/crashpoint_fuzz.rs
-        let scratch = tmp("sampled");
-        let report = fuzz(&scratch, 13).unwrap();
+        let scratch = ScratchDir::new("crashpoint-sampled");
+        let report = fuzz(scratch.path(), 13).unwrap();
         assert!(report.prefixes.len() >= 4, "{report:?}");
         assert!(report.render().starts_with("CRASHPOINT OK"));
-        std::fs::remove_dir_all(&scratch).ok();
     }
 }

@@ -52,6 +52,8 @@ pub mod daemon;
 pub mod error;
 pub mod fsx;
 pub mod runner;
+#[cfg(test)]
+mod scratch;
 pub mod server;
 pub mod spec;
 pub mod spool;

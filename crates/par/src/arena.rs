@@ -11,9 +11,8 @@
 //!   fits, so steady-state steps perform **zero heap allocations**.
 //! * [`CountingAlloc`] — a global-allocator wrapper over [`std::alloc::System`]
 //!   that counts allocations. It is never installed by library code; test
-//!   and bench binaries opt in with `#[global_allocator]` to *gate* the
-//!   zero-allocation invariant (see `tests/alloc_steady_state.rs` and the
-//!   harness `alloc-count` feature).
+//!   binaries opt in with `#[global_allocator]` to *gate* the
+//!   zero-allocation invariant (see `tests/alloc_steady_state.rs`).
 //!
 //! Buffers are typed by element: the slot key is `(TypeId of T, name)`, so
 //! the same name can safely hold a `Vec<u32>` in one subsystem and a

@@ -1,15 +1,17 @@
 //! PTPM-pruned autotuning across all four execution plans.
 //!
-//! [`crate::tune`] grid-searches one plan kind by measuring every candidate
-//! on the simulated device. This module generalizes it into the autotuner
-//! ROADMAP item 5 asks for: build the *joint* candidate grid over every
-//! `(plan kind, config)` pair, rank it with the paper's analytic model
-//! (`ptpm::model`) using the workload's **real** interaction-list geometry,
-//! and measure only a pruned shortlist. The PTPM forecast is exactly the
-//! argument the paper makes before measuring anything; here it saves most of
-//! the measurement budget, and a workspace test holds it to the bar that
-//! matters: the pruned shortlist must contain — and therefore select — the
-//! same winner as the full grid search.
+//! One payoff of a deterministic device model: tuning costs simulated
+//! seconds, not lab time. The autotuner generalizes the paper's
+//! hand-chosen parameters (p = 256 blocks, walk size, slice length) into a
+//! procedure: build the *joint* candidate grid over every
+//! `(plan kind, config)` pair ([`candidates`] per kind), rank it with the
+//! paper's analytic model (`ptpm::model`) using the workload's **real**
+//! interaction-list geometry, and measure only a pruned shortlist. The
+//! PTPM forecast is exactly the argument the paper makes before measuring
+//! anything; here it saves most of the measurement budget, and a workspace
+//! test holds it to the bar that matters: the pruned shortlist must
+//! contain — and therefore select — the same winner as the full grid
+//! search.
 //!
 //! ## What tuning may and may not change
 //!
@@ -33,7 +35,6 @@ use crate::j_parallel::auto_j_slices;
 use crate::jw_parallel::auto_slice_len;
 use crate::make_plan;
 use crate::tree_pipeline::predict_pipeline_shape;
-use crate::tune::{candidates, TuneObjective};
 use gpu_sim::prelude::{Device, DeviceSpec, TransferModel};
 use nbody_core::body::ParticleSet;
 use nbody_core::gravity::GravityParams;
@@ -46,6 +47,15 @@ use serde::{Deserialize, Serialize};
 use treecode::interaction_list::build_walks;
 use treecode::mac::OpeningAngle;
 use treecode::tree::{Octree, TreeParams};
+
+/// What the tuner optimizes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum TuneObjective {
+    /// Kernel-only simulated seconds (Table 3 semantics).
+    KernelTime,
+    /// End-to-end simulated seconds (Table 2 semantics).
+    TotalTime,
+}
 
 /// Default shortlist size the pruner measures (out of the 25-candidate full
 /// grid): large enough that the measured winner has always been inside it
@@ -100,6 +110,41 @@ pub struct AutotuneResult {
     /// True when re-evaluating the winner reproduced its forces bit-exactly
     /// (the replay invariant persisted tuning entries rely on).
     pub winner_reproducible: bool,
+}
+
+/// Candidate grid for one plan kind, derived from the device limits: the
+/// block sizes of the PP plans, the walk sizes of w-parallel, and walk size
+/// × slice length for jw-parallel.
+pub fn candidates(kind: PlanKind, base: PlanConfig, spec: &DeviceSpec) -> Vec<PlanConfig> {
+    let max_wg = spec.max_workgroup_size as usize;
+    let mut out = Vec::new();
+    match kind {
+        PlanKind::IParallel | PlanKind::JParallel => {
+            for block in [64, 128, 256] {
+                if block <= max_wg {
+                    out.push(PlanConfig { block_size: block, ..base });
+                }
+            }
+        }
+        PlanKind::WParallel => {
+            for ws in [64, 128, 256] {
+                if ws <= max_wg {
+                    out.push(PlanConfig { walk_size: ws, ..base });
+                }
+            }
+        }
+        PlanKind::JwParallel => {
+            for ws in [64, 128, 256] {
+                if ws > max_wg {
+                    continue;
+                }
+                for slice in [None, Some(64), Some(256), Some(1024)] {
+                    out.push(PlanConfig { walk_size: ws, jw_slice_len: slice, ..base });
+                }
+            }
+        }
+    }
+    out
 }
 
 /// The joint candidate grid: [`candidates`] of every plan kind, in the
@@ -402,6 +447,15 @@ mod tests {
     }
 
     #[test]
+    fn grid_sizes_match_plan_structure() {
+        let base = PlanConfig::default();
+        assert_eq!(candidates(PlanKind::IParallel, base, &spec()).len(), 3);
+        assert_eq!(candidates(PlanKind::JParallel, base, &spec()).len(), 3);
+        assert_eq!(candidates(PlanKind::WParallel, base, &spec()).len(), 3);
+        assert_eq!(candidates(PlanKind::JwParallel, base, &spec()).len(), 12);
+    }
+
+    #[test]
     fn full_grid_unions_every_kind() {
         let grid = full_grid(PlanConfig::default(), &spec());
         assert_eq!(grid.len(), 3 + 3 + (3 + 2) + (12 + 2));
@@ -488,6 +542,24 @@ mod tests {
                 full.iter().min_by(|a, b| a.seconds.partial_cmp(&b.seconds).unwrap()).unwrap();
             assert_eq!(result.best, full_best.candidate, "{objective:?}");
             assert_eq!(result.best_seconds, full_best.seconds, "{objective:?}");
+            // tuning never loses to the untuned default, per kind or overall
+            let defaults: Vec<Candidate> =
+                PlanKind::all().into_iter().map(|kind| Candidate { kind, config: base }).collect();
+            for default in measure(&defaults, &spec(), &set, &params(), objective) {
+                let kind = default.candidate.kind;
+                let kind_best = full
+                    .iter()
+                    .filter(|p| p.candidate.kind == kind)
+                    .map(|p| p.seconds)
+                    .fold(f64::INFINITY, f64::min);
+                assert!(
+                    kind_best <= default.seconds * 1.0001,
+                    "{objective:?} {}: tuned {kind_best} vs default {}",
+                    kind.id(),
+                    default.seconds
+                );
+                assert!(result.best_seconds <= default.seconds * 1.0001, "{objective:?}");
+            }
         }
     }
 

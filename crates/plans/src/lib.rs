@@ -28,16 +28,15 @@ pub mod multi_gpu;
 pub mod potential;
 pub mod recover;
 pub mod tree_pipeline;
-pub mod tune;
 pub mod validate;
 pub mod w_parallel;
 
 /// Common imports.
 pub mod prelude {
     pub use crate::autotune::{
-        autotune, evaluate_forces, forecast_candidate, forecast_grid_points, full_grid, measure,
-        prune, selection_is_reproducible, AutotuneResult, Candidate, ForecastGeometry,
-        ForecastPoint, MeasurePoint, DEFAULT_SHORTLIST,
+        autotune, candidates, evaluate_forces, forecast_candidate, forecast_grid_points, full_grid,
+        measure, prune, selection_is_reproducible, AutotuneResult, Candidate, ForecastGeometry,
+        ForecastPoint, MeasurePoint, TuneObjective, DEFAULT_SHORTLIST,
     };
     pub use crate::backend::{
         default_device, make_backend, Backend, BackendKind, DeviceF32Backend, HostBackend,
@@ -63,9 +62,6 @@ pub mod prelude {
     pub use crate::tree_pipeline::{
         build_tree_on_device, evaluate_tree_plan, geometric_key, predict_pipeline_shape,
         DeviceTreeBuild, TreePipelineRun,
-    };
-    pub use crate::tune::{
-        candidates, tune, tune_host_tile, HostTilePoint, TuneObjective, TuneResult,
     };
     pub use crate::validate::{validate_all, validate_plan, ErrorBudget, ValidationReport};
     pub use crate::w_parallel::{pack_walks, WParallel, NO_TARGET};

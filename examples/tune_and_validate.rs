@@ -16,29 +16,33 @@ fn main() {
     let spec = DeviceSpec::radeon_hd_5850();
 
     println!("Tuning jw-parallel for N = {n} on {} ...\n", spec.name);
-    let result = plans::tune::tune(
-        PlanKind::JwParallel,
-        PlanConfig::default(),
-        &spec,
-        &set,
-        &params,
-        TuneObjective::KernelTime,
-    );
+    let grid: Vec<Candidate> = candidates(PlanKind::JwParallel, PlanConfig::default(), &spec)
+        .into_iter()
+        .map(|config| Candidate { kind: PlanKind::JwParallel, config })
+        .collect();
+    let measured = measure(&grid, &spec, &set, &params, TuneObjective::KernelTime);
+    let best = measured
+        .iter()
+        .min_by(|a, b| a.seconds.total_cmp(&b.seconds))
+        .expect("non-empty candidate grid")
+        .candidate
+        .config;
     println!("{:>10} {:>12} {:>14}", "walk size", "slice len", "kernel time");
-    for point in &result.trace {
+    for point in &measured {
+        let config = point.candidate.config;
         println!(
             "{:>10} {:>12} {:>11.3} ms{}",
-            point.config.walk_size,
-            point.config.jw_slice_len.map(|l| l.to_string()).unwrap_or_else(|| "auto".to_string()),
+            config.walk_size,
+            config.jw_slice_len.map(|l| l.to_string()).unwrap_or_else(|| "auto".to_string()),
             point.seconds * 1e3,
-            if point.config == result.best { "  <- best" } else { "" }
+            if config == best { "  <- best" } else { "" }
         );
     }
 
     println!("\nValidating the tuned configuration (race-checked, vs f64 reference):");
     let report = plans::validate::validate_plan(
         PlanKind::JwParallel,
-        result.best,
+        best,
         &spec,
         &set,
         &params,

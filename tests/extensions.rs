@@ -50,21 +50,19 @@ fn quadrupole_engine_runs_full_simulations() {
 fn tuned_jw_config_preserves_physics() {
     let set = plummer(1024, PlummerParams::default(), 43);
     let spec = DeviceSpec::radeon_hd_5850();
-    let result = plans::tune::tune(
-        PlanKind::JwParallel,
-        PlanConfig::default(),
-        &spec,
-        &set,
-        &params(),
-        TuneObjective::KernelTime,
-    );
+    let grid: Vec<Candidate> = candidates(PlanKind::JwParallel, PlanConfig::default(), &spec)
+        .into_iter()
+        .map(|config| Candidate { kind: PlanKind::JwParallel, config })
+        .collect();
+    let measured = measure(&grid, &spec, &set, &params(), TuneObjective::KernelTime);
+    let best = measured.iter().min_by(|a, b| a.seconds.total_cmp(&b.seconds)).unwrap();
     let mut exact = vec![Vec3::ZERO; set.len()];
     accelerations_pp(&set, &params(), &mut exact);
     let mut dev = Device::with_transfer_model(spec, TransferModel::pcie2_x16());
-    let outcome = JwParallel::new(result.best).evaluate(&mut dev, &set, &params());
+    let outcome = JwParallel::new(best.candidate.config).evaluate(&mut dev, &set, &params());
     let err = nbody_core::gravity::max_relative_error(&exact, &outcome.acc);
     assert!(err < 0.02, "tuned config error {err}");
-    assert!(outcome.kernel_s <= result.best_seconds * 1.0001);
+    assert!(outcome.kernel_s <= best.seconds * 1.0001);
 }
 
 #[test]

@@ -277,55 +277,50 @@ fn traces_are_well_formed_for_arbitrary_clouds() {
 
 #[test]
 fn tuner_winner_always_comes_from_the_candidate_grid() {
-    // the tuner is a pure argmin over its candidate grid: whatever the
-    // workload, the winner must be a grid member, the trace must cover the
-    // grid exactly, and the reported optimum must really be the minimum
+    // the autotuner is an argmin over a shortlist of its candidate grid:
+    // whatever the workload, the forecast must rank the whole grid, every
+    // measured point and the winner must be grid members, and the reported
+    // optimum must really be the minimum of what was measured
     let mut rng = XorShift64::new(0xC1);
     let spec = DeviceSpec::radeon_hd_5850();
+    let base = PlanConfig::default();
+    let grid = full_grid(base, &spec);
     for case in 0..8 {
         let bodies = arb_bodies(&mut rng, 300);
         let set = ParticleSet::from_bodies(&bodies);
         let params = GravityParams { g: 1.0, softening: 0.05 };
-        let kind = PlanKind::all()[case % 4];
         let objective =
             if case % 2 == 0 { TuneObjective::KernelTime } else { TuneObjective::TotalTime };
-        let base = PlanConfig::default();
-        let result = tune(kind, base, &spec, &set, &params, objective);
-        let grid = candidates(kind, base, &spec);
+        let k = 1 + case;
+        let result = autotune(base, &spec, &set, &params, objective, k);
         assert!(
             grid.contains(&result.best),
-            "{}: tuned config {:?} not in the candidate grid",
-            kind.id(),
+            "case {case}: winner {:?} not in the grid",
             result.best
         );
-        assert_eq!(result.trace.len(), grid.len(), "{}: trace must cover the grid", kind.id());
-        for point in &result.trace {
-            assert!(grid.contains(&point.config), "{}: stray candidate", kind.id());
+        assert_eq!(result.forecasts.len(), grid.len(), "case {case}: forecast must rank the grid");
+        assert!(result.measured.iter().any(|p| p.candidate == result.best));
+        for point in &result.measured {
+            assert!(grid.contains(&point.candidate), "case {case}: stray candidate");
             assert!(point.seconds.is_finite() && point.seconds >= 0.0);
-            assert!(result.best_seconds <= point.seconds, "{}: argmin violated", kind.id());
+            assert!(result.best_seconds <= point.seconds, "case {case}: argmin violated");
         }
     }
 }
 
 #[test]
 fn tuned_host_tile_is_a_candidate_and_reproduces_bit_exact_forces() {
-    // the host-tile tuner picks by wall clock, which varies per machine —
+    // the host-tile probe picks by wall clock, which varies per machine —
     // but the winner must come from TILE_CANDIDATES and must never move a
     // float: forces under the tuned tile are bit-identical to the default
     // tile and to the scalar reference
+    let best = nbody_core::soa::auto_probe_tile();
+    assert!(nbody_core::soa::TILE_CANDIDATES.contains(&best));
     let mut rng = XorShift64::new(0xC2);
     for _ in 0..6 {
         let bodies = arb_bodies(&mut rng, 280);
         let set = ParticleSet::from_bodies(&bodies);
         let params = GravityParams { g: 1.0, softening: 0.05 };
-        let (best, trace) = tune_host_tile(&set, &params);
-        assert!(nbody_core::soa::TILE_CANDIDATES.contains(&best));
-        assert_eq!(trace.len(), nbody_core::soa::TILE_CANDIDATES.len());
-        for (point, &tile) in trace.iter().zip(&nbody_core::soa::TILE_CANDIDATES) {
-            assert_eq!(point.tile, tile, "trace order must follow the candidate grid");
-            assert!(point.seconds.is_finite() && point.seconds >= 0.0);
-        }
-
         let mut reference = vec![Vec3::ZERO; set.len()];
         accelerations_pp(&set, &params, &mut reference);
         let mut soa = nbody_core::soa::SoaBodies::new();

@@ -145,3 +145,53 @@ fn ptpm_pipeline_forecast_tracks_the_simulated_clock() {
         assert_eq!(predicted.nodes, run.shape.nodes, "{plan:?} predicted nodes drift");
     }
 }
+
+/// The million-body out-of-core checks, for both tree plans at N = 2^20:
+/// the device-built tree and a 16-shard split reproduce the in-core forces
+/// bit-for-bit, sharding shrinks the peak device working set, the PTPM
+/// pipeline forecast agrees with the simulated pipeline clock, and the
+/// device pipeline beats the modeled host tree path (tree build + walk
+/// generation + packed-list upload) by at least 1.5x. Minutes in debug, so
+/// it runs in release: `cargo test --release --test shard_invariance --
+/// --include-ignored`.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn million_body_device_tree_and_shards_are_exact_smaller_and_faster() {
+    par::set_threads(1);
+    let bodies = set(1 << 20, 20110101);
+    let p = params();
+    let spec = gpu_sim::prelude::DeviceSpec::radeon_hd_5850();
+    let xfer = gpu_sim::prelude::TransferModel::pcie2_x16();
+    for plan in [PlanKind::WParallel, PlanKind::JwParallel] {
+        let in_core =
+            evaluate_tree_plan(plan, &PlanConfig::default(), &mut default_device(), &bodies, &p);
+        let device_cfg = PlanConfig { device_tree: true, ..Default::default() };
+        let device = evaluate_tree_plan(plan, &device_cfg, &mut default_device(), &bodies, &p);
+        assert_eq!(device.outcome.acc, in_core.outcome.acc, "{plan:?} device tree diverged");
+        let sharded_cfg = PlanConfig { shards: Some(16), ..Default::default() };
+        let sharded = evaluate_tree_plan(plan, &sharded_cfg, &mut default_device(), &bodies, &p);
+        assert_eq!(sharded.outcome.acc, in_core.outcome.acc, "{plan:?} 16 shards diverged");
+        assert!(
+            sharded.outcome.peak_device_bytes < in_core.outcome.peak_device_bytes,
+            "{plan:?} sharding did not shrink the peak: {} vs {}",
+            sharded.outcome.peak_device_bytes,
+            in_core.outcome.peak_device_bytes
+        );
+
+        let pipeline_s = device.outcome.pipeline_s;
+        let ratio = forecast_pipeline(&device.shape, &spec, &xfer).seconds() / pipeline_s;
+        assert!(
+            ratio > 0.8 && ratio < 1.25,
+            "{plan:?}: forecast/pipeline {ratio:.3} outside (0.8, 1.25)"
+        );
+        let host_path_s = in_core.outcome.host_tree_s
+            + in_core.outcome.host_walk_s
+            + xfer.seconds(16 * device.shape.entries);
+        assert!(
+            pipeline_s * 1.5 <= host_path_s,
+            "{plan:?}: pipeline {pipeline_s:.4}s is not 1.5x faster than the host path \
+             {host_path_s:.4}s"
+        );
+    }
+    par::set_threads(1);
+}
