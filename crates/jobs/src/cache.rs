@@ -158,14 +158,9 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::ScratchDir;
     use plans::prelude::{BackendKind, PlanKind};
     use workloads::spec::WorkloadSpec;
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("nbody-ptpm-jobs-cache").join(name);
-        std::fs::remove_dir_all(&dir).ok();
-        dir
-    }
 
     fn result(n: usize, seed: u64) -> JobResult {
         let spec = JobSpec::new(WorkloadSpec::plummer(n, seed), PlanKind::JwParallel, 3);
@@ -189,7 +184,8 @@ mod tests {
 
     #[test]
     fn store_then_lookup_roundtrips() {
-        let cache = ResultCache::new(tmp("roundtrip"));
+        let scratch = ScratchDir::new("cache");
+        let cache = ResultCache::new(scratch.join("roundtrip"));
         let r = result(16, 1);
         assert!(cache.lookup(&r.hash_hex).unwrap().is_none(), "miss before store");
         cache.store(&r).unwrap();
@@ -201,7 +197,8 @@ mod tests {
 
     #[test]
     fn precision_tiers_never_share_cache_entries() {
-        let cache = ResultCache::new(tmp("tiers"));
+        let scratch = ScratchDir::new("cache");
+        let cache = ResultCache::new(scratch.join("tiers"));
         let r = result(16, 6); // computed on the default (sim, f32-tier) backend
         cache.store(&r).unwrap();
 
@@ -230,7 +227,8 @@ mod tests {
 
     #[test]
     fn corrupt_entry_is_evicted_as_miss() {
-        let cache = ResultCache::new(tmp("corrupt"));
+        let scratch = ScratchDir::new("cache");
+        let cache = ResultCache::new(scratch.join("corrupt"));
         let r = result(16, 2);
         cache.store(&r).unwrap();
         // flip a payload digit without touching the stored checksums, as
@@ -247,7 +245,8 @@ mod tests {
 
     #[test]
     fn mislabeled_entry_is_evicted() {
-        let cache = ResultCache::new(tmp("mislabel"));
+        let scratch = ScratchDir::new("cache");
+        let cache = ResultCache::new(scratch.join("mislabel"));
         let r = result(16, 3);
         let other = result(16, 4);
         // file r's payload under other's key
@@ -261,7 +260,8 @@ mod tests {
 
     #[test]
     fn unparseable_entry_is_evicted() {
-        let cache = ResultCache::new(tmp("garbage"));
+        let scratch = ScratchDir::new("cache");
+        let cache = ResultCache::new(scratch.join("garbage"));
         std::fs::create_dir_all(cache.dir()).unwrap();
         let path = cache.dir().join("deadbeefdeadbeef.json");
         std::fs::write(&path, "{nope").unwrap();
@@ -272,7 +272,8 @@ mod tests {
 
     #[test]
     fn store_is_atomic_no_tmp_left() {
-        let cache = ResultCache::new(tmp("atomic"));
+        let scratch = ScratchDir::new("cache");
+        let cache = ResultCache::new(scratch.join("atomic"));
         let r = result(8, 5);
         cache.store(&r).unwrap();
         let leftovers: Vec<_> = std::fs::read_dir(cache.dir())

@@ -192,12 +192,13 @@ pub fn clean_stale_tmp_recursive(root: &Path, fs: &dyn SpoolFs) -> std::io::Resu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::ScratchDir;
     use nbody_core::testutil::XorShift64;
     use workloads::spec::WorkloadSpec;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("nbody-ptpm-jobs-ckpt").join(name);
-        std::fs::remove_dir_all(&dir).ok();
+    /// A fresh `name` directory inside the test's unique scratch dir.
+    fn tmp(scratch: &ScratchDir, name: &str) -> PathBuf {
+        let dir = scratch.join(name);
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -216,7 +217,8 @@ mod tests {
 
     #[test]
     fn newest_valid_checkpoint_wins() {
-        let dir = tmp("newest");
+        let scratch = ScratchDir::new("ckpt");
+        let dir = tmp(&scratch, "newest");
         for step in [3, 9, 6] {
             write_valid(&dir, step);
         }
@@ -228,7 +230,8 @@ mod tests {
 
     #[test]
     fn zero_byte_truncated_wrong_version_and_corrupt_all_skipped() {
-        let dir = tmp("garbage");
+        let scratch = ScratchDir::new("ckpt");
+        let dir = tmp(&scratch, "garbage");
         write_valid(&dir, 4);
         // zero-byte file at the highest step: crash before the write hit disk
         std::fs::write(checkpoint_path(&dir, 99), b"").unwrap();
@@ -256,7 +259,8 @@ mod tests {
 
     #[test]
     fn stale_tmp_files_are_deleted_not_resumed() {
-        let dir = tmp("tmp-litter");
+        let scratch = ScratchDir::new("ckpt");
+        let dir = tmp(&scratch, "tmp-litter");
         write_valid(&dir, 2);
         std::fs::write(dir.join("ckpt-00008.json.tmp"), "{half a snapsho").unwrap();
         let scan = scan(&dir).unwrap();
@@ -268,7 +272,8 @@ mod tests {
 
     #[test]
     fn foreign_files_and_weird_names_do_not_confuse_the_scan() {
-        let dir = tmp("foreign");
+        let scratch = ScratchDir::new("ckpt");
+        let dir = tmp(&scratch, "foreign");
         write_valid(&dir, 5);
         std::fs::write(dir.join("bench.json"), "{}").unwrap();
         std::fs::write(dir.join("trace.csv"), "event\n").unwrap();
@@ -290,7 +295,8 @@ mod tests {
     fn property_scan_survives_random_garbage() {
         let mut rng = XorShift64::new(0x5eed_50c1_a100);
         for case in 0..25 {
-            let dir = tmp(&format!("prop-{case}"));
+            let scratch = ScratchDir::new("ckpt");
+            let dir = tmp(&scratch, &format!("prop-{case}"));
             let valid_step = 1 + (rng.next_u64() % 50) as usize;
             write_valid(&dir, valid_step);
             let full = std::fs::read_to_string(checkpoint_path(&dir, valid_step)).unwrap();
@@ -333,7 +339,8 @@ mod tests {
 
     #[test]
     fn clean_stale_tmp_only_touches_tmp_files() {
-        let dir = tmp("clean");
+        let scratch = ScratchDir::new("ckpt");
+        let dir = tmp(&scratch, "clean");
         write_valid(&dir, 1);
         std::fs::write(dir.join("a.tmp"), "x").unwrap();
         std::fs::write(dir.join("b.json.tmp"), "y").unwrap();

@@ -233,17 +233,11 @@ pub fn run_daemon(
 mod tests {
     use super::*;
     use crate::runner::RunOptions;
+    use crate::scratch::ScratchDir;
     use crate::server::JobOutcome;
     use plans::prelude::PlanKind;
-    use std::path::PathBuf;
     use std::sync::atomic::AtomicBool;
     use workloads::spec::WorkloadSpec;
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("nbody-ptpm-jobs-daemon").join(name);
-        std::fs::remove_dir_all(&dir).ok();
-        dir
-    }
 
     fn spec(n: usize, seed: u64, priority: Priority) -> JobSpec {
         let mut s = JobSpec::new(WorkloadSpec::plummer(n, seed), PlanKind::JwParallel, 4);
@@ -261,7 +255,8 @@ mod tests {
 
     #[test]
     fn scripted_arrivals_drain_and_heartbeat_tracks_them() {
-        let (spool, recovery) = Spool::open(tmp("script")).unwrap();
+        let scratch = ScratchDir::new("daemon");
+        let (spool, recovery) = Spool::open(scratch.join("script")).unwrap();
         let config = DaemonConfig {
             arrivals: vec![
                 (0, spec(64, 1, Priority::Batch)),
@@ -292,7 +287,8 @@ mod tests {
 
     #[test]
     fn stop_flag_drains_gracefully_and_leaves_queue_durable() {
-        let (spool, recovery) = Spool::open(tmp("sigterm")).unwrap();
+        let scratch = ScratchDir::new("daemon");
+        let (spool, recovery) = Spool::open(scratch.join("sigterm")).unwrap();
         // stop is already raised: the daemon must still finish the current
         // round (one wave) and leave the rest in submitted/
         let config = DaemonConfig {
@@ -325,7 +321,8 @@ mod tests {
 
     #[test]
     fn arriving_high_preempts_running_batch_and_both_finish_bitexact() {
-        let (spool, recovery) = Spool::open(tmp("preempt")).unwrap();
+        let scratch = ScratchDir::new("daemon");
+        let (spool, recovery) = Spool::open(scratch.join("preempt")).unwrap();
         let mut batch = spec(96, 20, Priority::Batch);
         batch.steps = 8;
         batch.checkpoint_every = 1;
@@ -377,7 +374,8 @@ mod tests {
 
     #[test]
     fn unrunnable_job_is_poisoned_while_daemon_stays_up() {
-        let (spool, recovery) = Spool::open(tmp("poison")).unwrap();
+        let scratch = ScratchDir::new("daemon");
+        let (spool, recovery) = Spool::open(scratch.join("poison")).unwrap();
         let mut doomed = spec(64, 30, Priority::Batch);
         doomed.fault_seed = Some(1);
         doomed.fault_prob = Some(0.2);
@@ -400,7 +398,8 @@ mod tests {
 
     #[test]
     fn tick_limit_bounds_the_run() {
-        let (spool, recovery) = Spool::open(tmp("ticks")).unwrap();
+        let scratch = ScratchDir::new("daemon");
+        let (spool, recovery) = Spool::open(scratch.join("ticks")).unwrap();
         let config = DaemonConfig { max_ticks: Some(3), exit_when_idle: false, ..quick_daemon() };
         let stop = AtomicBool::new(false);
         let daemon = run_daemon(&spool, recovery, &config, &stop).unwrap();

@@ -163,18 +163,20 @@ pub fn is_crashpoint(err: &crate::error::JobError) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::ScratchDir;
     use std::path::PathBuf;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("nbody-ptpm-jobs-fsx").join(name);
-        std::fs::remove_dir_all(&dir).ok();
+    /// A fresh `name` directory inside the test's unique scratch dir.
+    fn tmp(scratch: &ScratchDir, name: &str) -> PathBuf {
+        let dir = scratch.join(name);
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
 
     #[test]
     fn counting_fs_counts_every_mutation() {
-        let dir = tmp("count");
+        let scratch = ScratchDir::new("fsx");
+        let dir = tmp(&scratch, "count");
         let fs = CrashFs::counting();
         fs.write(&dir.join("a"), b"1").unwrap();
         fs.write_atomic(&dir.join("b"), "2").unwrap(); // write + rename
@@ -186,7 +188,8 @@ mod tests {
 
     #[test]
     fn crash_budget_freezes_state_at_an_exact_prefix() {
-        let dir = tmp("budget");
+        let scratch = ScratchDir::new("fsx");
+        let dir = tmp(&scratch, "budget");
         let fs = CrashFs::with_budget(1);
         // op 1 lands: the .tmp write; op 2 (the rename) is refused, so the
         // durable name never appears — the classic mid-transaction crash
@@ -203,7 +206,8 @@ mod tests {
 
     #[test]
     fn existing_dirs_are_not_charged() {
-        let dir = tmp("dirs");
+        let scratch = ScratchDir::new("fsx");
+        let dir = tmp(&scratch, "dirs");
         let fs = CrashFs::counting();
         fs.create_dir_all(&dir.join("sub")).unwrap();
         assert_eq!(fs.ops_used(), 1);

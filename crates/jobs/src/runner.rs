@@ -259,15 +259,9 @@ pub fn reference_set(spec: &JobSpec) -> ParticleSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::ScratchDir;
     use plans::prelude::PlanKind;
-    use std::path::PathBuf;
     use workloads::spec::WorkloadSpec;
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("nbody-ptpm-jobs-runner").join(name);
-        std::fs::remove_dir_all(&dir).ok();
-        dir
-    }
 
     fn spec() -> JobSpec {
         let mut s = JobSpec::new(WorkloadSpec::plummer(96, 42), PlanKind::JwParallel, 6);
@@ -284,7 +278,8 @@ mod tests {
 
     #[test]
     fn fresh_run_completes_and_matches_reference() {
-        let dir = tmp("fresh");
+        let scratch = ScratchDir::new("runner");
+        let dir = scratch.join("fresh");
         let result = complete(run_job(&spec(), &dir, &RunOptions::default()).unwrap());
         assert_eq!(result.resumed_from, 0);
         assert_eq!(result.steps, 6);
@@ -299,7 +294,8 @@ mod tests {
 
     #[test]
     fn crash_then_resume_is_bitexact() {
-        let dir = tmp("crash");
+        let scratch = ScratchDir::new("runner");
+        let dir = scratch.join("crash");
         let opts = RunOptions { crash_after: Some(3), ..Default::default() };
         match run_job(&spec(), &dir, &opts).unwrap() {
             RunStatus::Crashed { at_step } => assert_eq!(at_step, 3),
@@ -315,13 +311,14 @@ mod tests {
 
     #[test]
     fn deadline_yields_checkpoint_and_retries_complete_bitexactly() {
-        let dir = tmp("deadline-probe");
+        let scratch = ScratchDir::new("runner");
+        let dir = scratch.join("deadline-probe");
         let full = complete(run_job(&spec(), &dir, &RunOptions::default()).unwrap());
         std::fs::remove_dir_all(&dir).ok();
 
         let mut tight = spec();
         tight.deadline_s = Some(full.simulated_total_s * 0.4);
-        let dir = tmp("deadline");
+        let dir = scratch.join("deadline");
         let mut attempts = 0;
         let result = loop {
             attempts += 1;
@@ -343,7 +340,7 @@ mod tests {
 
         // deterministic slicing: the same tight deadline yields the same
         // attempt count from a fresh directory
-        let dir2 = tmp("deadline-again");
+        let dir2 = scratch.join("deadline-again");
         let mut attempts2 = 0;
         loop {
             attempts2 += 1;
@@ -363,7 +360,8 @@ mod tests {
         let mut faulty = spec();
         faulty.fault_seed = Some(3);
         faulty.fault_prob = Some(0.1);
-        let dir = tmp("faulty");
+        let scratch = ScratchDir::new("runner");
+        let dir = scratch.join("faulty");
         let result = complete(run_job(&faulty, &dir, &RunOptions::default()).unwrap());
         assert!(result.fault_total > 0, "seed 3 at p=0.1 must inject something");
         assert!(result.recovery_s > 0.0);
@@ -375,14 +373,15 @@ mod tests {
 
     #[test]
     fn backend_tiers_route_through_the_trait() {
-        let dir = tmp("backend-sim");
+        let scratch = ScratchDir::new("runner");
+        let dir = scratch.join("backend-sim");
         let sim = complete(run_job(&spec(), &dir, &RunOptions::default()).unwrap());
 
         // the f32 backend re-executes the device kernels bit-exactly, so the
         // whole trajectory matches the sim oracle — under a distinct hash
         let mut f32_spec = spec();
         f32_spec.backend = Some(BackendKind::F32);
-        let dir_f = tmp("backend-f32");
+        let dir_f = scratch.join("backend-f32");
         let f32_res = complete(run_job(&f32_spec, &dir_f, &RunOptions::default()).unwrap());
         assert_ne!(sim.hash_hex, f32_res.hash_hex);
         assert_eq!(sim.final_snapshot.set.pos(), f32_res.final_snapshot.set.pos());
@@ -393,7 +392,7 @@ mod tests {
         // and reproduces its own reference trajectory exactly
         let mut host_spec = spec();
         host_spec.backend = Some(BackendKind::Host);
-        let dir_h = tmp("backend-host");
+        let dir_h = scratch.join("backend-host");
         let host = complete(run_job(&host_spec, &dir_h, &RunOptions::default()).unwrap());
         assert_ne!(host.hash_hex, sim.hash_hex);
         assert_ne!(host.hash_hex, f32_res.hash_hex);
@@ -410,7 +409,8 @@ mod tests {
 
     #[test]
     fn preemption_yields_at_checkpoint_boundary_and_resumes_bitexactly() {
-        let dir = tmp("preempt");
+        let scratch = ScratchDir::new("runner");
+        let dir = scratch.join("preempt");
         let flag = Arc::new(AtomicBool::new(true)); // raised before the attempt starts
         let opts = RunOptions { preempt: Some(Arc::clone(&flag)), ..Default::default() };
         match run_job(&spec(), &dir, &opts).unwrap() {
@@ -432,7 +432,8 @@ mod tests {
 
     #[test]
     fn watchdog_checkpoints_then_times_out_stuck_attempts() {
-        let dir = tmp("watchdog");
+        let scratch = ScratchDir::new("runner");
+        let dir = scratch.join("watchdog");
         // a zero budget trips on the very first step regardless of host
         // speed, and the trip point must be durable so a later attempt
         // resumes instead of restarting
@@ -454,11 +455,12 @@ mod tests {
 
     #[test]
     fn tile_override_changes_clocks_not_physics() {
-        let dir_a = tmp("tile-a");
+        let scratch = ScratchDir::new("runner");
+        let dir_a = scratch.join("tile-a");
         let base = complete(run_job(&spec(), &dir_a, &RunOptions::default()).unwrap());
         let mut tiled = spec();
         tiled.tile = Some(128);
-        let dir_b = tmp("tile-b");
+        let dir_b = scratch.join("tile-b");
         let other = complete(run_job(&tiled, &dir_b, &RunOptions::default()).unwrap());
         assert_ne!(base.hash_hex, other.hash_hex, "tile is hashed as provenance");
         assert_eq!(base.final_snapshot.set.pos(), other.final_snapshot.set.pos());

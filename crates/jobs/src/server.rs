@@ -679,16 +679,10 @@ pub fn drain(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::ScratchDir;
     use crate::spec::{JobSpec, Priority};
     use plans::prelude::PlanKind;
-    use std::path::PathBuf;
     use workloads::spec::WorkloadSpec;
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("nbody-ptpm-jobs-server").join(name);
-        std::fs::remove_dir_all(&dir).ok();
-        dir
-    }
 
     fn spec(n: usize, seed: u64) -> JobSpec {
         let mut s = JobSpec::new(WorkloadSpec::plummer(n, seed), PlanKind::JwParallel, 4);
@@ -702,7 +696,8 @@ mod tests {
 
     #[test]
     fn drains_batch_in_priority_order_and_caches() {
-        let (spool, recovery) = Spool::open(tmp("basic")).unwrap();
+        let scratch = ScratchDir::new("server");
+        let (spool, recovery) = Spool::open(scratch.join("basic")).unwrap();
         let mut high = spec(64, 2);
         high.priority = Priority::High;
         spool.submit(&spec(64, 1)).unwrap();
@@ -725,7 +720,8 @@ mod tests {
 
     #[test]
     fn duplicate_hashes_in_one_wave_compute_once() {
-        let (spool, recovery) = Spool::open(tmp("dedup")).unwrap();
+        let scratch = ScratchDir::new("server");
+        let (spool, recovery) = Spool::open(scratch.join("dedup")).unwrap();
         spool.submit(&spec(64, 5)).unwrap();
         spool.submit(&spec(64, 5)).unwrap();
         spool.submit(&spec(64, 5)).unwrap();
@@ -739,7 +735,8 @@ mod tests {
 
     #[test]
     fn admission_rejections_are_typed_and_recorded() {
-        let (spool, recovery) = Spool::open(tmp("reject")).unwrap();
+        let scratch = ScratchDir::new("server");
+        let (spool, recovery) = Spool::open(scratch.join("reject")).unwrap();
         // checkpoint_every = 0 is malformed but JSON-representable, so it
         // reaches the server's admission check (a NaN dt would already be
         // quarantined at spool parse time)
@@ -768,7 +765,8 @@ mod tests {
 
     #[test]
     fn deadline_jobs_retry_and_complete() {
-        let (spool, recovery) = Spool::open(tmp("deadline")).unwrap();
+        let scratch = ScratchDir::new("server");
+        let (spool, recovery) = Spool::open(scratch.join("deadline")).unwrap();
         // probe the budget first
         let probe = spec(64, 9);
         spool.submit(&probe).unwrap();
@@ -792,7 +790,8 @@ mod tests {
 
     #[test]
     fn permanent_device_loss_fails_the_job_not_the_server() {
-        let (spool, recovery) = Spool::open(tmp("chaos")).unwrap();
+        let scratch = ScratchDir::new("server");
+        let (spool, recovery) = Spool::open(scratch.join("chaos")).unwrap();
         let mut doomed = spec(64, 11);
         doomed.fault_seed = Some(1);
         doomed.fault_prob = Some(0.2);
@@ -813,7 +812,8 @@ mod tests {
 
     #[test]
     fn simulated_crash_leaves_job_running_and_resume_completes() {
-        let root = tmp("crash");
+        let scratch = ScratchDir::new("server");
+        let root = scratch.join("crash");
         let (spool, recovery) = Spool::open(&root).unwrap();
         let job = spec(64, 13);
         spool.submit(&job).unwrap();
@@ -842,7 +842,8 @@ mod tests {
 
     #[test]
     fn ptpm_shedding_drops_batch_keeps_high() {
-        let (spool, recovery) = Spool::open(tmp("shed")).unwrap();
+        let scratch = ScratchDir::new("server");
+        let (spool, recovery) = Spool::open(scratch.join("shed")).unwrap();
         let mut batch_a = spec(64, 20);
         batch_a.priority = Priority::Batch;
         let mut batch_b = spec(64, 21);
@@ -874,7 +875,8 @@ mod tests {
 
     #[test]
     fn supervised_failures_requeue_then_poison_with_typed_reason() {
-        let (spool, recovery) = Spool::open(tmp("poison")).unwrap();
+        let scratch = ScratchDir::new("server");
+        let (spool, recovery) = Spool::open(scratch.join("poison")).unwrap();
         let mut doomed = spec(64, 30);
         doomed.fault_seed = Some(1);
         doomed.fault_prob = Some(0.2);
@@ -903,7 +905,8 @@ mod tests {
 
     #[test]
     fn watchdog_attempts_are_supervised_and_make_progress() {
-        let (spool, recovery) = Spool::open(tmp("watchdog")).unwrap();
+        let scratch = ScratchDir::new("server");
+        let (spool, recovery) = Spool::open(scratch.join("watchdog")).unwrap();
         let mut slow = spec(64, 40);
         slow.checkpoint_every = 1;
         spool.submit(&slow).unwrap();

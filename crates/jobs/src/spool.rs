@@ -377,15 +377,10 @@ impl Spool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::ScratchDir;
     use crate::spec::{JobSpec, Priority};
     use plans::prelude::PlanKind;
     use workloads::spec::WorkloadSpec;
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("nbody-ptpm-jobs-spool").join(name);
-        std::fs::remove_dir_all(&dir).ok();
-        dir
-    }
 
     fn spec(n: usize, seed: u64) -> JobSpec {
         JobSpec::new(WorkloadSpec::plummer(n, seed), PlanKind::JwParallel, 4)
@@ -393,7 +388,8 @@ mod tests {
 
     #[test]
     fn submit_list_transition_roundtrip() {
-        let (spool, rec) = Spool::open(tmp("roundtrip")).unwrap();
+        let scratch = ScratchDir::new("spool");
+        let (spool, rec) = Spool::open(scratch.join("roundtrip")).unwrap();
         assert_eq!(rec, SpoolRecovery::default());
         let a = spool.submit(&spec(32, 1)).unwrap();
         let b = spool.submit(&spec(32, 2)).unwrap();
@@ -416,7 +412,8 @@ mod tests {
 
     #[test]
     fn priority_classes_order_before_sequence() {
-        let (spool, _) = Spool::open(tmp("priority")).unwrap();
+        let scratch = ScratchDir::new("spool");
+        let (spool, _) = Spool::open(scratch.join("priority")).unwrap();
         let mut batch = spec(16, 1);
         batch.priority = Priority::Batch;
         let mut high = spec(16, 2);
@@ -433,7 +430,8 @@ mod tests {
 
     #[test]
     fn reopen_requeues_running_and_cleans_tmp() {
-        let root = tmp("requeue");
+        let scratch = ScratchDir::new("spool");
+        let root = scratch.join("requeue");
         let (spool, _) = Spool::open(&root).unwrap();
         let a = spool.submit(&spec(32, 1)).unwrap();
         spool.transition(&a, JobState::Submitted, JobState::Running).unwrap();
@@ -456,7 +454,8 @@ mod tests {
     fn reopen_sweeps_cache_and_artifact_tmp_debris() {
         // the found shape: kill-9 between an artifact's .tmp write and its
         // rename used to leave debris forever in cache/ and jobs/<hash>/
-        let root = tmp("artifact-debris");
+        let scratch = ScratchDir::new("spool");
+        let root = scratch.join("artifact-debris");
         let (spool, _) = Spool::open(&root).unwrap();
         let a = spool.submit(&spec(32, 9)).unwrap();
         std::fs::write(spool.cache_dir().join("deadbeef.json.tmp"), "{half").unwrap();
@@ -483,7 +482,8 @@ mod tests {
 
     #[test]
     fn reopen_resolves_duplicates_by_precedence() {
-        let root = tmp("dupes");
+        let scratch = ScratchDir::new("spool");
+        let root = scratch.join("dupes");
         let (spool, _) = Spool::open(&root).unwrap();
         let a = spool.submit(&spec(32, 1)).unwrap();
         // simulate a crash between transition halves: record in both
@@ -501,7 +501,8 @@ mod tests {
 
     #[test]
     fn poisoned_records_win_precedence_and_survive_reopen() {
-        let root = tmp("poison-precedence");
+        let scratch = ScratchDir::new("spool");
+        let root = scratch.join("poison-precedence");
         let (spool, _) = Spool::open(&root).unwrap();
         let a = spool.submit(&spec(32, 4)).unwrap();
         let mut poisoned = a.clone();
@@ -523,7 +524,8 @@ mod tests {
 
     #[test]
     fn claim_durably_charges_an_attempt() {
-        let (spool, _) = Spool::open(tmp("claim")).unwrap();
+        let scratch = ScratchDir::new("spool");
+        let (spool, _) = Spool::open(scratch.join("claim")).unwrap();
         let a = spool.submit(&spec(32, 5)).unwrap();
         assert_eq!(a.attempts, 0);
         let claimed = spool.claim(&a).unwrap();
@@ -536,7 +538,8 @@ mod tests {
 
     #[test]
     fn malformed_record_is_quarantined_not_fatal() {
-        let (spool, _) = Spool::open(tmp("quarantine")).unwrap();
+        let scratch = ScratchDir::new("spool");
+        let (spool, _) = Spool::open(scratch.join("quarantine")).unwrap();
         spool.submit(&spec(32, 1)).unwrap();
         std::fs::write(spool.dir(JobState::Submitted).join("job-zzz.json"), "{nope").unwrap();
         let listed = spool.list(JobState::Submitted).unwrap();
@@ -547,7 +550,8 @@ mod tests {
 
     #[test]
     fn write_atomic_leaves_no_tmp_sibling() {
-        let root = tmp("atomic");
+        let scratch = ScratchDir::new("spool");
+        let root = scratch.join("atomic");
         std::fs::create_dir_all(&root).unwrap();
         let path = root.join("x.json");
         write_atomic(&path, "{}").unwrap();
@@ -558,7 +562,8 @@ mod tests {
 
     #[test]
     fn identical_specs_share_hash_but_not_identity() {
-        let (spool, _) = Spool::open(tmp("identity")).unwrap();
+        let scratch = ScratchDir::new("spool");
+        let (spool, _) = Spool::open(scratch.join("identity")).unwrap();
         let a = spool.submit(&spec(32, 1)).unwrap();
         let b = spool.submit(&spec(32, 1)).unwrap();
         assert_eq!(a.hash_hex, b.hash_hex);
@@ -569,7 +574,8 @@ mod tests {
 
     #[test]
     fn job_state_locates_records_across_dirs() {
-        let (spool, _) = Spool::open(tmp("locate")).unwrap();
+        let scratch = ScratchDir::new("spool");
+        let (spool, _) = Spool::open(scratch.join("locate")).unwrap();
         let a = spool.submit(&spec(32, 7)).unwrap();
         assert_eq!(spool.job_state(&a.id), Some(JobState::Submitted));
         let claimed = spool.claim(&a).unwrap();

@@ -336,12 +336,13 @@ pub fn resolve_plan(
 mod tests {
     use super::*;
     use crate::fsx::{CrashFs, RealFs};
+    use crate::scratch::ScratchDir;
     use plans::prelude::{autotune, evaluate_forces, DEFAULT_SHORTLIST};
     use std::path::PathBuf;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("nbody-ptpm-jobs-tuning").join(name);
-        std::fs::remove_dir_all(&dir).ok();
+    /// A fresh `name` directory inside the test's unique scratch dir.
+    fn tmp(scratch: &ScratchDir, name: &str) -> PathBuf {
+        let dir = scratch.join(name);
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -359,7 +360,8 @@ mod tests {
 
     #[test]
     fn db_round_trips_and_missing_is_none() {
-        let dir = tmp("roundtrip");
+        let scratch = ScratchDir::new("tuning");
+        let dir = tmp(&scratch, "roundtrip");
         let path = dir.join("tuning.json");
         assert!(TuningDb::load(&path).unwrap().is_none());
         let mut db = TuningDb::default();
@@ -385,7 +387,8 @@ mod tests {
 
     #[test]
     fn corrupt_and_version_skewed_dbs_are_typed_errors_not_panics() {
-        let dir = tmp("corrupt");
+        let scratch = ScratchDir::new("tuning");
+        let dir = tmp(&scratch, "corrupt");
         let path = dir.join("tuning.json");
         std::fs::write(&path, "{ not json").unwrap();
         let err = TuningDb::load(&path).unwrap_err();
@@ -439,7 +442,8 @@ mod tests {
 
     #[test]
     fn resolution_chain_misses_then_hits_with_identical_choice() {
-        let dir = tmp("chain");
+        let scratch = ScratchDir::new("tuning");
+        let dir = tmp(&scratch, "chain");
         let path = dir.join("tuning.json");
         let workload = WorkloadSpec::plummer(128, 7);
         let first = resolve_plan(
@@ -470,7 +474,8 @@ mod tests {
 
     #[test]
     fn corrupt_db_falls_back_and_heals() {
-        let dir = tmp("heal");
+        let scratch = ScratchDir::new("tuning");
+        let dir = tmp(&scratch, "heal");
         let path = dir.join("tuning.json");
         std::fs::write(&path, "garbage").unwrap();
         let workload = WorkloadSpec::plummer(96, 3);
@@ -503,7 +508,8 @@ mod tests {
         // persist the *full* autotuner's measured winner, then check a DB
         // hit reproduces exactly that candidate and that replaying it gives
         // bit-identical forces — the invariant that makes persistence safe
-        let dir = tmp("replay");
+        let scratch = ScratchDir::new("tuning");
+        let dir = tmp(&scratch, "replay");
         let path = dir.join("tuning.json");
         let device = DeviceSpec::radeon_hd_5850();
         let workload = WorkloadSpec::plummer(128, 11);
@@ -550,7 +556,8 @@ mod tests {
 
     #[test]
     fn store_crash_points_leave_old_db_or_new_db_never_torn() {
-        let dir = tmp("crashfuzz");
+        let scratch = ScratchDir::new("tuning");
+        let dir = tmp(&scratch, "crashfuzz");
         let path = dir.join("tuning.json");
         // establish an old generation on disk
         let mut old = TuningDb::default();

@@ -202,8 +202,9 @@ pub fn auto_probe_tile() -> usize {
 /// lanes, so it vectorizes — while each row keeps one sequential summation
 /// chain across the whole `j` sweep, which is what makes the result
 /// bit-identical to the scalar reference. The `i == j` self-interaction is
-/// excluded by a lane select (the discarded lane may compute a NaN at zero
-/// softening; it is never merged).
+/// excluded by [`lanes_accumulate_except`], which leaves that row's
+/// accumulator as it is (at zero softening the self-pair is a NaN; it is
+/// never merged).
 ///
 /// `inline(never)`: inlined into the caller's tile loop LLVM stops
 /// auto-vectorizing the lane sweeps (verified on the emitted asm — scalar
@@ -230,60 +231,57 @@ fn pp_tile_block(
     let iz = &zs[row0..row0 + rb];
     // The j sweep splits at the diagonal: sources j ∈ [row0, row0+rb) are
     // the only ones that can coincide with a tile row, so only that narrow
-    // middle range pays the self-interaction lane select. The two outer
-    // ranges run the branch-free lane loop, which the compiler vectorizes
-    // (sqrt/div across independent rows). Each row still accumulates its
-    // sources in one strictly j-ascending chain across all three ranges —
-    // the order that makes the result bit-identical to the scalar kernel.
+    // middle range skips a self lane. Every lane loop is branch-free and
+    // vectorizes (sqrt/div across independent rows). Each row still
+    // accumulates its sources in one strictly j-ascending chain across all
+    // three ranges — the order that makes the result bit-identical to the
+    // scalar kernel.
     let mid0 = row0.min(n);
     let mid1 = (row0 + rb).min(n);
     for j in 0..mid0 {
-        lanes_accumulate(ix, iy, iz, axs, ays, azs, xs[j], ys[j], zs[j], ms[j], eps_sq);
+        lanes_accumulate(ix, iy, iz, axs, ays, azs, [xs[j], ys[j], zs[j], ms[j]], eps_sq);
     }
     for j in mid0..mid1 {
-        let (xj, yj, zj, mj) = (xs[j], ys[j], zs[j], ms[j]);
-        let ays = &mut ays[..rb];
-        let azs = &mut azs[..rb];
-        for k in 0..rb {
-            // identical expression tree to gravity::pair_acceleration
-            let dx = xj - ix[k];
-            let dy = yj - iy[k];
-            let dz = zj - iz[k];
-            let r2 = ((dx * dx + dy * dy) + dz * dz) + eps_sq;
-            let inv_r = 1.0 / r2.sqrt();
-            let inv_r3 = (inv_r * inv_r) * inv_r;
-            let s = mj * inv_r3;
-            // the self-pair is excluded by a select on the accumulator, not
-            // by adding a masked 0.0: `-0.0 + 0.0` would flip the sign, and
-            // at eps = 0 the discarded lane holds a NaN that must never be
-            // merged into the sum
-            let keep = row0 + k != j;
-            axs[k] = if keep { axs[k] + dx * s } else { axs[k] };
-            ays[k] = if keep { ays[k] + dy * s } else { ays[k] };
-            azs[k] = if keep { azs[k] + dz * s } else { azs[k] };
-        }
+        lanes_accumulate_except(
+            ix,
+            iy,
+            iz,
+            axs,
+            ays,
+            azs,
+            [xs[j], ys[j], zs[j], ms[j]],
+            eps_sq,
+            j - row0,
+        );
     }
     for j in mid1..n {
-        lanes_accumulate(ix, iy, iz, axs, ays, azs, xs[j], ys[j], zs[j], ms[j], eps_sq);
+        lanes_accumulate(ix, iy, iz, axs, ays, azs, [xs[j], ys[j], zs[j], ms[j]], eps_sq);
     }
 }
 
-/// One branch-free source-j sweep over the tile's row lanes: every index is
-/// provably in bounds and there is no select, so the loop auto-vectorizes.
-/// Callers guarantee source `j` is not one of the tile rows.
+/// One branch-free sweep of source `src = [x, y, z, m]` over a block of
+/// target lanes: `ix/iy/iz` are the lane positions and `axs/ays/azs` their
+/// accumulators (the block length is `axs.len()`). Every index is provably
+/// in bounds and there is no select, so the loop auto-vectorizes. Callers
+/// guarantee the source is none of the lanes' own body, else they use
+/// [`lanes_accumulate_except`].
+///
+/// This is the one copy of the f64 lane arithmetic, shared by the tiled PP
+/// kernel and the treecode walk lane kernel. Called once per source in the
+/// reference's source order, it keeps one sequential summation chain per
+/// lane with the expression tree of [`crate::gravity::pair_acceleration`],
+/// which is what makes both kernels bit-identical to their scalar
+/// references.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn lanes_accumulate(
+pub fn lanes_accumulate(
     ix: &[f64],
     iy: &[f64],
     iz: &[f64],
     axs: &mut [f64],
     ays: &mut [f64],
     azs: &mut [f64],
-    xj: f64,
-    yj: f64,
-    zj: f64,
-    mj: f64,
+    src: [f64; 4],
     eps_sq: f64,
 ) {
     let rb = axs.len();
@@ -292,6 +290,7 @@ fn lanes_accumulate(
     let iz = &iz[..rb];
     let ays = &mut ays[..rb];
     let azs = &mut azs[..rb];
+    let [xj, yj, zj, mj] = src;
     for k in 0..rb {
         // identical expression tree to gravity::pair_acceleration
         let dx = xj - ix[k];
@@ -305,6 +304,45 @@ fn lanes_accumulate(
         ays[k] += dy * s;
         azs[k] += dz * s;
     }
+}
+
+/// [`lanes_accumulate`] for a source that is lane `skip`'s own body. The
+/// self-pair is excluded by a select on the accumulator: lane `skip` keeps
+/// its value, taken as the two branch-free lane ranges either side of it,
+/// so both still vectorize. It is never a masked `0.0` added in: `-0.0 +
+/// 0.0` would flip the sign, and at `eps = 0` the self-pair is a NaN that
+/// must never reach the sum.
+///
+/// # Panics
+/// Panics if `skip >= axs.len()`.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub fn lanes_accumulate_except(
+    ix: &[f64],
+    iy: &[f64],
+    iz: &[f64],
+    axs: &mut [f64],
+    ays: &mut [f64],
+    azs: &mut [f64],
+    src: [f64; 4],
+    eps_sq: f64,
+    skip: usize,
+) {
+    let (axs_lo, axs_hi) = axs.split_at_mut(skip);
+    let (ays_lo, ays_hi) = ays.split_at_mut(skip);
+    let (azs_lo, azs_hi) = azs.split_at_mut(skip);
+    lanes_accumulate(ix, iy, iz, axs_lo, ays_lo, azs_lo, src, eps_sq);
+    let hi = skip + 1;
+    lanes_accumulate(
+        &ix[hi..],
+        &iy[hi..],
+        &iz[hi..],
+        &mut axs_hi[1..],
+        &mut ays_hi[1..],
+        &mut azs_hi[1..],
+        src,
+        eps_sq,
+    );
 }
 
 /// Fills `out` with the accelerations of rows `rows` using `tile`-row

@@ -38,12 +38,12 @@ use crate::w_parallel::{prepare_walks, PackedWalks, NO_TARGET};
 use gpu_sim::device::Device;
 use gpu_sim::prelude::{DeviceSpec, TransferModel};
 use nbody_core::body::ParticleSet;
-use nbody_core::gravity::{pair_acceleration, GravityParams};
+use nbody_core::gravity::GravityParams;
 use nbody_core::soa::{accelerations_pp_tiled_parallel, accelerations_pp_tiled_with, SoaBodies};
 use nbody_core::vec3::Vec3;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
-use treecode::interaction_list::{build_walks, WalkSet};
+use treecode::interaction_list::{build_walks, evaluate_walk_lanes, WalkSet};
 use treecode::mac::OpeningAngle;
 use treecode::morton::keys_in_order;
 use treecode::shards::MortonShards;
@@ -241,8 +241,13 @@ impl Backend for SimBackend {
 
 /// The host f64 backend: PP plans run the SoA tiled kernel (bit-exact
 /// against the scalar reference at every tile size and thread count), tree
-/// plans run the CPU treecode evaluator parallelized over walk groups
-/// (groups own disjoint bodies, so the scatter is deterministic).
+/// plans run the walk lane kernel
+/// [`treecode::interaction_list::evaluate_walk_lanes`] parallelized over
+/// walk groups (groups own disjoint bodies, so the scatter is
+/// deterministic). The lane kernel makes each walk's targets SIMD lanes
+/// over one sweep of its list, with the PP tiles' lane arithmetic and one
+/// summation chain per target in list order, so it is bit-identical to the
+/// scalar [`treecode::interaction_list::evaluate_walks_cpu`].
 ///
 /// No simulated clocks: `kernel_s`/`transfer_s`/`recovery_s` are zero and
 /// `launches` is zero; only the informational wall-clock `host_measured_s`
@@ -307,64 +312,13 @@ impl HostBackend {
         let walks =
             build_walks(&tree, set, OpeningAngle::new(self.config.theta), self.config.walk_size);
         let decomp = self.shard_decomposition(set, &tree, &walks);
-        let pos = set.pos();
-        let mass = set.mass();
-        let eps_sq = params.eps_sq();
-        // replicates `evaluate_walks_cpu` per group (cells then bodies,
-        // list order, skip i == j) — conformance pins the two bit-exactly
-        let eval_group = |group: &treecode::interaction_list::WalkGroup,
-                          out: &mut Vec<(u32, Vec3)>| {
-            for &i in &group.bodies {
-                let xi = pos[i as usize];
-                let mut a = Vec3::ZERO;
-                for &c in &group.cell_list {
-                    let node = &tree.nodes()[c as usize];
-                    a += pair_acceleration(xi, node.com, node.mass, eps_sq);
-                }
-                for &j in &group.body_list {
-                    if j != i {
-                        a += pair_acceleration(xi, pos[j as usize], mass[j as usize], eps_sq);
-                    }
-                }
-                out.push((i, a * params.g));
-            }
-        };
         // one pass per shard (a single pass when unsharded) — walks own
         // disjoint bodies, so any shard cut is bit-invariant
         for shard in decomp.shards() {
             let groups = &walks.groups[shard.walk_start..shard.walk_end.min(walks.groups.len())];
-            let threads = par::threads().min(groups.len().max(1));
-            if threads <= 1 {
-                let mut out = Vec::new();
-                for group in groups {
-                    eval_group(group, &mut out);
-                }
-                for (i, a) in out {
-                    acc[i as usize] = a;
-                }
-            } else {
-                let ranges = par::chunk_ranges(groups.len(), threads);
-                let eval_group = &eval_group;
-                let results = par::run_tasks(
-                    ranges
-                        .into_iter()
-                        .map(|range| {
-                            move || {
-                                let mut out = Vec::new();
-                                for group in &groups[range] {
-                                    eval_group(group, &mut out);
-                                }
-                                out
-                            }
-                        })
-                        .collect(),
-                );
-                for out in results {
-                    for (i, a) in out {
-                        acc[i as usize] = a;
-                    }
-                }
-            }
+            scatter_walks(acc, groups.len(), |w, out| {
+                evaluate_walk_lanes(&groups[w], &tree, set, params, |i, a| out.push((i, a)));
+            });
         }
         (walks.total_interactions(), decomp.len())
     }
@@ -692,6 +646,10 @@ mod tests {
         GravityParams { g: 1.0, softening: 0.05 }
     }
 
+    fn bits(v: &[Vec3]) -> Vec<[u64; 3]> {
+        v.iter().map(|a| [a.x.to_bits(), a.y.to_bits(), a.z.to_bits()]).collect()
+    }
+
     #[test]
     fn kind_parse_roundtrips_and_resolves() {
         for k in BackendKind::all() {
@@ -760,7 +718,12 @@ mod tests {
         for plan in [PlanKind::WParallel, PlanKind::JwParallel] {
             let mut host = make_backend(BackendKind::Host, config);
             let got = host.evaluate(plan, &set, &params());
-            assert_eq!(got.acc, exact, "{plan:?}: host tree diverged from evaluate_walks_cpu");
+            // bitwise: `Vec3` equality would let -0.0 pass for 0.0
+            assert_eq!(
+                bits(&got.acc),
+                bits(&exact),
+                "{plan:?}: host tree diverged from evaluate_walks_cpu"
+            );
             assert_eq!(got.interactions, walks.total_interactions());
         }
     }

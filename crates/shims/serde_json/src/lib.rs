@@ -277,13 +277,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
                 *pos += 1;
             }
             Some(_) => {
-                // consume one UTF-8 scalar (the input came from &str, so
-                // char boundaries are valid)
-                let rest = std::str::from_utf8(&bytes[*pos..])
+                // copy the run up to the next quote or backslash; both are
+                // ASCII, so the run ends on a char boundary of the &str
+                // input, and each byte is validated once, not once per char
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(bytes.len() - *pos);
+                let text = std::str::from_utf8(&bytes[*pos..*pos + run])
                     .map_err(|_| Error::new("invalid UTF-8 in string"))?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(text);
+                *pos += run;
             }
         }
     }
@@ -355,6 +359,14 @@ mod tests {
         let json = to_string(&s).unwrap();
         assert_eq!(json, "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(from_str::<String>(&json).unwrap(), s);
+    }
+
+    #[test]
+    fn multibyte_strings_roundtrip() {
+        let s = "θ = 0.5 → ε² \u{1f680}".to_string();
+        let json = to_string(&s).unwrap();
+        assert_eq!(from_str::<String>(&json).unwrap(), s);
+        assert!(from_str::<String>("\"unterminated").is_err());
     }
 
     #[test]

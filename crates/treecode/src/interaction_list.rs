@@ -14,6 +14,7 @@ use crate::traverse::WalkStats;
 use crate::tree::Octree;
 use nbody_core::body::ParticleSet;
 use nbody_core::gravity::{pair_acceleration, GravityParams};
+use nbody_core::soa::{lanes_accumulate, lanes_accumulate_except, MAX_TILE};
 use nbody_core::vec3::Vec3;
 use serde::{Deserialize, Serialize};
 
@@ -262,7 +263,8 @@ pub fn collect_list_into(
 }
 
 /// Reference CPU evaluation of a walk set: the semantics every GPU walk
-/// kernel must reproduce.
+/// kernel must reproduce. One scalar chain per target; the host tree force
+/// runs the bit-identical lane kernel [`evaluate_walk_lanes`] instead.
 pub fn evaluate_walks_cpu(
     walks: &WalkSet,
     tree: &Octree,
@@ -296,6 +298,114 @@ pub fn evaluate_walks_cpu(
         }
     }
     stats
+}
+
+/// Lane-vectorized evaluation of one walk: the host form of the paper's
+/// w-parallel work-group, where the walk's list is staged once and every
+/// work-item accumulates one target against it.
+///
+/// The walk's targets become SIMD lanes, in blocks of up to
+/// [`MAX_TILE`]. Each block sweeps the interaction list once, cells then
+/// bodies in list order, loading every source once and applying it across
+/// all lanes through the shared [`lanes_accumulate`] arithmetic of the
+/// tiled PP kernel. Every target therefore keeps its own summation chain in
+/// exactly [`evaluate_walks_cpu`]'s order and expression tree, so the
+/// result is **bit-identical** to it. A body source that is one of the
+/// block's own targets goes through [`lanes_accumulate_except`], which
+/// drops that lane's self-pair by a select on the accumulator; every other
+/// source takes the branch-free path.
+///
+/// `emit(i, a)` receives each target's acceleration (`G` applied), in
+/// `group.bodies` order. Lanes, accumulators and the membership index live
+/// on the stack: a call performs no heap allocation.
+pub fn evaluate_walk_lanes(
+    group: &WalkGroup,
+    tree: &Octree,
+    set: &ParticleSet,
+    params: &GravityParams,
+    mut emit: impl FnMut(u32, Vec3),
+) {
+    let pos = set.pos();
+    let g = params.g;
+    let mut lanes = WalkLanes {
+        ix: [0.0; MAX_TILE],
+        iy: [0.0; MAX_TILE],
+        iz: [0.0; MAX_TILE],
+        axs: [0.0; MAX_TILE],
+        ays: [0.0; MAX_TILE],
+        azs: [0.0; MAX_TILE],
+        members: [0; MAX_TILE],
+    };
+    for block in group.bodies.chunks(MAX_TILE) {
+        let rb = block.len();
+        for (k, &i) in block.iter().enumerate() {
+            let p = pos[i as usize];
+            lanes.ix[k] = p.x;
+            lanes.iy[k] = p.y;
+            lanes.iz[k] = p.z;
+            // (body id, lane) in one key: sorted, it answers "is source j
+            // one of this block's targets, and which lane" by binary search
+            lanes.members[k] = (u64::from(i) << 32) | k as u64;
+        }
+        lanes.members[..rb].sort_unstable();
+        lanes.axs[..rb].fill(0.0);
+        lanes.ays[..rb].fill(0.0);
+        lanes.azs[..rb].fill(0.0);
+        sweep_walk_block(&mut lanes, rb, group, tree, set, params.eps_sq());
+        for (k, &i) in block.iter().enumerate() {
+            emit(i, Vec3::new(lanes.axs[k] * g, lanes.ays[k] * g, lanes.azs[k] * g));
+        }
+    }
+}
+
+/// Stack storage of one lane block of [`evaluate_walk_lanes`].
+struct WalkLanes {
+    ix: [f64; MAX_TILE],
+    iy: [f64; MAX_TILE],
+    iz: [f64; MAX_TILE],
+    axs: [f64; MAX_TILE],
+    ays: [f64; MAX_TILE],
+    azs: [f64; MAX_TILE],
+    /// `(body id << 32) | lane`, sorted.
+    members: [u64; MAX_TILE],
+}
+
+/// One sweep of the walk's list over the first `rb` lanes.
+///
+/// Non-generic and `inline(never)`: one copy serves every `emit` closure,
+/// and, like the PP tile block, the lane sweeps it calls stay the packed
+/// `sqrtpd`/`divpd` loops rather than being inlined into setup code.
+#[inline(never)]
+fn sweep_walk_block(
+    lanes: &mut WalkLanes,
+    rb: usize,
+    group: &WalkGroup,
+    tree: &Octree,
+    set: &ParticleSet,
+    eps_sq: f64,
+) {
+    let pos = set.pos();
+    let mass = set.mass();
+    let nodes = tree.nodes();
+    let members = &lanes.members[..rb];
+    let (ix, iy, iz) = (&lanes.ix[..rb], &lanes.iy[..rb], &lanes.iz[..rb]);
+    let (axs, ays, azs) = (&mut lanes.axs[..rb], &mut lanes.ays[..rb], &mut lanes.azs[..rb]);
+    for &c in &group.cell_list {
+        let node = &nodes[c as usize];
+        let src = [node.com.x, node.com.y, node.com.z, node.mass];
+        lanes_accumulate(ix, iy, iz, axs, ays, azs, src, eps_sq);
+    }
+    for &j in &group.body_list {
+        let p = pos[j as usize];
+        let src = [p.x, p.y, p.z, mass[j as usize]];
+        match members.binary_search_by_key(&j, |&m| (m >> 32) as u32) {
+            Ok(at) => {
+                let lane = (members[at] & u64::from(u32::MAX)) as usize;
+                lanes_accumulate_except(ix, iy, iz, axs, ays, azs, src, eps_sq, lane);
+            }
+            Err(_) => lanes_accumulate(ix, iy, iz, axs, ays, azs, src, eps_sq),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 //! * the SoA-tiled PP engine driven by the leapfrog integrator,
 //! * the Barnes-Hut engine (rebuild-in-place, refit, and pooled walks),
 //! * interaction-list generation plus CPU walk evaluation,
+//! * the walk lane kernel that the host backend's tree plans run,
 //! * the incremental Morton re-sort.
 //!
 //! Zero allocation is a *serial* invariant (`par` pinned to one thread):
@@ -65,6 +66,15 @@ fn steady_state_steps_perform_zero_heap_allocations() {
         evaluate_walks_cpu(&walks, &tree, &set, &params, &mut acc);
     });
     assert_eq!(walk, 0, "walk build + evaluation allocated {walk} times");
+
+    // --- walk lane kernel (the host tree force): lanes, accumulators and
+    // the membership index live on the stack, never in per-group Vecs ---
+    let lanes = allocs_of_step(2, || {
+        for group in &walks.groups {
+            evaluate_walk_lanes(group, &tree, &set, &params, |i, a| acc[i as usize] = a);
+        }
+    });
+    assert_eq!(lanes, 0, "walk lane kernel allocated {lanes} times");
 
     // --- Morton path: incremental re-sort of a perturbed previous order ---
     let mut order = morton_order(&set);
