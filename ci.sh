@@ -182,10 +182,11 @@ echo "==> allocation-regression gate (zero allocs per steady-state step)"
 # warmup; run it in release so the gate matches shipping codegen.
 cargo test --release -q --test alloc_steady_state
 
-echo "==> release exactness gate (walk lane kernel and PP tiles, optimized codegen)"
+echo "==> release exactness gate (walk lanes, PP tiles, sim work-group lanes, optimized codegen)"
 # The lane kernels only auto-vectorize in optimized builds, so the debug
-# test run cannot catch a lane-order bug: rerun both bitwise property
+# test run cannot catch a lane-order bug: rerun the bitwise property
 # matrices against their scalar references in release.
-cargo test --release -q --test walk_lane_exactness --test tiled_exactness
+cargo test --release -q --test walk_lane_exactness --test tiled_exactness \
+    --test sim_lane_exactness
 
 echo "CI OK"

@@ -10,6 +10,12 @@
 //!   (charged as `4 / transaction_bytes` transactions per element);
 //! * plain (gather/scatter) — each lane pays a full transaction.
 //!
+//! [`GroupCtx`] is the whole group's view of one phase. The executor hands it
+//! to [`Kernel::phase_group`], which by default builds each item's
+//! [`ItemCtx`] in local-id order; a kernel may instead run the phase's items
+//! as SIMD lanes over one shared LDS tile, charged per item in the same
+//! order.
+//!
 //! Execution is deterministic regardless of host thread count: groups run
 //! in index order (serially, or chunked over `par` worker threads with the
 //! per-chunk global-memory write logs replayed in chunk order), items in
@@ -127,16 +133,6 @@ impl<'a> ItemCtx<'a> {
             }
         }
         &self.lds[base..base + len]
-    }
-
-    /// Reads `COUNT` consecutive LDS words (charged per word); the staple of
-    /// tile-processing inner loops.
-    #[inline]
-    pub fn lds_read_vec<const COUNT: usize>(&mut self, base: usize) -> [f32; COUNT] {
-        self.cost.lds_accesses += COUNT as f64;
-        let mut out = [0.0; COUNT];
-        out.copy_from_slice(&self.lds[base..base + COUNT]);
-        out
     }
 
     /// Reads one `f32` with wavefront-coalesced addressing.
@@ -488,6 +484,89 @@ impl<'a> ItemCtx<'a> {
     }
 }
 
+/// The device-side view of a whole work-group during one phase, handed to
+/// [`Kernel::phase_group`].
+///
+/// A phase normally runs item by item through [`GroupCtx::for_each_item`],
+/// which builds each item's [`ItemCtx`] in local-id order. A kernel whose
+/// items all consume the same LDS tile can instead read the tile once
+/// ([`GroupCtx::lds`]) and evaluate its items as SIMD lanes, charging them
+/// with [`GroupCtx::charge_items_lds_read`]. That helper adds each item's
+/// charges in local-id order and records each item's reads with the race
+/// detector in the same order, so the group's cost sums and race report are
+/// identical to the item-by-item run.
+pub struct GroupCtx<'a> {
+    /// Work-group index.
+    pub group_id: usize,
+    /// Items per group.
+    pub local_size: usize,
+    /// Total items in the launch.
+    pub global_size: usize,
+    lds: &'a mut [f32],
+    pool: &'a mut BufferPool,
+    cost: &'a mut GroupCost,
+    inv_transaction_bytes: f64,
+    race: Option<&'a mut RaceDetector>,
+    log: Option<&'a mut WriteLog>,
+}
+
+impl GroupCtx<'_> {
+    /// The [`ItemCtx`] of the item at `local_id`.
+    #[inline]
+    pub fn item(&mut self, local_id: usize) -> ItemCtx<'_> {
+        ItemCtx {
+            global_id: self.group_id * self.local_size + local_id,
+            local_id,
+            group_id: self.group_id,
+            local_size: self.local_size,
+            global_size: self.global_size,
+            lds: self.lds,
+            pool: self.pool,
+            cost: self.cost,
+            inv_transaction_bytes: self.inv_transaction_bytes,
+            race: self.race.as_deref_mut(),
+            log: self.log.as_deref_mut(),
+        }
+    }
+
+    /// Runs `f` for every item in local-id order, each with its own
+    /// [`ItemCtx`] and registers: the item-by-item phase.
+    #[inline]
+    pub fn for_each_item<R>(
+        &mut self,
+        items: &mut [R],
+        mut f: impl FnMut(&mut ItemCtx<'_>, &mut R),
+    ) {
+        for (local_id, regs) in items.iter_mut().enumerate() {
+            f(&mut self.item(local_id), regs);
+        }
+    }
+
+    /// Uncounted, race-untracked shared view of the group's LDS. Pair with
+    /// [`GroupCtx::charge_items_lds_read`].
+    #[inline]
+    pub fn lds(&self) -> &[f32] {
+        self.lds
+    }
+
+    /// Charges, for every item in local-id order, `flops` convention flops
+    /// and a read of the LDS words `base..base + len`, and records that
+    /// item's reads with the race detector: exactly what each item's
+    /// `charge_flops(flops)` then `lds_read_slice(base, len)` would do.
+    pub fn charge_items_lds_read(&mut self, flops: f64, base: usize, len: usize) {
+        assert!(base + len <= self.lds.len(), "LDS read {base}..{} out of bounds", base + len);
+        for local_id in 0..self.local_size {
+            self.cost.flops += flops;
+            self.cost.lds_accesses += len as f64;
+            if let Some(d) = self.race.as_deref_mut() {
+                for i in base..base + len {
+                    d.read(local_id, Space::Lds, i);
+                }
+            }
+        }
+    }
+}
+
 /// Aggregated cost of one phase index within one group, recorded only when
 /// phase profiling is on (see [`execute_launch_profiled`]). A phase inside a
 /// `Jump` loop executes many times; `executions` counts them and `cost` sums
@@ -681,22 +760,18 @@ fn run_groups<K: Kernel>(
                 d.begin_phase(group_id, phase);
             }
             let cost_before = profile.then_some(cost);
-            for (local_id, regs) in item_regs.iter_mut().enumerate() {
-                let mut ctx = ItemCtx {
-                    global_id: group_id * grid.local + local_id,
-                    local_id,
-                    group_id,
-                    local_size: grid.local,
-                    global_size: grid.global,
-                    lds: &mut lds,
-                    pool,
-                    cost: &mut cost,
-                    inv_transaction_bytes: inv_tb,
-                    race: detector.as_deref_mut(),
-                    log: log.as_deref_mut(),
-                };
-                kernel.phase(phase, &mut ctx, regs, &group_regs);
-            }
+            let mut ctx = GroupCtx {
+                group_id,
+                local_size: grid.local,
+                global_size: grid.global,
+                lds: &mut lds,
+                pool,
+                cost: &mut cost,
+                inv_transaction_bytes: inv_tb,
+                race: detector.as_deref_mut(),
+                log: log.as_deref_mut(),
+            };
+            kernel.phase_group(phase, &mut ctx, &mut item_regs, &group_regs);
             cost.barriers += 1;
             executed += 1;
             if let Some(before) = cost_before {

@@ -2,8 +2,10 @@
 //!
 //! A simulated kernel is written as a **phase machine**: the body between two
 //! consecutive barriers is one *phase*. The executor runs phase `k` for every
-//! work-item of a group, then consults the kernel's [`Kernel::control`] to
-//! decide what follows the implicit barrier — proceed, loop back, or finish.
+//! work-item of a group (through [`Kernel::phase_group`]: item by item unless
+//! the kernel runs that phase as lanes), then consults the kernel's
+//! [`Kernel::control`] to decide what follows the implicit barrier — proceed,
+//! loop back, or finish.
 //!
 //! This encodes OpenCL's rule that barriers must be reached uniformly by all
 //! work-items of a group: control flow across barriers lives in *group*
@@ -120,6 +122,23 @@ pub trait Kernel: Sync {
         regs: &mut Self::ItemRegs,
         group: &Self::GroupRegs,
     );
+
+    /// Executes one phase for the whole group: `items` holds every item's
+    /// registers in local-id order. The default runs [`Kernel::phase`] for
+    /// each item in local-id order. A kernel overrides it for a phase whose
+    /// items can run as SIMD lanes over shared data (see
+    /// [`crate::exec::GroupCtx`]); the override must leave memory, registers
+    /// and charges exactly as the item-by-item run would, and delegates
+    /// every other phase to [`crate::exec::GroupCtx::for_each_item`].
+    fn phase_group(
+        &self,
+        phase: usize,
+        ctx: &mut crate::exec::GroupCtx<'_>,
+        items: &mut [Self::ItemRegs],
+        group: &Self::GroupRegs,
+    ) {
+        ctx.for_each_item(items, |item, regs| self.phase(phase, item, regs, group));
+    }
 
     /// Decides, after all items finished `phase`, what the group does next.
     /// May mutate the group registers (advance loop counters).

@@ -67,7 +67,7 @@ pub mod prelude {
     pub use crate::buffer::{BufF32, BufU32, BufU64, BufferPool};
     pub use crate::cost::GroupCost;
     pub use crate::device::{Device, LaunchRecord, TransferRecord};
-    pub use crate::exec::ItemCtx;
+    pub use crate::exec::{GroupCtx, ItemCtx};
     pub use crate::fault::{
         CuHealth, FaultConfig, FaultCounts, FaultError, FaultKind, FaultPlan, RetryPolicy,
     };

@@ -6,7 +6,8 @@
 //! report — host tree/walk work, kernel time, transfer time.
 //!
 //! All device kernels share the same single-precision interaction
-//! ([`interact_f32`]): the softened monopole of Eq. (1)/(3), computed exactly
+//! ([`lanes_interact_tile_f32`], of which [`interact_f32`] is the one-lane,
+//! one-source case): the softened monopole of Eq. (1)/(3), computed exactly
 //! as the OpenCL kernels the paper builds on. With nonzero softening the
 //! self-interaction contributes a zero vector, so kernels never branch on
 //! `i == j` — matching Nyland's original CUDA kernel.
@@ -320,33 +321,164 @@ pub trait ExecutionPlan {
 
 /// Single-precision softened interaction: accumulates onto `acc` the pull of
 /// a source `[x, y, z, m]` on a target at `xi`. Zero-mass padding entries
-/// and the self-pair (with `eps_sq > 0`) contribute exactly zero.
+/// and the self-pair (with `eps_sq > 0`) contribute exactly zero. The
+/// one-source case of [`interact_tile_f32`].
 #[inline(always)]
 pub fn interact_f32(xi: [f32; 3], source: &[f32], eps_sq: f32, acc: &mut [f32; 3]) {
-    let dx = source[0] - xi[0];
-    let dy = source[1] - xi[1];
-    let dz = source[2] - xi[2];
-    let r2 = dx * dx + dy * dy + dz * dz + eps_sq;
-    let inv_r = 1.0 / r2.sqrt();
-    let inv_r3 = inv_r * inv_r * inv_r;
-    let s = source[3] * inv_r3;
-    acc[0] += dx * s;
-    acc[1] += dy * s;
-    acc[2] += dz * s;
+    interact_tile_f32(xi, &source[..4], eps_sq, acc);
 }
 
-/// Accumulates a whole LDS tile of float4 sources onto one target: the
-/// shared inner loop of every plan kernel's force-eval phase. Iterating
-/// `chunks_exact(4)` over the staged slice keeps the j-ascending
-/// accumulation order of per-element [`interact_f32`] calls (bit-identical
-/// results) while exposing the full tile to the optimizer as one
-/// bounds-check-free loop.
-#[inline]
+/// Accumulates a whole tile of packed float4 sources onto one target, in
+/// tile order: the one-lane case of [`lanes_interact_tile_f32`], used by
+/// `DeviceF32Backend` and by any per-item kernel loop.
+#[inline(always)]
 pub fn interact_tile_f32(xi: [f32; 3], tile: &[f32], eps_sq: f32, acc: &mut [f32; 3]) {
+    let [ax, ay, az] = acc;
+    lanes_interact_tile_f32(
+        [&[xi[0]], &[xi[1]], &[xi[2]]],
+        [std::slice::from_mut(ax), std::slice::from_mut(ay), std::slice::from_mut(az)],
+        tile,
+        eps_sq,
+    );
+}
+
+/// Lanes of one register block of [`lanes_interact_tile_f32`]: their
+/// accumulators stay in SIMD registers for the whole tile sweep.
+pub const LANE_BLOCK: usize = 8;
+
+/// Accumulates a tile of packed float4 sources onto a block of target lanes:
+/// `xi` holds the lanes' x/y/z positions and `acc` their x/y/z accumulators,
+/// one slice per axis (the lane count is `acc[0].len()`).
+///
+/// This is the one copy of the f32 pair arithmetic: the sim kernels, the
+/// `DeviceF32Backend` and the multi-device kernels all reach it. Lanes run
+/// in register blocks of [`LANE_BLOCK`], each sweeping the whole tile; the
+/// remainder runs one lane at a time. Every lane keeps one sequential
+/// summation chain in tile order with the same expression tree, so a lane's
+/// result does not depend on the lane count or on its block: it is
+/// bit-identical to the one-lane [`interact_tile_f32`] on that target.
+#[inline(always)]
+pub fn lanes_interact_tile_f32(xi: [&[f32]; 3], acc: [&mut [f32]; 3], tile: &[f32], eps_sq: f32) {
     debug_assert!(tile.len().is_multiple_of(4), "tile must be packed float4");
-    for source in tile.chunks_exact(4) {
-        interact_f32(xi, source, eps_sq, acc);
+    let [xs, ys, zs] = xi;
+    let [axs, ays, azs] = acc;
+    let n = axs.len();
+    let (xs, ys, zs, ays, azs) = (&xs[..n], &ys[..n], &zs[..n], &mut ays[..n], &mut azs[..n]);
+    let mut k = 0;
+    while k + LANE_BLOCK <= n {
+        let r = k..k + LANE_BLOCK;
+        lane_block::<LANE_BLOCK>(
+            [&xs[r.clone()], &ys[r.clone()], &zs[r.clone()]],
+            [&mut axs[r.clone()], &mut ays[r.clone()], &mut azs[r]],
+            tile,
+            eps_sq,
+        );
+        k += LANE_BLOCK;
     }
+    for k in k..n {
+        lane_block::<1>(
+            [&xs[k..=k], &ys[k..=k], &zs[k..=k]],
+            [&mut axs[k..=k], &mut ays[k..=k], &mut azs[k..=k]],
+            tile,
+            eps_sq,
+        );
+    }
+}
+
+/// `W` lanes against the whole tile, accumulators held in registers.
+#[inline(always)]
+fn lane_block<const W: usize>(xi: [&[f32]; 3], acc: [&mut [f32]; 3], tile: &[f32], eps_sq: f32) {
+    let lane = |s: &[f32]| -> [f32; W] { std::array::from_fn(|k| s[k]) };
+    let (xs, ys, zs) = (lane(xi[0]), lane(xi[1]), lane(xi[2]));
+    let [ax_out, ay_out, az_out] = acc;
+    let (mut ax, mut ay, mut az) = (lane(ax_out), lane(ay_out), lane(az_out));
+    for source in tile.chunks_exact(4) {
+        let (sx, sy, sz, m) = (source[0], source[1], source[2], source[3]);
+        for k in 0..W {
+            let dx = sx - xs[k];
+            let dy = sy - ys[k];
+            let dz = sz - zs[k];
+            let r2 = dx * dx + dy * dy + dz * dz + eps_sq;
+            let inv_r = 1.0 / r2.sqrt();
+            let inv_r3 = inv_r * inv_r * inv_r;
+            let s = m * inv_r3;
+            ax[k] += dx * s;
+            ay[k] += dy * s;
+            az[k] += dz * s;
+        }
+    }
+    ax_out[..W].copy_from_slice(&ax);
+    ay_out[..W].copy_from_slice(&ay);
+    az_out[..W].copy_from_slice(&az);
+}
+
+/// Work-items one [`force_eval_lanes`] pass holds on the stack: the HD 5850's
+/// `max_workgroup_size`. Larger groups run in passes of this many items.
+const MAX_LANES: usize = 256;
+const _: () = assert!(MAX_LANES.is_multiple_of(LANE_BLOCK));
+
+/// The registers of one work-item in a plan kernel's force-eval phase, seen
+/// as a lane of [`force_eval_lanes`].
+pub trait ForceLane {
+    /// The item's target position and accumulator, or `None` for an
+    /// inactive (padding) item, which is charged but computes nothing.
+    fn lane(&mut self) -> Option<([f32; 3], &mut [f32; 3])>;
+}
+
+/// The force-eval phase of the plan kernels, run for the whole group at
+/// once over the LDS tile's first `tile` float4 sources.
+///
+/// First every item, in local-id order, is charged
+/// `FLOPS_PER_INTERACTION * tile` flops and a read of the `4 * tile` tile
+/// words ([`GroupCtx::charge_items_lds_read`]), so costs and race reports are
+/// those of the item-by-item phase. Then the active items' targets are
+/// gathered into stack lanes, sweep the tile once through
+/// [`lanes_interact_tile_f32`], and get their accumulators back; each is
+/// bit-identical to that item running [`interact_tile_f32`] alone. No heap
+/// allocation.
+pub fn force_eval_lanes<R: ForceLane>(
+    ctx: &mut GroupCtx<'_>,
+    items: &mut [R],
+    tile: usize,
+    eps_sq: f32,
+) {
+    ctx.charge_items_lds_read((FLOPS_PER_INTERACTION * tile as u64) as f64, 0, 4 * tile);
+    let sources = &ctx.lds()[..4 * tile];
+    let mut lanes = [[0.0_f32; MAX_LANES]; 6];
+    let [xs, ys, zs, axs, ays, azs] = &mut lanes;
+    for pass in items.chunks_mut(MAX_LANES) {
+        let mut n = 0;
+        for regs in pass.iter_mut() {
+            if let Some((xi, acc)) = regs.lane() {
+                [xs[n], ys[n], zs[n]] = xi;
+                [axs[n], ays[n], azs[n]] = *acc;
+                n += 1;
+            }
+        }
+        // Round up to whole register blocks: the extra lanes hold stale
+        // values and their results are discarded.
+        let padded = n.next_multiple_of(LANE_BLOCK);
+        sweep_lanes(
+            [&xs[..padded], &ys[..padded], &zs[..padded]],
+            [&mut axs[..padded], &mut ays[..padded], &mut azs[..padded]],
+            sources,
+            eps_sq,
+        );
+        let mut k = 0;
+        for regs in pass.iter_mut() {
+            if let Some((_, acc)) = regs.lane() {
+                *acc = [axs[k], ays[k], azs[k]];
+                k += 1;
+            }
+        }
+    }
+}
+
+/// Out-of-line [`lanes_interact_tile_f32`]: one copy of the packed
+/// `sqrtps`/`divps` sweep serves every kernel's [`force_eval_lanes`].
+#[inline(never)]
+fn sweep_lanes(xi: [&[f32]; 3], acc: [&mut [f32]; 3], tile: &[f32], eps_sq: f32) {
+    lanes_interact_tile_f32(xi, acc, tile, eps_sq);
 }
 
 /// Uploads positions+masses as float4 and returns (pos_mass, acc_out)

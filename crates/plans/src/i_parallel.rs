@@ -8,8 +8,7 @@
 //! feed 18 compute units.
 
 use crate::common::{
-    download_acc, interact_tile_f32, ExecutionPlan, PlanConfig, PlanKind, PlanOutcome,
-    FLOPS_PER_INTERACTION,
+    download_acc, force_eval_lanes, ExecutionPlan, ForceLane, PlanConfig, PlanKind, PlanOutcome,
 };
 use gpu_sim::prelude::*;
 use nbody_core::body::ParticleSet;
@@ -37,6 +36,12 @@ pub struct IParallelKernel {
 pub struct IItemRegs {
     xi: [f32; 3],
     acc: [f32; 3],
+}
+
+impl ForceLane for IItemRegs {
+    fn lane(&mut self) -> Option<([f32; 3], &mut [f32; 3])> {
+        Some((self.xi, &mut self.acc))
+    }
 }
 
 /// Per-block registers: the tile cursor.
@@ -81,16 +86,8 @@ impl Kernel for IParallelKernel {
                 let v = ctx.read_f32_vec_coalesced::<4>(self.pos_mass, 4 * j);
                 ctx.lds_write_slice(4 * ctx.local_id, &v);
             }
-            // accumulate p interactions from LDS
-            2 => {
-                let p = self.block;
-                ctx.charge_flops((FLOPS_PER_INTERACTION * p as u64) as f64);
-                let xi = regs.xi;
-                let mut acc = regs.acc;
-                let lds = ctx.lds_read_slice(0, 4 * p);
-                interact_tile_f32(xi, lds, self.eps_sq, &mut acc);
-                regs.acc = acc;
-            }
+            // phase 2 (accumulate p interactions from LDS) runs as lanes in
+            // `phase_group`
             // write result
             3 => {
                 let i = ctx.global_id;
@@ -102,7 +99,21 @@ impl Kernel for IParallelKernel {
                     );
                 }
             }
-            _ => unreachable!("i-parallel has 4 phases"),
+            _ => unreachable!("i-parallel phase {phase} runs in phase_group or does not exist"),
+        }
+    }
+
+    fn phase_group(
+        &self,
+        phase: usize,
+        ctx: &mut GroupCtx<'_>,
+        items: &mut [IItemRegs],
+        group: &IGroupRegs,
+    ) {
+        if phase == 2 {
+            force_eval_lanes(ctx, items, self.block, self.eps_sq);
+        } else {
+            ctx.for_each_item(items, |item, regs| self.phase(phase, item, regs, group));
         }
     }
 

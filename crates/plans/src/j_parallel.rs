@@ -7,8 +7,7 @@
 //! buffer of `S × N` float4s and a second reduction kernel.
 
 use crate::common::{
-    download_acc, interact_tile_f32, ExecutionPlan, PlanConfig, PlanKind, PlanOutcome,
-    FLOPS_PER_INTERACTION,
+    download_acc, force_eval_lanes, ExecutionPlan, ForceLane, PlanConfig, PlanKind, PlanOutcome,
 };
 use crate::i_parallel::packed_padded;
 use gpu_sim::prelude::*;
@@ -76,6 +75,12 @@ pub struct JItemRegs {
     acc: [f32; 3],
 }
 
+impl ForceLane for JItemRegs {
+    fn lane(&mut self) -> Option<([f32; 3], &mut [f32; 3])> {
+        Some((self.xi, &mut self.acc))
+    }
+}
+
 /// Per-block registers: the cursor into this block's j-slice.
 #[derive(Debug, Default)]
 pub struct JGroupRegs {
@@ -120,15 +125,7 @@ impl Kernel for JPartialKernel {
                     ctx.lds_write_slice(4 * ctx.local_id, &v);
                 }
             }
-            2 => {
-                let tile = self.tile_len(ctx.group_id, group.cursor);
-                ctx.charge_flops((FLOPS_PER_INTERACTION * tile as u64) as f64);
-                let xi = regs.xi;
-                let mut acc = regs.acc;
-                let lds = ctx.lds_read_slice(0, 4 * tile);
-                interact_tile_f32(xi, lds, self.eps_sq, &mut acc);
-                regs.acc = acc;
-            }
+            // phase 2 (force-eval) runs as lanes in `phase_group`
             3 => {
                 let (s, _, _) = self.slice_of(ctx.group_id);
                 let i = self.target_of(ctx.group_id, ctx.local_id);
@@ -138,7 +135,22 @@ impl Kernel for JPartialKernel {
                     [regs.acc[0], regs.acc[1], regs.acc[2], 0.0],
                 );
             }
-            _ => unreachable!("j-partial has 4 phases"),
+            _ => unreachable!("j-partial phase {phase} runs in phase_group or does not exist"),
+        }
+    }
+
+    fn phase_group(
+        &self,
+        phase: usize,
+        ctx: &mut GroupCtx<'_>,
+        items: &mut [JItemRegs],
+        group: &JGroupRegs,
+    ) {
+        if phase == 2 {
+            let tile = self.tile_len(ctx.group_id, group.cursor);
+            force_eval_lanes(ctx, items, tile, self.eps_sq);
+        } else {
+            ctx.for_each_item(items, |item, regs| self.phase(phase, item, regs, group));
         }
     }
 

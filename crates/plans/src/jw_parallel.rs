@@ -17,7 +17,7 @@
 //! w-parallel saturates the device on its own.
 
 use crate::common::{
-    interact_tile_f32, ExecutionPlan, PlanConfig, PlanKind, PlanOutcome, FLOPS_PER_INTERACTION,
+    force_eval_lanes, ExecutionPlan, ForceLane, PlanConfig, PlanKind, PlanOutcome,
 };
 use crate::w_parallel::{prepare_walks, NO_TARGET};
 use gpu_sim::prelude::*;
@@ -117,6 +117,12 @@ impl Default for JwItemRegs {
     }
 }
 
+impl ForceLane for JwItemRegs {
+    fn lane(&mut self) -> Option<([f32; 3], &mut [f32; 3])> {
+        (self.target != NO_TARGET).then_some((self.xi, &mut self.acc))
+    }
+}
+
 /// Per-block registers.
 #[derive(Debug, Default)]
 pub struct JwGroupRegs {
@@ -170,18 +176,7 @@ impl Kernel for JwPartialKernel {
                     ctx.lds_write_slice(4 * ctx.local_id, &v);
                 }
             }
-            2 => {
-                let tile = self.tile_len(ctx.group_id, group.cursor);
-                ctx.charge_flops((FLOPS_PER_INTERACTION * tile as u64) as f64);
-                let active = regs.target != NO_TARGET;
-                let xi = regs.xi;
-                let mut acc = regs.acc;
-                let lds = ctx.lds_read_slice(0, 4 * tile);
-                if active {
-                    interact_tile_f32(xi, lds, self.eps_sq, &mut acc);
-                    regs.acc = acc;
-                }
-            }
+            // phase 2 (force-eval) runs as lanes in `phase_group`
             3 => {
                 let base = (block.slot as usize * self.walk_size + ctx.local_id) * 4;
                 ctx.write_f32_vec_coalesced::<4>(
@@ -190,7 +185,24 @@ impl Kernel for JwPartialKernel {
                     [regs.acc[0], regs.acc[1], regs.acc[2], 0.0],
                 );
             }
-            _ => unreachable!("jw-partial has 4 phases"),
+            _ => unreachable!("jw-partial phase {phase} runs in phase_group or does not exist"),
+        }
+    }
+
+    /// Phase 2 accumulates the tile as lanes; inactive items are charged
+    /// too, as in w-parallel.
+    fn phase_group(
+        &self,
+        phase: usize,
+        ctx: &mut GroupCtx<'_>,
+        items: &mut [JwItemRegs],
+        group: &JwGroupRegs,
+    ) {
+        if phase == 2 {
+            let tile = self.tile_len(ctx.group_id, group.cursor);
+            force_eval_lanes(ctx, items, tile, self.eps_sq);
+        } else {
+            ctx.for_each_item(items, |item, regs| self.phase(phase, item, regs, group));
         }
     }
 

@@ -13,8 +13,7 @@
 //! the device.
 
 use crate::common::{
-    download_acc, interact_tile_f32, ExecutionPlan, PlanConfig, PlanKind, PlanOutcome,
-    FLOPS_PER_INTERACTION,
+    download_acc, force_eval_lanes, ExecutionPlan, ForceLane, PlanConfig, PlanKind, PlanOutcome,
 };
 use gpu_sim::prelude::*;
 use nbody_core::body::ParticleSet;
@@ -126,6 +125,12 @@ impl Default for WItemRegs {
     }
 }
 
+impl ForceLane for WItemRegs {
+    fn lane(&mut self) -> Option<([f32; 3], &mut [f32; 3])> {
+        (self.target != NO_TARGET).then_some((self.xi, &mut self.acc))
+    }
+}
+
 /// Per-block registers: cursor into the walk's list.
 #[derive(Debug, Default)]
 pub struct WGroupRegs {
@@ -175,20 +180,7 @@ impl Kernel for WWalkKernel {
                     ctx.lds_write_slice(4 * ctx.local_id, &v);
                 }
             }
-            // accumulate the tile (every lane of the wavefront burns cycles,
-            // active or not — the cost of ragged walks)
-            2 => {
-                let tile = self.tile_len(ctx.group_id, group.cursor);
-                ctx.charge_flops((FLOPS_PER_INTERACTION * tile as u64) as f64);
-                let active = regs.target != NO_TARGET;
-                let xi = regs.xi;
-                let mut acc = regs.acc;
-                let lds = ctx.lds_read_slice(0, 4 * tile);
-                if active {
-                    interact_tile_f32(xi, lds, self.eps_sq, &mut acc);
-                    regs.acc = acc;
-                }
-            }
+            // phase 2 (force-eval) runs as lanes in `phase_group`
             // scatter the result
             3 => {
                 if regs.target != NO_TARGET {
@@ -199,7 +191,25 @@ impl Kernel for WWalkKernel {
                     );
                 }
             }
-            _ => unreachable!("w-walk has 4 phases"),
+            _ => unreachable!("w-walk phase {phase} runs in phase_group or does not exist"),
+        }
+    }
+
+    /// Phase 2 accumulates the tile as lanes. Every item of the wavefront
+    /// burns cycles, active or not (the cost of ragged walks), so inactive
+    /// items are charged too.
+    fn phase_group(
+        &self,
+        phase: usize,
+        ctx: &mut GroupCtx<'_>,
+        items: &mut [WItemRegs],
+        group: &WGroupRegs,
+    ) {
+        if phase == 2 {
+            let tile = self.tile_len(ctx.group_id, group.cursor);
+            force_eval_lanes(ctx, items, tile, self.eps_sq);
+        } else {
+            ctx.for_each_item(items, |item, regs| self.phase(phase, item, regs, group));
         }
     }
 

@@ -11,6 +11,9 @@
 //!   identical choice, corrupt DB → typed error recorded, fallback taken,
 //!   file healed.
 
+mod common;
+
+use common::ScratchDir;
 use gpu_sim::prelude::DeviceSpec;
 use jobs::prelude::*;
 use nbody_core::gravity::GravityParams;
@@ -21,11 +24,8 @@ fn params() -> GravityParams {
     GravityParams { g: 1.0, softening: 0.05 }
 }
 
-fn tmp(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("nbody-ptpm-autotune-accept").join(name);
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn tmp(name: &str) -> ScratchDir {
+    ScratchDir::new(&format!("autotune-{name}"))
 }
 
 /// The same workload matrix the backend conformance suite pins.
@@ -109,7 +109,6 @@ fn auto_resolved_job_is_content_identical_to_the_pinned_job() {
         };
     assert_eq!(auto_result.result_checksum, pinned_result.result_checksum);
     assert_eq!(auto_result.final_snapshot, pinned_result.final_snapshot, "tuning changed physics");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -154,7 +153,6 @@ fn resolution_chain_db_hit_then_corrupt_fallback_then_heal() {
     let healed = resolve(DEFAULT_SHORTLIST);
     assert_eq!(healed.source, PlanSource::DbHit);
     assert!(healed.db_error.is_none());
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -183,5 +181,4 @@ fn plan_source_flows_from_spec_to_artifact_through_the_server() {
             || text.contains(&format!("\"plan_source\": \"auto:{}\"", resolution.source.id())),
         "artifact must record the resolution path: {text}"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }

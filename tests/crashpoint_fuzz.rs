@@ -11,10 +11,11 @@
 //! stride-1 enumeration — every crash point, not a sample — and prints the
 //! verdict line the CI `CRASHPOINT` stage greps.
 
+mod common;
+
 #[test]
 fn every_crash_prefix_recovers_without_losing_or_duplicating_jobs() {
-    let scratch = std::env::temp_dir().join("nbody-ptpm-crashpoint-fuzz");
-    std::fs::remove_dir_all(&scratch).ok();
+    let scratch = common::ScratchDir::new("crashpoint-fuzz");
     let report = jobs::crashpoint::fuzz(&scratch, 1).unwrap_or_else(|e| panic!("{e}"));
     assert!(
         report.mutations >= 50,
@@ -23,5 +24,4 @@ fn every_crash_prefix_recovers_without_losing_or_duplicating_jobs() {
     );
     assert_eq!(report.prefixes.len() as u64, report.mutations, "stride 1 must cover every prefix");
     print!("{}", report.render());
-    std::fs::remove_dir_all(&scratch).ok();
 }

@@ -11,16 +11,16 @@
 //! bit-exact, and the cached force checksums are identical at 1, 2, and 4
 //! host threads and under different transient-fault seeds.
 
+mod common;
+
+use common::ScratchDir;
 use jobs::prelude::*;
 use plans::prelude::PlanKind;
-use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use workloads::spec::WorkloadSpec;
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("nbody-ptpm-daemon-it").join(name);
-    std::fs::remove_dir_all(&dir).ok();
-    dir
+fn tmp(name: &str) -> ScratchDir {
+    ScratchDir::new(&format!("daemon-{name}"))
 }
 
 fn spec(n: usize, seed: u64, steps: usize, priority: Priority) -> JobSpec {
@@ -119,7 +119,6 @@ fn inversion_run(name: &str, fault_seed: Option<u64>) -> InversionFingerprint {
             (s.hash_hex(), hit.result_checksum)
         })
         .collect();
-    std::fs::remove_dir_all(&root).ok();
     InversionFingerprint { done: 3, checksums }
 }
 

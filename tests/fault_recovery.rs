@@ -8,6 +8,8 @@
 //! cross-validation tolerance; and a crashed checkpointed run must resume
 //! into a bit-exact trajectory.
 
+mod common;
+
 use gpu_sim::prelude::{Device, DeviceSpec, FaultConfig, FaultPlan, TransferModel};
 use nbody_core::prelude::*;
 use plans::make_plan;
@@ -155,10 +157,9 @@ fn multi_gpu_loss_recovery_is_thread_count_invariant() {
 #[test]
 fn checkpoint_restart_reproduces_the_fault_free_trajectory() {
     let cfg = harness::faults::FaultRun::smoke(13);
-    let dir = std::env::temp_dir().join("nbody-ptpm-fault-recovery-test");
+    let dir = common::ScratchDir::new("fault-recovery");
     let report = harness::error::or_exit(harness::faults::demo(&cfg, &dir));
     assert!(report.ends_with("FAULTS OK\n"), "{report}");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -1,10 +1,12 @@
 //! Golden-trace regression: with a fixed workload seed, the execution
 //! trace of every plan is fully deterministic — scheduling, per-phase
 //! costs, transfer timings, down to the formatted byte stream. These tests
-//! pin the CSV export against a checked-in golden file and check the Chrome
+//! pin the CSV export against checked-in golden files and check the Chrome
 //! trace export is stable and structurally valid, so any change to the
 //! device model, the scheduler, or the exporters shows up as a diff here
-//! rather than as a silent drift of every figure.
+//! rather than as a silent drift of every figure. N = 64 is one tile per
+//! group; N = 1000 adds multi-tile loops, ragged tail tiles and ragged
+//! walks.
 
 use harness::trace_export::{capture_all, chrome_trace_json, csv, PlanTrace};
 use harness::{ExperimentConfig, Runner};
@@ -12,23 +14,36 @@ use serde::Value;
 
 const GOLDEN_N: usize = 64;
 
-fn golden_traces() -> Vec<PlanTrace> {
+fn traces_at(n: usize) -> Vec<PlanTrace> {
     let mut runner = Runner::new(ExperimentConfig::quick());
-    capture_all(&mut runner, GOLDEN_N)
+    capture_all(&mut runner, n)
+}
+
+fn golden_traces() -> Vec<PlanTrace> {
+    traces_at(GOLDEN_N)
+}
+
+/// Asserts the CSV trace at `n` equals the golden file's `golden` text.
+fn assert_matches_golden(n: usize, golden: &str) {
+    let text = csv(&traces_at(n));
+    assert!(
+        text == golden,
+        "trace CSV drifted from tests/golden/trace_n{n}.csv.\n\
+         If the change to the device model or exporters is intentional, \
+         regenerate with:\n  cargo run -p harness --release --bin trace -- \
+         --n {n} --plan all --out tests/golden/trace_n{n}.csv\n\n{}",
+        first_diff(golden, &text)
+    );
 }
 
 #[test]
 fn trace_csv_matches_the_golden_file() {
-    let text = csv(&golden_traces());
-    let golden = include_str!("golden/trace_n64.csv");
-    assert!(
-        text == golden,
-        "trace CSV drifted from tests/golden/trace_n64.csv.\n\
-         If the change to the device model or exporters is intentional, \
-         regenerate with:\n  cargo run -p harness --release --bin trace -- \
-         --n 64 --plan all --out tests/golden/trace_n64.csv\n\n{}",
-        first_diff(golden, &text)
-    );
+    assert_matches_golden(GOLDEN_N, include_str!("golden/trace_n64.csv"));
+}
+
+#[test]
+fn multi_tile_trace_csv_matches_the_golden_file() {
+    assert_matches_golden(1000, include_str!("golden/trace_n1000.csv"));
 }
 
 /// The first differing line, for a readable failure.

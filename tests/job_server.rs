@@ -9,15 +9,15 @@
 //! finish the job bit-exactly and serve identical resubmissions from the
 //! content-addressed cache.
 
+mod common;
+
+use common::ScratchDir;
 use jobs::prelude::*;
 use plans::prelude::PlanKind;
-use std::path::PathBuf;
 use workloads::spec::WorkloadSpec;
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("nbody-ptpm-job-server-it").join(name);
-    std::fs::remove_dir_all(&dir).ok();
-    dir
+fn tmp(name: &str) -> ScratchDir {
+    ScratchDir::new(&format!("job-server-{name}"))
 }
 
 fn spec(n: usize, seed: u64) -> JobSpec {
@@ -81,7 +81,6 @@ fn drain_batch(name: &str, specs: &[JobSpec], config: &ServerConfig) -> DrainFin
         })
         .collect();
     checksums.dedup();
-    std::fs::remove_dir_all(&root).ok();
     DrainFingerprint { reports, checksums }
 }
 
@@ -95,7 +94,6 @@ fn slicing_deadline() -> f64 {
     let summary = drain(&spool, recovery, &quick_config()).unwrap();
     assert!(summary.ok(), "{}", summary.render());
     let total = spool.cache().lookup(&probe.hash_hex()).unwrap().unwrap().simulated_total_s;
-    std::fs::remove_dir_all(&root).ok();
     total * 0.4
 }
 
@@ -158,7 +156,6 @@ fn killed_server_resumes_bit_exactly_and_resubmission_hits_cache() {
     let summary = drain(&spool, recovery, &quick_config()).unwrap();
     assert!(summary.ok());
     let reference = spool.cache().lookup(&job.hash_hex()).unwrap().unwrap();
-    std::fs::remove_dir_all(&ref_root).ok();
 
     // the same job, crashed after step 2 (what SIGKILL leaves behind)
     let root = tmp("crash-resume");
@@ -196,7 +193,6 @@ fn killed_server_resumes_bit_exactly_and_resubmission_hits_cache() {
     assert_eq!(summary.reports.len(), 1);
     assert_eq!(summary.reports[0].outcome, JobOutcome::CacheHit);
     assert_eq!(spool.cache().len(), 1, "the cache holds exactly one entry per canonical hash");
-    std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]
@@ -221,7 +217,6 @@ fn malformed_and_doomed_tenants_cannot_degrade_the_server() {
         spool.list(JobState::Failed).unwrap().iter().filter_map(|r| r.error.clone()).collect();
     assert!(errors.iter().any(|e| e.contains("zero-checkpoint-every")), "{errors:?}");
     assert!(errors.iter().any(|e| e.contains("unrecoverable")), "{errors:?}");
-    std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]
@@ -238,5 +233,4 @@ fn artifacts_land_in_the_job_work_directory() {
     let trace = std::fs::read_to_string(dir.join("trace.csv")).unwrap();
     assert!(trace.starts_with("event,id,name,start_us,dur_us,bytes"), "{trace}");
     assert!(trace.lines().count() > 1, "trace must contain events");
-    std::fs::remove_dir_all(&root).ok();
 }
