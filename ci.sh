@@ -182,11 +182,12 @@ echo "==> allocation-regression gate (zero allocs per steady-state step)"
 # warmup; run it in release so the gate matches shipping codegen.
 cargo test --release -q --test alloc_steady_state
 
-echo "==> release exactness gate (walk lanes, PP tiles, sim work-group lanes, optimized codegen)"
+echo "==> release exactness gate (walk lanes, PP tiles, sim work-group lanes, snapshot formats)"
 # The lane kernels only auto-vectorize in optimized builds, so the debug
 # test run cannot catch a lane-order bug: rerun the bitwise property
-# matrices against their scalar references in release.
+# matrices against their scalar references in release. The snapshot-format
+# tests pin checkpoint bits and cache-entry bytes under the same codegen.
 cargo test --release -q --test walk_lane_exactness --test tiled_exactness \
-    --test sim_lane_exactness
+    --test sim_lane_exactness --test snapshot_format
 
 echo "CI OK"

@@ -1,12 +1,12 @@
 //! Fault-tolerant checkpointed simulation driver.
 //!
 //! Runs a Plummer workload on the simulated GPU under an injected
-//! [`FaultPlan`], writing a [`workloads::snapshot`] checkpoint every few
-//! steps. A crash (simulated with [`FaultRun::crash_after`]) loses only the
-//! work since the last checkpoint: [`run`] resumes from the newest usable
-//! checkpoint in the directory and re-primes forces from the restored
-//! positions, so the completed trajectory is **bit-exact** against an
-//! uninterrupted fault-free run — transient faults are absorbed by retry,
+//! [`FaultPlan`], writing a checkpoint through [`jobs::checkpoint`] every
+//! few steps. A crash (simulated with [`FaultRun::crash_after`]) loses only
+//! the work since the last checkpoint: [`run`] resumes from the newest
+//! usable checkpoint in the directory and re-primes forces from the
+//! restored positions, so the completed trajectory is **bit-exact** against
+//! an uninterrupted fault-free run — transient faults are absorbed by retry,
 //! crashes by restart.
 //!
 //! The `faults` binary drives the whole story (reference run, faulty run,
@@ -16,13 +16,14 @@
 
 use crate::error::HarnessError;
 use gpu_sim::prelude::*;
+use jobs::checkpoint::save_checkpoint;
 use nbody_core::body::ParticleSet;
 use nbody_core::gravity::GravityParams;
 use nbody_core::integrator::{prime, Integrator, LeapfrogKdk};
 use plans::engine::PlanForceEngine;
 use plans::make_plan;
 use plans::prelude::{PlanConfig, PlanKind};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use workloads::snapshot::Snapshot;
 use workloads::spec::WorkloadSpec;
 
@@ -81,10 +82,6 @@ impl FaultRun {
             GravityParams { g: 1.0, softening: 0.05 },
         )
     }
-
-    fn checkpoint_path(&self, dir: &Path, step: usize) -> PathBuf {
-        dir.join(format!("ckpt-{step:05}.json"))
-    }
 }
 
 /// What a (possibly crashed, possibly resumed) run did.
@@ -115,15 +112,21 @@ pub struct FaultRunReport {
 /// reason on stderr), stale `.tmp` litter from interrupted atomic writes is
 /// deleted, and only a checksum-valid snapshot is ever resumed from.
 pub fn latest_checkpoint(dir: &Path) -> Result<Option<(usize, Snapshot)>, HarnessError> {
-    let scan = jobs::checkpoint::scan(dir).map_err(|e| match e {
-        jobs::JobError::Io { path, source } => HarnessError::Io { path, source },
-        jobs::JobError::Snapshot { path, source } => HarnessError::Snapshot { path, source },
-        other => HarnessError::Verification(other.to_string()),
-    })?;
+    let scan = jobs::checkpoint::scan(dir).map_err(harness_error)?;
     for skipped in &scan.skipped {
         eprintln!("skipping unusable checkpoint {}: {}", skipped.file, skipped.reason);
     }
     Ok(scan.best)
+}
+
+/// Carries a checkpoint error over, keeping its path for io and snapshot
+/// failures.
+fn harness_error(err: jobs::JobError) -> HarnessError {
+    match err {
+        jobs::JobError::Io { path, source } => HarnessError::Io { path, source },
+        jobs::JobError::Snapshot { path, source } => HarnessError::Snapshot { path, source },
+        other => HarnessError::Verification(other.to_string()),
+    }
 }
 
 /// Runs (or resumes) a fault-tolerant simulation, checkpointing into `dir`.
@@ -148,10 +151,9 @@ pub fn run(cfg: &FaultRun, dir: &Path) -> Result<FaultRunReport, HarnessError> {
         LeapfrogKdk.step(&mut set, &mut engine, cfg.dt);
         step += 1;
         if step % cfg.checkpoint_every == 0 || step == cfg.steps {
-            let snap =
-                Snapshot::new(format!("faults n={}", cfg.n), step as f64 * cfg.dt, set.clone());
-            let path = cfg.checkpoint_path(dir, step);
-            snap.save(&path).map_err(|e| HarnessError::io(path.display().to_string(), e))?;
+            let label = format!("faults n={}", cfg.n);
+            save_checkpoint(dir, &label, step as f64 * cfg.dt, step, &set)
+                .map_err(harness_error)?;
             checkpoints_written += 1;
         }
         if cfg.crash_after == Some(step) && step < cfg.steps {
@@ -247,6 +249,8 @@ pub fn demo(cfg: &FaultRun, dir: &Path) -> Result<String, HarnessError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jobs::checkpoint::checkpoint_path;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join("nbody-ptpm-faults-test").join(name)
@@ -291,7 +295,7 @@ mod tests {
         assert!(first.crashed);
         // truncate the newest checkpoint, as a crash mid-write would
         let (step, _) = latest_checkpoint(&dir).unwrap().unwrap();
-        let newest = cfg.checkpoint_path(&dir, step);
+        let newest = checkpoint_path(&dir, step);
         std::fs::write(&newest, "{truncated").unwrap();
         let (fallback, _) = latest_checkpoint(&dir).unwrap().expect("older checkpoint survives");
         assert!(fallback < step);

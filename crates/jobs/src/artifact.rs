@@ -196,11 +196,11 @@ pub fn write_artifacts(
         path: bench_json.display().to_string(),
         msg: e.to_string(),
     })?;
-    fs.write_atomic(&bench_json, &json)
+    fs.write_atomic(&bench_json, json.as_bytes())
         .map_err(|e| JobError::io(bench_json.display().to_string(), e))?;
 
     let trace_path = dir.join("trace.csv");
-    fs.write_atomic(&trace_path, &trace_csv(&trace))
+    fs.write_atomic(&trace_path, trace_csv(&trace).as_bytes())
         .map_err(|e| JobError::io(trace_path.display().to_string(), e))?;
     Ok(ArtifactSet { bench_json, trace_csv: trace_path })
 }

@@ -134,7 +134,9 @@ impl ResultCache {
             path: path.display().to_string(),
             msg: e.to_string(),
         })?;
-        self.fs.write_atomic(&path, &json).map_err(|e| JobError::io(path.display().to_string(), e))
+        self.fs
+            .write_atomic(&path, json.as_bytes())
+            .map_err(|e| JobError::io(path.display().to_string(), e))
     }
 
     /// Number of entries currently stored.

@@ -1,15 +1,17 @@
 //! Hardened checkpoint discovery and writing.
 //!
-//! A job's work directory accumulates `ckpt-<step>.json` snapshots. A crash
-//! can leave that directory arbitrarily messy: zero-byte files from a crash
-//! before the first write hit disk, truncated JSON from a crash mid-write
-//! (only possible for pre-atomic writers — current writers go through a
-//! `.tmp` sibling plus rename), stale `.tmp` siblings from a crash between
-//! write and rename, files from future schema versions after a downgrade,
-//! or checksum-corrupt payloads from bit rot. [`scan`] must never resume
-//! from any of those: it returns the newest checkpoint that loads *and*
-//! validates, reports everything it had to skip, and deletes stale `.tmp`
-//! litter.
+//! A job's work directory accumulates `ckpt-<step>.snap` snapshots in the
+//! binary v3 format ([`workloads::snapshot`]); [`scan`] also resumes from
+//! legacy JSON `ckpt-<step>.json` files, for jobs in flight across the
+//! format change. A crash can leave that directory arbitrarily messy:
+//! zero-byte files from a crash before the first write hit disk, truncated
+//! files from a crash mid-write (only possible for pre-atomic writers —
+//! current writers go through a `.tmp` sibling plus rename), stale `.tmp`
+//! siblings from a crash between write and rename, files from future
+//! format versions after a downgrade, or checksum-corrupt payloads from bit
+//! rot. [`scan`] must never resume from any of those: it returns the newest
+//! checkpoint that loads *and* validates, reports everything it had to
+//! skip, and deletes stale `.tmp` litter.
 //!
 //! This module is the single implementation for both the job server and the
 //! `harness::faults` checkpoint/restart driver.
@@ -21,7 +23,7 @@ use workloads::snapshot::Snapshot;
 
 /// The checkpoint file name for `step`.
 pub fn checkpoint_path(dir: &Path, step: usize) -> PathBuf {
-    dir.join(format!("ckpt-{step:05}.json"))
+    dir.join(format!("ckpt-{step:05}.snap"))
 }
 
 /// Writes the checkpoint for `step` atomically on the production
@@ -38,7 +40,8 @@ pub fn save_checkpoint(
 
 /// Writes the checkpoint for `step` through the `fs` seam: the same
 /// `.tmp`-then-rename transaction as [`Snapshot::save`], byte-identical
-/// payload, but interruptible by the crash-point fuzzer.
+/// binary v3 payload encoded straight from `set`, but interruptible by the
+/// crash-point fuzzer.
 pub fn save_checkpoint_with(
     fs: &dyn SpoolFs,
     dir: &Path,
@@ -49,8 +52,7 @@ pub fn save_checkpoint_with(
 ) -> Result<PathBuf, JobError> {
     fs.create_dir_all(dir).map_err(|e| JobError::io(dir.display().to_string(), e))?;
     let path = checkpoint_path(dir, step);
-    let snap = Snapshot::new(label, time, set.clone());
-    fs.write_atomic(&path, &snap.to_json())
+    fs.write_atomic(&path, &Snapshot::encode(label, time, set))
         .map_err(|e| JobError::io(path.display().to_string(), e))?;
     Ok(path)
 }
@@ -105,7 +107,7 @@ pub fn scan(dir: &Path) -> Result<CheckpointScan, JobError> {
         }
         let Some(step) = name
             .strip_prefix("ckpt-")
-            .and_then(|r| r.strip_suffix(".json"))
+            .and_then(|r| r.strip_suffix(".snap").or_else(|| r.strip_suffix(".json")))
             .and_then(|d| d.parse::<usize>().ok())
         else {
             out.skipped.push(SkippedCheckpoint { file: name, reason: "unrecognized name".into() });
@@ -132,8 +134,9 @@ pub fn scan(dir: &Path) -> Result<CheckpointScan, JobError> {
         candidates.push((step, entry.path(), name));
     }
     // newest first: try to load until one validates; older files are not
-    // resumed from, so they are not worth validating
-    candidates.sort_by_key(|c| std::cmp::Reverse(c.0));
+    // resumed from, so they are not worth validating. Within a step the
+    // name breaks the tie, so `.snap` is tried before legacy `.json`.
+    candidates.sort_by(|a, b| (b.0, &b.2).cmp(&(a.0, &a.2)));
     for (step, path, name) in candidates {
         match Snapshot::load(&path) {
             Ok(snap) => {
@@ -208,6 +211,17 @@ mod tests {
         save_checkpoint(dir, "test", step as f64 * 1e-3, step, &set).unwrap();
     }
 
+    /// The name a checkpoint for `step` had before the binary format.
+    fn legacy_path(dir: &Path, step: usize) -> PathBuf {
+        dir.join(format!("ckpt-{step:05}.json"))
+    }
+
+    /// The JSON text a checkpoint for `step` had before the binary format.
+    fn legacy_json(step: usize) -> String {
+        let set = WorkloadSpec::plummer(16, 42).generate();
+        Snapshot::new("test", step as f64 * 1e-3, set).to_json()
+    }
+
     #[test]
     fn missing_dir_is_empty_scan() {
         let scan = scan(Path::new("/definitely/not/here")).unwrap();
@@ -233,27 +247,58 @@ mod tests {
         let scratch = ScratchDir::new("ckpt");
         let dir = tmp(&scratch, "garbage");
         write_valid(&dir, 4);
+
+        // legacy JSON checkpoints, garbled as before the binary format
         // zero-byte file at the highest step: crash before the write hit disk
-        std::fs::write(checkpoint_path(&dir, 99), b"").unwrap();
+        std::fs::write(legacy_path(&dir, 99), b"").unwrap();
         // truncated header: valid prefix cut mid-token
-        let full = std::fs::read_to_string(checkpoint_path(&dir, 4)).unwrap();
-        std::fs::write(checkpoint_path(&dir, 90), &full[..20]).unwrap();
+        let full = legacy_json(4);
+        std::fs::write(legacy_path(&dir, 90), &full[..20]).unwrap();
         // wrong schema version
         let versioned = full.replacen("\"version\":2", "\"version\":999", 1);
         assert_ne!(versioned, full, "version field must exist to corrupt");
-        std::fs::write(checkpoint_path(&dir, 91), versioned).unwrap();
+        std::fs::write(legacy_path(&dir, 91), versioned).unwrap();
         // checksum-corrupt payload: flip a digit inside the data
         let corrupt = full.replacen("\"time\":0.004", "\"time\":0.005", 1);
         assert_ne!(corrupt, full, "time field must exist to corrupt");
-        std::fs::write(checkpoint_path(&dir, 92), corrupt).unwrap();
+        std::fs::write(legacy_path(&dir, 92), corrupt).unwrap();
+
+        // the same garbage kinds in binary v3 form
+        let bytes = std::fs::read(checkpoint_path(&dir, 4)).unwrap();
+        std::fs::write(checkpoint_path(&dir, 89), b"").unwrap();
+        std::fs::write(checkpoint_path(&dir, 80), &bytes[..20]).unwrap();
+        let mut versioned = bytes.clone();
+        versioned[8] = 9; // the header's format number
+        std::fs::write(checkpoint_path(&dir, 81), versioned).unwrap();
+        let mut flipped = bytes.clone();
+        let last = flipped.len() - 9; // final payload byte, before the checksum
+        flipped[last] ^= 0x40;
+        std::fs::write(checkpoint_path(&dir, 82), flipped).unwrap();
+        std::fs::write(checkpoint_path(&dir, 83), "not a snapshot at all").unwrap();
 
         let scan = scan(&dir).unwrap();
         assert_eq!(scan.best.as_ref().unwrap().0, 4, "only the valid one survives");
         let skipped: Vec<&str> = scan.skipped.iter().map(|s| s.file.as_str()).collect();
         assert_eq!(
             skipped,
-            ["ckpt-00090.json", "ckpt-00091.json", "ckpt-00092.json", "ckpt-00099.json"]
+            [
+                "ckpt-00080.snap",
+                "ckpt-00081.snap",
+                "ckpt-00082.snap",
+                "ckpt-00083.snap",
+                "ckpt-00089.snap",
+                "ckpt-00090.json",
+                "ckpt-00091.json",
+                "ckpt-00092.json",
+                "ckpt-00099.json"
+            ]
         );
+        let reasons: Vec<&str> = scan.skipped.iter().map(|s| s.reason.as_str()).collect();
+        assert!(reasons[0].contains("length mismatch"), "{}", reasons[0]);
+        assert!(reasons[1].contains("unsupported snapshot version 9"), "{}", reasons[1]);
+        assert!(reasons[2].contains("checksum mismatch"), "{}", reasons[2]);
+        assert!(reasons[3].contains("parse error"), "{}", reasons[3]);
+        assert!(reasons[4].contains("empty file"), "{}", reasons[4]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -299,34 +344,58 @@ mod tests {
             let dir = tmp(&scratch, &format!("prop-{case}"));
             let valid_step = 1 + (rng.next_u64() % 50) as usize;
             write_valid(&dir, valid_step);
-            let full = std::fs::read_to_string(checkpoint_path(&dir, valid_step)).unwrap();
+            let full = legacy_json(valid_step);
+            let bytes = std::fs::read(checkpoint_path(&dir, valid_step)).unwrap();
             let mut expected_skips = 0usize;
             for g in 0..(1 + rng.next_u64() % 6) {
                 // garbage strictly newer than the valid checkpoint, so every
                 // piece is probed (and must be skipped) before the valid one
                 let step = valid_step + 1 + (g as usize) * 7 + (rng.next_u64() % 7) as usize;
-                let path = checkpoint_path(&dir, step);
-                match rng.next_u64() % 5 {
-                    0 => std::fs::write(&path, b"").unwrap(),
+                let (json, snap) = (legacy_path(&dir, step), checkpoint_path(&dir, step));
+                match rng.next_u64() % 10 {
+                    // legacy JSON checkpoints
+                    0 => std::fs::write(&json, b"").unwrap(),
                     1 => {
                         let cut = 1 + (rng.next_u64() as usize) % (full.len() - 1);
-                        std::fs::write(&path, &full[..cut]).unwrap();
+                        std::fs::write(&json, &full[..cut]).unwrap();
                     }
                     2 => {
                         let v = format!("\"version\":{}", 3 + rng.next_u64() % 100);
-                        std::fs::write(&path, full.replacen("\"version\":2", &v, 1)).unwrap();
+                        std::fs::write(&json, full.replacen("\"version\":2", &v, 1)).unwrap();
                     }
                     3 => {
                         // flip payload without touching the stored checksum
                         let broken = full.replacen("\"x\":", "\"x\":1e9,\"ignored\":", 1);
-                        std::fs::write(&path, broken).unwrap();
+                        std::fs::write(&json, broken).unwrap();
                     }
-                    _ => std::fs::write(&path, "not json at all").unwrap(),
+                    4 => std::fs::write(&json, "not json at all").unwrap(),
+                    // binary v3 checkpoints
+                    5 => std::fs::write(&snap, b"").unwrap(),
+                    6 => {
+                        let cut = 1 + (rng.next_u64() as usize) % (bytes.len() - 1);
+                        std::fs::write(&snap, &bytes[..cut]).unwrap();
+                    }
+                    7 => {
+                        let mut versioned = bytes.clone();
+                        let v = 4 + (rng.next_u64() % 100) as u32;
+                        versioned[8..12].copy_from_slice(&v.to_le_bytes());
+                        std::fs::write(&snap, versioned).unwrap();
+                    }
+                    8 => {
+                        // flip a payload bit, past the header and label and
+                        // before the stored checksum
+                        let mut flipped = bytes.clone();
+                        let payload = 32 + "test".len()..bytes.len() - 8;
+                        let at = payload.start + (rng.next_u64() as usize) % payload.len();
+                        flipped[at] ^= 1 << (rng.next_u64() % 8);
+                        std::fs::write(&snap, flipped).unwrap();
+                    }
+                    _ => std::fs::write(&snap, "not a snapshot at all").unwrap(),
                 }
                 expected_skips += 1;
             }
             if rng.next_u64().is_multiple_of(2) {
-                std::fs::write(dir.join("ckpt-00000.json.tmp"), "dead").unwrap();
+                std::fs::write(dir.join("ckpt-00000.snap.tmp"), "dead").unwrap();
             }
             let scan = scan(&dir).unwrap();
             let (best_step, snap) = scan.best.expect("valid checkpoint must be found");

@@ -154,7 +154,10 @@ fn write_heartbeat(spool: &Spool, status: &DaemonStatus) -> Result<(), JobError>
     let path = spool.status_path();
     let text = serde_json::to_string_pretty(status)
         .map_err(|e| JobError::Parse { path: path.display().to_string(), msg: e.to_string() })?;
-    spool.fs().write_atomic(&path, &text).map_err(|e| JobError::io(path.display().to_string(), e))
+    spool
+        .fs()
+        .write_atomic(&path, text.as_bytes())
+        .map_err(|e| JobError::io(path.display().to_string(), e))
 }
 
 fn heartbeat(

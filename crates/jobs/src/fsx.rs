@@ -43,11 +43,11 @@ pub trait SpoolFs: Send + Sync + std::fmt::Debug {
     /// The atomic-write transaction every durable file goes through:
     /// `.tmp` sibling first, then rename. Two mutations; a crash between
     /// them leaves only deletable litter.
-    fn write_atomic(&self, path: &Path, text: &str) -> io::Result<()> {
+    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
         let tmp = std::path::PathBuf::from(tmp);
-        self.write(&tmp, text.as_bytes())?;
+        self.write(&tmp, bytes)?;
         self.rename(&tmp, path)
     }
 }
@@ -179,7 +179,7 @@ mod tests {
         let dir = tmp(&scratch, "count");
         let fs = CrashFs::counting();
         fs.write(&dir.join("a"), b"1").unwrap();
-        fs.write_atomic(&dir.join("b"), "2").unwrap(); // write + rename
+        fs.write_atomic(&dir.join("b"), b"2").unwrap(); // write + rename
         fs.remove_file(&dir.join("a")).unwrap();
         assert_eq!(fs.ops_used(), 4);
         assert!(!fs.crashed());
@@ -193,7 +193,7 @@ mod tests {
         let fs = CrashFs::with_budget(1);
         // op 1 lands: the .tmp write; op 2 (the rename) is refused, so the
         // durable name never appears — the classic mid-transaction crash
-        let err = fs.write_atomic(&dir.join("x.json"), "{}").unwrap_err();
+        let err = fs.write_atomic(&dir.join("x.json"), b"{}").unwrap_err();
         assert!(err.to_string().contains(CRASH_MARKER));
         assert!(dir.join("x.json.tmp").exists(), "first op was applied");
         assert!(!dir.join("x.json").exists(), "second op was refused");

@@ -123,13 +123,6 @@ pub struct SpoolRecovery {
     pub duplicates_dropped: usize,
 }
 
-/// Writes `text` to `path` atomically: `.tmp` sibling, then rename.
-/// Production-only convenience over [`crate::fsx::RealFs`]; seam-aware code
-/// uses [`SpoolFs::write_atomic`].
-pub fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
-    crate::fsx::RealFs.write_atomic(path, text)
-}
-
 /// Handle to a spool directory tree.
 #[derive(Debug, Clone)]
 pub struct Spool {
@@ -274,7 +267,7 @@ impl Spool {
             Err(_) => 1,
         };
         self.fs
-            .write_atomic(&path, &next.to_string())
+            .write_atomic(&path, next.to_string().as_bytes())
             .map_err(|e| JobError::io(path.display().to_string(), e))?;
         Ok(next)
     }
@@ -304,7 +297,9 @@ impl Spool {
             path: path.display().to_string(),
             msg: e.to_string(),
         })?;
-        self.fs.write_atomic(&path, &json).map_err(|e| JobError::io(path.display().to_string(), e))
+        self.fs
+            .write_atomic(&path, json.as_bytes())
+            .map_err(|e| JobError::io(path.display().to_string(), e))
     }
 
     /// All records in `state`, in scheduling order: priority class rank,
@@ -554,7 +549,7 @@ mod tests {
         let root = scratch.join("atomic");
         std::fs::create_dir_all(&root).unwrap();
         let path = root.join("x.json");
-        write_atomic(&path, "{}").unwrap();
+        crate::fsx::RealFs.write_atomic(&path, b"{}").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "{}");
         assert!(!root.join("x.json.tmp").exists());
         std::fs::remove_dir_all(&root).ok();

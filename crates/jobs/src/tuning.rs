@@ -124,7 +124,8 @@ impl TuningDb {
             }
         }
         let json = serde_json::to_string(self).expect("tuning db serializes");
-        fs.write_atomic(path, &json).map_err(|e| JobError::io(path.display().to_string(), e))
+        fs.write_atomic(path, json.as_bytes())
+            .map_err(|e| JobError::io(path.display().to_string(), e))
     }
 
     /// The entry for `key`, if present.

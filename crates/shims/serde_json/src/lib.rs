@@ -7,6 +7,7 @@
 //! formatting) so golden-file tests are byte-stable.
 
 use serde::{Deserialize, Serialize, Value};
+use std::fmt::Write;
 
 /// JSON serialization/deserialization error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,8 +73,9 @@ fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize)
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
+        // formatting into a `String` cannot fail
+        Value::Int(i) => _ = write!(out, "{i}"),
+        Value::UInt(u) => _ = write!(out, "{u}"),
         Value::Float(f) => write_float(*f, out),
         Value::Str(s) => write_string(s, out),
         Value::Array(items) => {
@@ -132,7 +134,7 @@ fn write_float(f: f64, out: &mut String) {
     } else {
         // {:?} is the shortest representation that round-trips, and always
         // includes a decimal point or exponent (1.0 -> "1.0")
-        out.push_str(&format!("{f:?}"));
+        _ = write!(out, "{f:?}");
     }
 }
 
@@ -145,7 +147,7 @@ fn write_string(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => _ = write!(out, "\\u{:04x}", c as u32),
             c => out.push(c),
         }
     }
