@@ -42,6 +42,26 @@ cargo run --release -p harness --bin repro-all -- --quick --max-n 1024 --threads
     > "$out/repro-threaded.log"
 grep -q 'jw-parallel' "$out/repro-threaded.log" || { echo "FAIL: threaded repro produced no tables"; exit 1; }
 
+echo "==> repro-all subcommand smoke test (every table once, small N)"
+# Each table is a repro-all subcommand; run every one at small N and grep a
+# row it must print.
+repro() { # <row pattern> <subcommand> [flags]
+    pattern="$1"
+    shift
+    ./target/release/repro-all "$@" > "$out/repro-$1.log"
+    grep -Eq "$pattern" "$out/repro-$1.log" || {
+        echo "FAIL: repro-all $1 printed no row matching '$pattern'"; exit 1; }
+}
+repro '^256 +65536 ' fig4 --quick --max-n 256
+repro '^256 .*x$' fig5 --quick --max-n 256
+repro '^256 .* ms .*x$' table1 --quick --max-n 256
+repro '^256 .*-parallel$' table2 --quick --max-n 256
+repro '^256 .* µs$' table3 --quick --max-n 256
+repro '^256 +jw-parallel ' ptpm-report --quick --max-n 256
+repro '^clustered +512 ' imbalance 512
+repro '^0\.0025 ' drift 64
+repro 'HD 5870 .*x$' whatif 512
+
 echo "==> million-body out-of-core test (release)"
 # Device-built tree and 16 Morton shards reproduce the in-core forces
 # bit-for-bit at N = 2^20, sharding shrinks the peak device bytes, the PTPM

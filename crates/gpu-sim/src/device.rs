@@ -73,9 +73,9 @@ pub struct Device {
     fault_events: usize,
 }
 
-// Multi-device drivers run one device per worker thread; every field,
-// including the boxed trace sink (`TraceSink: Send`) and the fault plan
-// (plain data), must stay shippable across threads.
+// A device can be handed to a worker thread; every field, including the
+// boxed trace sink (`TraceSink: Send`) and the fault plan (plain data),
+// must stay shippable across threads.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Device>();

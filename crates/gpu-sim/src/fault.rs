@@ -23,8 +23,7 @@
 //!   degraded CUs run slower and lost CUs receive no work (timing changes
 //!   only, never results — see `sched::schedule_launch_degraded`);
 //! * **device loss** — permanent; every subsequent operation fails with
-//!   [`FaultKind::DeviceLost`]. Multi-device drivers redistribute the dead
-//!   device's work.
+//!   [`FaultKind::DeviceLost`].
 //!
 //! The correctness contract: injected faults never silently alter
 //! functional state. A faulted operation either leaves memory exactly as it

@@ -193,11 +193,11 @@ impl Trace {
 /// [`Device::set_trace_sink`](crate::device::Device::set_trace_sink);
 /// while no sink is installed the device skips all collection work.
 ///
-/// The `Send` bound keeps whole devices `Send`, so multi-device drivers can
-/// run one device per worker thread. Events still arrive from a single
-/// thread at a time — the device serializes its own issue order — so a sink
-/// needs interior synchronization only if its handles are shared across
-/// devices (as [`MemoryTraceSink`]'s mutex provides).
+/// The `Send` bound keeps whole devices `Send`, so a device can be handed to
+/// a worker thread. Events still arrive from a single thread at a time —
+/// the device serializes its own issue order — so a sink needs interior
+/// synchronization only if its handles are shared across devices (as
+/// [`MemoryTraceSink`]'s mutex provides).
 pub trait TraceSink: std::fmt::Debug + Send {
     /// Called once when the sink is installed, with the device spec.
     fn begin(&mut self, spec: &DeviceSpec) {

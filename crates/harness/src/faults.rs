@@ -250,17 +250,12 @@ pub fn demo(cfg: &FaultRun, dir: &Path) -> Result<String, HarnessError> {
 mod tests {
     use super::*;
     use jobs::checkpoint::checkpoint_path;
-    use std::path::PathBuf;
-
-    fn tmp(name: &str) -> PathBuf {
-        std::env::temp_dir().join("nbody-ptpm-faults-test").join(name)
-    }
+    use nbody_core::testutil::ScratchDir;
 
     #[test]
     fn uninterrupted_faulty_run_matches_reference_bitexactly() {
         let cfg = FaultRun::smoke(3);
-        let dir = tmp("plain");
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = ScratchDir::new("faults-plain");
         let report = run(&cfg, &dir).unwrap();
         assert!(!report.crashed);
         assert_eq!(report.steps_completed, cfg.steps);
@@ -269,24 +264,21 @@ mod tests {
         let exact = reference(&cfg);
         assert_eq!(report.final_set.pos(), exact.pos());
         assert_eq!(report.final_set.vel(), exact.vel());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn crash_then_resume_completes_bitexactly() {
         let cfg = FaultRun::smoke(5);
-        let dir = tmp("crash-resume");
+        let dir = ScratchDir::new("faults-crash-resume");
         let text = demo(&cfg, &dir).unwrap();
         assert!(text.ends_with("FAULTS OK\n"), "{text}");
         assert!(text.contains("bit-exact"));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn resume_skips_corrupt_checkpoint() {
         let cfg = FaultRun::smoke(7);
-        let dir = tmp("corrupt");
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = ScratchDir::new("faults-corrupt");
         let mut crash_cfg = cfg.clone();
         // crash after the second checkpoint (steps 4 and 8) so an older
         // one is still there once the newest is corrupted
@@ -303,7 +295,6 @@ mod tests {
         assert_eq!(second.resumed_from, Some(fallback));
         let exact = reference(&cfg);
         assert_eq!(second.final_set.pos(), exact.pos());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -314,8 +305,7 @@ mod tests {
     #[test]
     fn latest_checkpoint_survives_crash_litter() {
         let cfg = FaultRun::smoke(13);
-        let dir = tmp("litter");
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = ScratchDir::new("faults-litter");
         let report = run(&cfg, &dir).unwrap();
         assert!(!report.crashed);
         let (step, _) = latest_checkpoint(&dir).unwrap().unwrap();
@@ -327,23 +317,18 @@ mod tests {
         assert_eq!(best, step, "garbage newer than the valid checkpoint is never resumed");
         assert!(snap.set.all_finite());
         assert!(!dir.join(format!("ckpt-{:05}.json.tmp", step + 3)).exists(), "tmp cleaned");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn fault_schedule_is_seed_deterministic() {
         let cfg = FaultRun::smoke(11);
-        let a_dir = tmp("det-a");
-        let b_dir = tmp("det-b");
-        std::fs::remove_dir_all(&a_dir).ok();
-        std::fs::remove_dir_all(&b_dir).ok();
+        let a_dir = ScratchDir::new("faults-det-a");
+        let b_dir = ScratchDir::new("faults-det-b");
         let a = run(&cfg, &a_dir).unwrap();
         let b = run(&cfg, &b_dir).unwrap();
         assert_eq!(a.fault_counts.total(), b.fault_counts.total());
         assert_eq!(a.recovery_s, b.recovery_s);
         assert_eq!(a.simulated_total_s, b.simulated_total_s);
         assert_eq!(a.final_set.pos(), b.final_set.pos());
-        std::fs::remove_dir_all(&a_dir).ok();
-        std::fs::remove_dir_all(&b_dir).ok();
     }
 }

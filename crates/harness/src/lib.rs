@@ -3,28 +3,30 @@
 //! The experiment harness: regenerates every table and figure of the PTPM
 //! N-body paper's evaluation section on the simulated device.
 //!
-//! | module | paper artifact | binary |
-//! |--------|----------------|--------|
-//! | [`fig4`] | Fig. 4 — jw-parallel GFLOPS vs N | `cargo run -p harness --release --bin fig4` |
-//! | [`fig5`] | Fig. 5 — GFLOPS of all four plans vs N | `--bin fig5` |
-//! | [`table1`] | Table 1 — CPU vs GPU running time, 100 steps | `--bin table1` |
-//! | [`table2`] | Table 2 — total time of the four plans | `--bin table2` |
-//! | [`table3`] | Table 3 — kernel-only time of the four plans | `--bin table3` |
+//! | module | paper artifact | command |
+//! |--------|----------------|---------|
+//! | [`fig4`] | Fig. 4 — jw-parallel GFLOPS vs N | `cargo run -p harness --release --bin repro-all -- fig4` |
+//! | [`fig5`] | Fig. 5 — GFLOPS of all four plans vs N | `repro-all fig5` |
+//! | [`table1`] | Table 1 — CPU vs GPU running time, 100 steps | `repro-all table1` |
+//! | [`table2`] | Table 2 — total time of the four plans | `repro-all table2` |
+//! | [`table3`] | Table 3 — kernel-only time of the four plans | `repro-all table3` |
 //!
-//! `--bin repro-all` runs the full suite. Every binary accepts `--quick`
-//! for a reduced sweep, `--faults <seed>` for deterministic fault
-//! injection (see [`faults`]), `--threads <N>` to pin the host
-//! worker-thread count (results are bit-exact across thread counts; the
-//! `NBODY_THREADS` environment variable is the flagless equivalent), and
-//! the out-of-core trio `--shards <N>` / `--mem-budget <bytes>` /
-//! `--device-tree` (Morton-sharded streaming and the on-device tree
-//! pipeline — bit-exact vs the in-core host path, pinned by
-//! `tests/shard_invariance.rs`); the figure/table binaries accept
-//! `--trace <path>` to also write an execution trace of all four plans
-//! (Chrome trace JSON, or CSV when the path ends in `.csv` — see
-//! [`trace_export`]). The `trace` binary captures traces without running
-//! any experiment, and the `faults` binary demonstrates checkpoint/restart
-//! fault tolerance end to end.
+//! `repro-all` without a subcommand runs the full suite; its other
+//! subcommands are `ptpm-report`, `imbalance`, `drift` and `whatif`. The
+//! suite and the six sweep subcommands (`fig4` … `table3`, `ptpm-report`)
+//! accept `--quick` for a reduced sweep, `--faults <seed>` for
+//! deterministic fault injection (see [`faults`]), `--threads <N>` to pin
+//! the host worker-thread count (results are bit-exact across thread
+//! counts; the `NBODY_THREADS` environment variable is the flagless
+//! equivalent), and the out-of-core trio `--shards <N>` /
+//! `--mem-budget <bytes>` / `--device-tree` (Morton-sharded streaming and
+//! the on-device tree pipeline — bit-exact vs the in-core host path, pinned
+//! by `tests/shard_invariance.rs`); the suite and `fig4`, `fig5`, `table2`
+//! and `table3` accept `--trace <path>` to also write an execution trace of
+//! all four plans (Chrome trace JSON, or CSV when the path ends in `.csv` —
+//! see [`trace_export`]). The `trace` binary captures traces without
+//! running any experiment, and the `faults` binary demonstrates
+//! checkpoint/restart fault tolerance end to end.
 //!
 //! Wall-clock performance is not measured here: the one benchmark is
 //! `perfbench/` at the repository root, declared by `BENCHMARK.json` (see
@@ -141,7 +143,7 @@ pub fn parse_byte_size(value: &str) -> Option<usize> {
 }
 
 /// Parses just the `--threads <N>` flag (`Ok(None)` when absent). Split out
-/// so binaries with ad-hoc positional arguments can honor the flag without
+/// so commands with ad-hoc positional arguments can honor the flag without
 /// adopting the full [`ExperimentConfig`] convention.
 pub fn try_threads_from_args(args: &[String]) -> Result<Option<usize>, error::HarnessError> {
     let Some(pos) = args.iter().position(|a| a == "--threads") else {
@@ -154,7 +156,7 @@ pub fn try_threads_from_args(args: &[String]) -> Result<Option<usize>, error::Ha
     Ok(Some(n))
 }
 
-/// Applies `--threads` to the global `par` worker count for binaries that
+/// Applies `--threads` to the global `par` worker count for commands that
 /// never build an [`ExperimentConfig`]; prints the error and exits 1 on a
 /// malformed value.
 pub fn apply_threads_flag(args: &[String]) {

@@ -209,8 +209,8 @@ pub fn write_artifacts(
 mod tests {
     use super::*;
     use crate::runner::{run_job, RunOptions, RunStatus};
-    use crate::scratch::ScratchDir;
     use crate::spec::JobSpec;
+    use nbody_core::testutil::ScratchDir;
     use plans::prelude::PlanKind;
     use workloads::spec::WorkloadSpec;
 
@@ -218,7 +218,7 @@ mod tests {
     fn artifacts_are_written_parseable_and_deterministic() {
         let spec = JobSpec::new(WorkloadSpec::plummer(96, 7), PlanKind::JwParallel, 2);
         let scratch = ScratchDir::new("artifact-emit");
-        let dir = scratch.path();
+        let dir: &Path = &scratch;
         let result = match run_job(&spec, dir, &RunOptions::default()).unwrap() {
             RunStatus::Complete(result) => *result,
             other => panic!("unexpected status {other:?}"),
@@ -247,7 +247,7 @@ mod tests {
         // second emission is byte-identical
         let csv2 = {
             let dir2 = ScratchDir::new("artifact-emit-again");
-            let set2 = write_artifacts(&result, dir2.path(), &crate::fsx::RealFs).unwrap();
+            let set2 = write_artifacts(&result, &dir2, &crate::fsx::RealFs).unwrap();
             std::fs::read_to_string(&set2.trace_csv).unwrap()
         };
         assert_eq!(csv, csv2);
@@ -258,7 +258,7 @@ mod tests {
         let mut spec = JobSpec::new(WorkloadSpec::plummer(64, 9), PlanKind::IParallel, 1);
         spec.plan_source = Some("auto:db-hit".to_string());
         let scratch = ScratchDir::new("artifact-provenance");
-        let dir = scratch.path();
+        let dir: &Path = &scratch;
         let result = match run_job(&spec, dir, &RunOptions::default()).unwrap() {
             RunStatus::Complete(result) => *result,
             other => panic!("unexpected status {other:?}"),

@@ -160,7 +160,7 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scratch::ScratchDir;
+    use nbody_core::testutil::ScratchDir;
     use plans::prelude::{BackendKind, PlanKind};
     use workloads::spec::WorkloadSpec;
 

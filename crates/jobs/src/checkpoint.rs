@@ -195,7 +195,7 @@ pub fn clean_stale_tmp_recursive(root: &Path, fs: &dyn SpoolFs) -> std::io::Resu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scratch::ScratchDir;
+    use nbody_core::testutil::ScratchDir;
     use nbody_core::testutil::XorShift64;
     use workloads::spec::WorkloadSpec;
 

@@ -216,7 +216,7 @@ pub fn fuzz(scratch: &Path, stride: u64) -> Result<CrashpointReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scratch::ScratchDir;
+    use nbody_core::testutil::ScratchDir;
 
     #[test]
     fn lifecycle_is_deterministic_and_rich_enough() {
@@ -238,7 +238,7 @@ mod tests {
         // debug-mode sample; the CI release gate runs stride 1 over all
         // prefixes via tests/crashpoint_fuzz.rs
         let scratch = ScratchDir::new("crashpoint-sampled");
-        let report = fuzz(scratch.path(), 13).unwrap();
+        let report = fuzz(&scratch, 13).unwrap();
         assert!(report.prefixes.len() >= 4, "{report:?}");
         assert!(report.render().starts_with("CRASHPOINT OK"));
     }

@@ -236,8 +236,8 @@ pub fn run_daemon(
 mod tests {
     use super::*;
     use crate::runner::RunOptions;
-    use crate::scratch::ScratchDir;
     use crate::server::JobOutcome;
+    use nbody_core::testutil::ScratchDir;
     use plans::prelude::PlanKind;
     use std::sync::atomic::AtomicBool;
     use workloads::spec::WorkloadSpec;

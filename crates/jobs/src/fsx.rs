@@ -163,7 +163,7 @@ pub fn is_crashpoint(err: &crate::error::JobError) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scratch::ScratchDir;
+    use nbody_core::testutil::ScratchDir;
     use std::path::PathBuf;
 
     /// A fresh `name` directory inside the test's unique scratch dir.

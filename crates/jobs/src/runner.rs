@@ -259,7 +259,7 @@ pub fn reference_set(spec: &JobSpec) -> ParticleSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scratch::ScratchDir;
+    use nbody_core::testutil::ScratchDir;
     use plans::prelude::PlanKind;
     use workloads::spec::WorkloadSpec;
 

@@ -679,8 +679,8 @@ pub fn drain(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scratch::ScratchDir;
     use crate::spec::{JobSpec, Priority};
+    use nbody_core::testutil::ScratchDir;
     use plans::prelude::PlanKind;
     use workloads::spec::WorkloadSpec;
 

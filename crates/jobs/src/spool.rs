@@ -372,8 +372,8 @@ impl Spool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scratch::ScratchDir;
     use crate::spec::{JobSpec, Priority};
+    use nbody_core::testutil::ScratchDir;
     use plans::prelude::PlanKind;
     use workloads::spec::WorkloadSpec;
 

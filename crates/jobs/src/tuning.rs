@@ -337,7 +337,7 @@ pub fn resolve_plan(
 mod tests {
     use super::*;
     use crate::fsx::{CrashFs, RealFs};
-    use crate::scratch::ScratchDir;
+    use nbody_core::testutil::ScratchDir;
     use plans::prelude::{autotune, evaluate_forces, DEFAULT_SHORTLIST};
     use std::path::PathBuf;
 

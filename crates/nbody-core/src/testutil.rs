@@ -3,10 +3,14 @@
 //! Uses a small embedded xorshift generator instead of the `rand` crate so
 //! that downstream crates can build fixtures without extra dependencies and
 //! with bit-identical results everywhere. Real workload generation (Plummer
-//! spheres etc.) lives in the `workloads` crate.
+//! spheres etc.) lives in the `workloads` crate. [`ScratchDir`] is the one
+//! per-test scratch directory of the workspace.
 
 use crate::body::{Body, ParticleSet};
 use crate::vec3::Vec3;
+use std::ops::Deref;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A tiny xorshift64* PRNG: deterministic, seedable, dependency-free.
 ///
@@ -70,9 +74,67 @@ pub fn equal_mass_set(n: usize, seed: u64) -> ParticleSet {
     (0..n).map(|_| Body::new(rng.uniform_vec3(-0.5, 0.5), Vec3::ZERO, 1.0)).collect()
 }
 
+static NEXT_SCRATCH: AtomicU64 = AtomicU64::new(0);
+
+/// A fresh, empty directory under the system temp dir, removed on drop.
+///
+/// Every directory is unique to one process and one call (process id plus a
+/// process-wide counter), so tests running in parallel, or two concurrent
+/// `cargo test` invocations, never share, delete or reuse each other's
+/// directories. Derefs to its [`Path`], so it passes wherever a path does.
+#[derive(Debug)]
+pub struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    /// Creates `nbody-ptpm-<tag>-<pid>-<counter>`; `tag` only makes
+    /// leftovers of a crashed run easier to attribute.
+    ///
+    /// # Panics
+    /// Panics if the directory cannot be created.
+    pub fn new(tag: &str) -> Self {
+        let n = NEXT_SCRATCH.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("nbody-ptpm-{tag}-{}-{n}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        Self(dir)
+    }
+}
+
+impl Deref for ScratchDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl From<&ScratchDir> for PathBuf {
+    fn from(dir: &ScratchDir) -> PathBuf {
+        dir.0.clone()
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scratch_dirs_are_unique_and_removed_on_drop() {
+        let a = ScratchDir::new("t");
+        let b = ScratchDir::new("t");
+        assert_ne!(&*a, &*b);
+        assert!(a.is_dir() && b.is_dir());
+        let kept = a.to_path_buf();
+        drop(a);
+        assert!(!kept.exists());
+        assert!(b.is_dir());
+    }
 
     #[test]
     fn rng_is_deterministic() {

@@ -1,16 +1,13 @@
 //! The [`Backend`] trait: execution substrates a plan can run on.
 //!
-//! Every plan used to be welded to the simulated `gpu-sim` device. This
-//! module introduces the seam that a real-GPU backend will later plug into
-//! (ROADMAP item 1): a backend is *where* a force evaluation executes, a
-//! [`PlanKind`] is *which* decomposition it uses. Three substrates ship
-//! today:
+//! A backend is *where* a force evaluation executes, a [`PlanKind`] is
+//! *which* decomposition it uses. Three substrates ship today:
 //!
 //! | kind | substrate | precision | clocks | faults/traces |
 //! |------|-----------|-----------|--------|---------------|
 //! | [`BackendKind::Sim`]  | simulated HD 5850 ([`SimBackend`]) | f32 kernels | simulated | yes |
 //! | [`BackendKind::Host`] | host SoA/treecode ([`HostBackend`]) | f64 | wall only | no |
-//! | [`BackendKind::F32`]  | host re-execution of the device kernels ([`DeviceF32Backend`]) | f32 | wall only | no |
+//! | [`BackendKind::F32`]  | the sim kernels, wall clock only ([`DeviceF32Backend`]) | f32 | wall only | no |
 //!
 //! `auto` resolves to `sim`, which stays the deterministic oracle for PTPM
 //! forecasts and golden traces.
@@ -19,22 +16,17 @@
 //! `tests/backend_conformance.rs`, documented in DESIGN.md §11):
 //!
 //! * every backend is bit-exact across host thread counts;
-//! * [`DeviceF32Backend`] reproduces [`SimBackend`]'s accelerations **to the
-//!   bit** per plan — it replays the exact f32 accumulation order of each
-//!   device kernel (tiles ascending, slices ascending, slots ascending), and
-//!   Rust never contracts `a*b+c` into an FMA, so the host f32 re-execution
-//!   and the simulated device compute identical IEEE-754 sequences;
+//! * [`DeviceF32Backend`] returns [`SimBackend`]'s accelerations **to the
+//!   bit**, because it runs the same kernels; `tests/sim_lane_exactness.rs`
+//!   checks those kernels against an independent scalar replay of each
+//!   plan's f32 reduction order;
 //! * [`HostBackend`]'s PP plans are bit-exact against the scalar f64
 //!   reference, and its tree plans bit-exact against
 //!   [`treecode::interaction_list::evaluate_walks_cpu`];
 //! * the f32 tier agrees with the f64 tier within the
 //!   [`crate::conformance::f32_l2_bound`] error-model band.
 
-use crate::common::{interact_tile_f32, PlanConfig, PlanKind, PlanOutcome, FLOPS_PER_INTERACTION};
-use crate::i_parallel::packed_padded;
-use crate::j_parallel::auto_j_slices;
-use crate::jw_parallel::{auto_slice_len, slice_walks};
-use crate::w_parallel::{prepare_walks, PackedWalks, NO_TARGET};
+use crate::common::{PlanConfig, PlanKind, PlanOutcome};
 use gpu_sim::device::Device;
 use gpu_sim::prelude::{DeviceSpec, TransferModel};
 use nbody_core::body::ParticleSet;
@@ -60,8 +52,8 @@ pub enum BackendKind {
     Sim,
     /// The host f64 path: SoA tiled PP and the CPU treecode evaluator.
     Host,
-    /// The device-f32 stub: the device kernels' f32 arithmetic re-executed
-    /// on the host in deterministic reduction order, bit-exact vs `sim`.
+    /// The device-f32 tier: the sim kernels' f32 forces with a wall clock
+    /// only (no simulated clocks, faults or traces).
     F32,
 }
 
@@ -344,155 +336,39 @@ impl Backend for HostBackend {
             self.evaluate_pp(set, params, &mut acc);
             ((n as u64) * (n as u64), 1)
         };
-        let mut outcome = host_outcome(acc, interactions, t0.elapsed().as_secs_f64(), 0);
-        outcome.shards_used = shards;
-        outcome
+        PlanOutcome {
+            acc,
+            interactions,
+            host_measured_s: t0.elapsed().as_secs_f64(),
+            shards_used: shards,
+            ..PlanOutcome::empty()
+        }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Device-f32 stub
+// Device f32
 // ---------------------------------------------------------------------------
 
-/// The device-f32 backend: the plans' kernel arithmetic re-executed on the
-/// host in f32, replaying each sim kernel's accumulation order exactly —
-/// tiles ascending within a slice, partial slices/slots reduced in
-/// ascending order — so every acceleration is **bit-identical** to the
-/// simulated device's. This is the stand-in (and the validation harness)
-/// for a real f32 GPU kernel.
+/// The device-f32 backend: the f32 tier as a wall-clock-only view of the
+/// sim kernels. Every evaluation runs on a private [`SimBackend`] over
+/// [`default_device`], so each plan's f32 reduction order exists once, in
+/// the kernels, and the forces are the sim's bit for bit.
 ///
-/// Geometry knobs that the sim auto-tunes against the device spec
-/// (`auto_j_slices`, `auto_slice_len`) resolve against the same HD 5850
-/// spec here, so the slice decomposition — and therefore the f32 reduction
-/// tree — matches the oracle's.
+/// It reports the sim's `acc`, `interactions`, `launches`, `shards_used` and
+/// `peak_device_bytes`, and the wall time of the call in `host_measured_s`.
+/// Every simulated or modelled field (`kernel_s`, `transfer_s`,
+/// `recovery_s`, `pipeline_s`, `host_tree_s`, `host_walk_s`) is zero, and
+/// [`Backend::device`] is `None`: the tier admits no fault plan, records no
+/// trace and has no simulated clock.
 pub struct DeviceF32Backend {
-    config: PlanConfig,
-    spec: DeviceSpec,
+    sim: SimBackend,
 }
 
 impl DeviceF32Backend {
     /// Creates the backend with the paper's HD 5850 geometry.
     pub fn new(config: PlanConfig) -> Self {
-        Self { config, spec: DeviceSpec::radeon_hd_5850() }
-    }
-
-    /// i-parallel: per target, one j-ascending pass over the padded f32
-    /// buffer (the kernel's p-sized LDS tiles concatenate to exactly this).
-    fn pp_i(&self, set: &ParticleSet, params: &GravityParams, acc: &mut [Vec3]) {
-        let n = set.len();
-        let p = self.config.block_size;
-        let n_padded = n.div_ceil(p).max(1) * p;
-        let packed = packed_padded(set, n_padded);
-        let eps_sq = params.eps_sq() as f32;
-        let g = params.g;
-        par_rows(acc, |i| {
-            let xi = [packed[4 * i], packed[4 * i + 1], packed[4 * i + 2]];
-            let mut a = [0.0_f32; 3];
-            interact_tile_f32(xi, &packed, eps_sq, &mut a);
-            widen3(a, g)
-        });
-    }
-
-    /// j-parallel: per-slice partials (each a j-ascending pass), reduced in
-    /// ascending slice order — the two-kernel launch replayed per target.
-    fn pp_j(&self, set: &ParticleSet, params: &GravityParams, acc: &mut [Vec3]) {
-        let n = set.len();
-        let p = self.config.block_size;
-        let n_padded = n.div_ceil(p).max(1) * p;
-        let s_count =
-            self.config.j_slices.unwrap_or_else(|| auto_j_slices(n_padded, p, &self.spec));
-        let slice_len = n_padded.div_ceil(s_count);
-        let packed = packed_padded(set, n_padded);
-        let eps_sq = params.eps_sq() as f32;
-        let g = params.g;
-        par_rows(acc, |i| {
-            let xi = [packed[4 * i], packed[4 * i + 1], packed[4 * i + 2]];
-            let mut a = [0.0_f32; 3];
-            for s in 0..s_count {
-                let start = s * slice_len;
-                let len = slice_len.min(n_padded.saturating_sub(start));
-                let mut part = [0.0_f32; 3];
-                interact_tile_f32(xi, &packed[4 * start..4 * (start + len)], eps_sq, &mut part);
-                a[0] += part[0];
-                a[1] += part[1];
-                a[2] += part[2];
-            }
-            widen3(a, g)
-        });
-    }
-
-    /// w-parallel: per walk lane, one ascending pass over the walk's packed
-    /// f32 interaction list.
-    fn tree_w(
-        &self,
-        set: &ParticleSet,
-        packed: &PackedWalks,
-        params: &GravityParams,
-        acc: &mut [Vec3],
-    ) {
-        let ws = self.config.walk_size;
-        let pos_mass = set.pack_pos_mass_f32();
-        let eps_sq = params.eps_sq() as f32;
-        let g = params.g;
-        scatter_walks(acc, packed.walk_desc.len(), |w, out| {
-            let (start, len) = packed.walk_desc[w];
-            let list = &packed.list_data[4 * start as usize..4 * (start + len) as usize];
-            for lane in 0..ws {
-                let target = packed.targets[w * ws + lane];
-                if target == NO_TARGET {
-                    continue;
-                }
-                let t = target as usize;
-                let xi = [pos_mass[4 * t], pos_mass[4 * t + 1], pos_mass[4 * t + 2]];
-                let mut a = [0.0_f32; 3];
-                interact_tile_f32(xi, list, eps_sq, &mut a);
-                out.push((target, widen3(a, g)));
-            }
-        });
-    }
-
-    /// jw-parallel: per-(walk, slice) partials, reduced per walk in
-    /// ascending slot order — exactly the partial + reduce kernel pair.
-    fn tree_jw(
-        &self,
-        set: &ParticleSet,
-        packed: &PackedWalks,
-        params: &GravityParams,
-        acc: &mut [Vec3],
-    ) {
-        let ws = self.config.walk_size;
-        let total_entries = packed.list_data.len() / 4;
-        let slice_len = self
-            .config
-            .jw_slice_len
-            .unwrap_or_else(|| auto_slice_len(total_entries, ws, &self.spec));
-        let (blocks, slot_ranges) = slice_walks(&packed.walk_desc, slice_len);
-        let pos_mass = set.pack_pos_mass_f32();
-        let eps_sq = params.eps_sq() as f32;
-        let g = params.g;
-        scatter_walks(acc, packed.walk_desc.len(), |w, out| {
-            let (first, count) = slot_ranges[w];
-            for lane in 0..ws {
-                let target = packed.targets[w * ws + lane];
-                if target == NO_TARGET {
-                    continue;
-                }
-                let t = target as usize;
-                let xi = [pos_mass[4 * t], pos_mass[4 * t + 1], pos_mass[4 * t + 2]];
-                let mut a = [0.0_f32; 3];
-                for s in 0..count {
-                    let b = blocks[(first + s) as usize];
-                    let list =
-                        &packed.list_data[4 * b.start as usize..4 * (b.start + b.len) as usize];
-                    let mut part = [0.0_f32; 3];
-                    interact_tile_f32(xi, list, eps_sq, &mut part);
-                    a[0] += part[0];
-                    a[1] += part[1];
-                    a[2] += part[2];
-                }
-                out.push((target, widen3(a, g)));
-            }
-        });
+        Self { sim: SimBackend::new(default_device(), config) }
     }
 }
 
@@ -507,92 +383,23 @@ impl Backend for DeviceF32Backend {
         set: &ParticleSet,
         params: &GravityParams,
     ) -> PlanOutcome {
-        assert!(params.softening > 0.0, "f32 plans require softening > 0");
-        self.config.validate(&self.spec).expect("invalid plan config");
-        let n = set.len();
         let t0 = Instant::now();
-        let mut acc = vec![Vec3::ZERO; n];
-        let (interactions, passes) = match plan {
-            PlanKind::IParallel => {
-                self.pp_i(set, params, &mut acc);
-                ((n as u64) * (n as u64), 1)
-            }
-            PlanKind::JParallel => {
-                self.pp_j(set, params, &mut acc);
-                ((n as u64) * (n as u64), 2)
-            }
-            PlanKind::WParallel => {
-                let prep = prepare_walks(set, &self.config);
-                self.tree_w(set, &prep.packed, params, &mut acc);
-                (prep.packed.interactions, 1)
-            }
-            PlanKind::JwParallel => {
-                let prep = prepare_walks(set, &self.config);
-                self.tree_jw(set, &prep.packed, params, &mut acc);
-                (prep.packed.interactions, 2)
-            }
-        };
-        host_outcome(acc, interactions, t0.elapsed().as_secs_f64(), passes)
+        let sim = self.sim.evaluate(plan, set, params);
+        PlanOutcome {
+            acc: sim.acc,
+            interactions: sim.interactions,
+            host_measured_s: t0.elapsed().as_secs_f64(),
+            launches: sim.launches,
+            shards_used: sim.shards_used,
+            peak_device_bytes: sim.peak_device_bytes,
+            ..PlanOutcome::empty()
+        }
     }
 }
 
 // ---------------------------------------------------------------------------
-// shared plumbing
+// host plumbing
 // ---------------------------------------------------------------------------
-
-/// Widens an f32 accumulator exactly like the device download path does.
-#[inline]
-fn widen3(a: [f32; 3], g: f64) -> Vec3 {
-    Vec3::new(f64::from(a[0]), f64::from(a[1]), f64::from(a[2])) * g
-}
-
-/// Outcome shape shared by the host-executed backends: no simulated clocks,
-/// wall time in `host_measured_s` only; `launches` counts kernel-equivalent
-/// passes (zero on the f64 host, which has no kernel analogue at all).
-fn host_outcome(acc: Vec<Vec3>, interactions: u64, wall_s: f64, passes: usize) -> PlanOutcome {
-    let _ = FLOPS_PER_INTERACTION; // flops are charged only on the sim device
-    PlanOutcome {
-        acc,
-        interactions,
-        host_tree_s: 0.0,
-        host_walk_s: 0.0,
-        host_measured_s: wall_s,
-        kernel_s: 0.0,
-        transfer_s: 0.0,
-        recovery_s: 0.0,
-        launches: passes,
-        overlap_walk_with_kernel: false,
-        ..PlanOutcome::empty()
-    }
-}
-
-/// Computes `acc[i] = row(i)` for all rows, chunked over the `par` worker
-/// count. Rows are independent, so the result is bit-identical at any
-/// thread count.
-fn par_rows(acc: &mut [Vec3], row: impl Fn(usize) -> Vec3 + Sync) {
-    let n = acc.len();
-    let threads = par::threads().max(1).min(n.max(1));
-    if threads <= 1 || n < 64 {
-        for (i, slot) in acc.iter_mut().enumerate() {
-            *slot = row(i);
-        }
-        return;
-    }
-    let ranges = par::chunk_ranges(n, threads);
-    std::thread::scope(|scope| {
-        let mut rest = acc;
-        let row = &row;
-        for range in ranges {
-            let (chunk, tail) = rest.split_at_mut(range.len());
-            rest = tail;
-            scope.spawn(move || {
-                for (slot, i) in chunk.iter_mut().zip(range) {
-                    *slot = row(i);
-                }
-            });
-        }
-    });
-}
 
 /// Evaluates `eval(walk, &mut out)` for every walk (chunked over threads)
 /// and scatters the `(target, acc)` pairs. Walks own disjoint targets, so
@@ -690,6 +497,20 @@ mod tests {
             assert_eq!(a.acc, b.acc, "{plan:?}: f32 backend diverged from sim");
             assert_eq!(a.interactions, b.interactions, "{plan:?}");
             assert_eq!(a.launches, b.launches, "{plan:?}: pass count");
+            assert_eq!(a.shards_used, b.shards_used, "{plan:?}");
+            assert_eq!(a.peak_device_bytes, b.peak_device_bytes, "{plan:?}");
+            // wall clock only: every simulated or modelled field is zero
+            let simulated = [
+                b.kernel_s,
+                b.transfer_s,
+                b.recovery_s,
+                b.pipeline_s,
+                b.host_tree_s,
+                b.host_walk_s,
+            ];
+            assert_eq!(simulated, [0.0; 6], "{plan:?}: f32 outcome carries a simulated clock");
+            assert_eq!(b.total_seconds(), 0.0, "{plan:?}");
+            assert!(b.host_measured_s > 0.0, "{plan:?}: wall time not measured");
         }
     }
 
@@ -774,8 +595,7 @@ mod tests {
                 let mut sim = make_backend(BackendKind::Sim, config);
                 let got = sim.evaluate(plan, &set, &params());
                 assert_eq!(got.acc, reference.acc, "{plan:?}: {config:?} diverged on sim");
-                // and the f32 host re-execution tracks the sim bit-for-bit
-                // even though it ignores the out-of-core knobs
+                // and the f32 tier, which runs the same kernels, follows
                 let mut f32b = make_backend(BackendKind::F32, config);
                 let host_got = f32b.evaluate(plan, &set, &params());
                 assert_eq!(host_got.acc, reference.acc, "{plan:?}: f32 backend diverged");

@@ -6,9 +6,8 @@
 //! report — host tree/walk work, kernel time, transfer time.
 //!
 //! All device kernels share the same single-precision interaction
-//! ([`lanes_interact_tile_f32`], of which [`interact_f32`] is the one-lane,
-//! one-source case): the softened monopole of Eq. (1)/(3), computed exactly
-//! as the OpenCL kernels the paper builds on. With nonzero softening the
+//! ([`lanes_interact_tile_f32`]): the softened monopole of Eq. (1)/(3),
+//! computed exactly as the OpenCL kernels the paper builds on. With nonzero softening the
 //! self-interaction contributes a zero vector, so kernels never branch on
 //! `i == j` — matching Nyland's original CUDA kernel.
 
@@ -319,29 +318,6 @@ pub trait ExecutionPlan {
     ) -> PlanOutcome;
 }
 
-/// Single-precision softened interaction: accumulates onto `acc` the pull of
-/// a source `[x, y, z, m]` on a target at `xi`. Zero-mass padding entries
-/// and the self-pair (with `eps_sq > 0`) contribute exactly zero. The
-/// one-source case of [`interact_tile_f32`].
-#[inline(always)]
-pub fn interact_f32(xi: [f32; 3], source: &[f32], eps_sq: f32, acc: &mut [f32; 3]) {
-    interact_tile_f32(xi, &source[..4], eps_sq, acc);
-}
-
-/// Accumulates a whole tile of packed float4 sources onto one target, in
-/// tile order: the one-lane case of [`lanes_interact_tile_f32`], used by
-/// `DeviceF32Backend` and by any per-item kernel loop.
-#[inline(always)]
-pub fn interact_tile_f32(xi: [f32; 3], tile: &[f32], eps_sq: f32, acc: &mut [f32; 3]) {
-    let [ax, ay, az] = acc;
-    lanes_interact_tile_f32(
-        [&[xi[0]], &[xi[1]], &[xi[2]]],
-        [std::slice::from_mut(ax), std::slice::from_mut(ay), std::slice::from_mut(az)],
-        tile,
-        eps_sq,
-    );
-}
-
 /// Lanes of one register block of [`lanes_interact_tile_f32`]: their
 /// accumulators stay in SIMD registers for the whole tile sweep.
 pub const LANE_BLOCK: usize = 8;
@@ -350,13 +326,14 @@ pub const LANE_BLOCK: usize = 8;
 /// `xi` holds the lanes' x/y/z positions and `acc` their x/y/z accumulators,
 /// one slice per axis (the lane count is `acc[0].len()`).
 ///
-/// This is the one copy of the f32 pair arithmetic: the sim kernels, the
-/// `DeviceF32Backend` and the multi-device kernels all reach it. Lanes run
-/// in register blocks of [`LANE_BLOCK`], each sweeping the whole tile; the
-/// remainder runs one lane at a time. Every lane keeps one sequential
-/// summation chain in tile order with the same expression tree, so a lane's
-/// result does not depend on the lane count or on its block: it is
-/// bit-identical to the one-lane [`interact_tile_f32`] on that target.
+/// This is the one copy of the f32 pair arithmetic: every sim kernel reaches
+/// it. Zero-mass padding sources and the self-pair (with `eps_sq > 0`)
+/// contribute exactly zero. Lanes run in register blocks of [`LANE_BLOCK`],
+/// each sweeping the whole tile; the remainder runs one lane at a time.
+/// Every lane keeps one sequential summation chain in tile order with the
+/// same expression tree, so a lane's result does not depend on the lane
+/// count or on its block: it is bit-identical to a one-lane call on that
+/// target.
 #[inline(always)]
 pub fn lanes_interact_tile_f32(xi: [&[f32]; 3], acc: [&mut [f32]; 3], tile: &[f32], eps_sq: f32) {
     debug_assert!(tile.len().is_multiple_of(4), "tile must be packed float4");
@@ -434,7 +411,7 @@ pub trait ForceLane {
 /// those of the item-by-item phase. Then the active items' targets are
 /// gathered into stack lanes, sweep the tile once through
 /// [`lanes_interact_tile_f32`], and get their accumulators back; each is
-/// bit-identical to that item running [`interact_tile_f32`] alone. No heap
+/// bit-identical to that item sweeping the tile as a single lane. No heap
 /// allocation.
 pub fn force_eval_lanes<R: ForceLane>(
     ctx: &mut GroupCtx<'_>,
@@ -498,25 +475,6 @@ pub fn upload_bodies(device: &mut Device, set: &ParticleSet) -> (BufF32, BufF32)
 /// Retries transient injected faults (see [`crate::recover`]).
 pub fn download_acc(device: &mut Device, acc_out: BufF32, n: usize, g: f64) -> Vec<Vec3> {
     let raw = crate::recover::download_f32_with_recovery(device, acc_out);
-    widen_acc(&raw, n, g)
-}
-
-/// Fallible [`download_acc`]: retries transient faults, surfaces a permanent
-/// fault (or exhausted retries) to the caller instead of panicking. The
-/// multi-device drivers use this to detect a lost device.
-pub fn try_download_acc(
-    device: &mut Device,
-    acc_out: BufF32,
-    n: usize,
-    g: f64,
-) -> Result<Vec<Vec3>, FaultError> {
-    let raw = crate::recover::with_retry(device, &RetryPolicy::default(), |d| {
-        d.try_download_f32(acc_out)
-    })?;
-    Ok(widen_acc(&raw, n, g))
-}
-
-fn widen_acc(raw: &[f32], n: usize, g: f64) -> Vec<Vec3> {
     (0..n)
         .map(|i| {
             Vec3::new(f64::from(raw[4 * i]), f64::from(raw[4 * i + 1]), f64::from(raw[4 * i + 2]))
@@ -560,12 +518,23 @@ mod tests {
         assert!(bad.validate(&spec).is_err());
     }
 
+    /// One target lane against `tile` through [`lanes_interact_tile_f32`].
+    fn interact_one(xi: [f32; 3], tile: &[f32], eps_sq: f32, acc: &mut [f32; 3]) {
+        let [ax, ay, az] = acc;
+        lanes_interact_tile_f32(
+            [&[xi[0]], &[xi[1]], &[xi[2]]],
+            [std::slice::from_mut(ax), std::slice::from_mut(ay), std::slice::from_mut(az)],
+            tile,
+            eps_sq,
+        );
+    }
+
     #[test]
     fn interaction_math_matches_f64_reference() {
         let xi = [0.1_f32, 0.2, 0.3];
         let src = [1.0_f32, -0.5, 0.7, 2.0];
         let mut acc = [0.0_f32; 3];
-        interact_f32(xi, &src, 1e-4, &mut acc);
+        interact_one(xi, &src, 1e-4, &mut acc);
         let a64 = nbody_core::gravity::pair_acceleration(
             Vec3::new(0.1, 0.2, 0.3),
             Vec3::new(1.0, -0.5, 0.7),
@@ -582,10 +551,10 @@ mod tests {
         let xi = [0.5_f32, 0.5, 0.5];
         let mut acc = [0.0_f32; 3];
         // self-pair: same position, nonzero mass, softened
-        interact_f32(xi, &[0.5, 0.5, 0.5, 3.0], 1e-4, &mut acc);
+        interact_one(xi, &[0.5, 0.5, 0.5, 3.0], 1e-4, &mut acc);
         assert_eq!(acc, [0.0; 3]);
         // padding: zero mass anywhere
-        interact_f32(xi, &[9.0, 9.0, 9.0, 0.0], 1e-4, &mut acc);
+        interact_one(xi, &[9.0, 9.0, 9.0, 0.0], 1e-4, &mut acc);
         assert_eq!(acc, [0.0; 3]);
     }
 

@@ -347,14 +347,11 @@ impl ExecutionPlan for JwParallel {
 }
 
 /// Device-side half of jw-parallel: given packed walks, runs the uploads,
-/// the partial and reduce kernels, and downloads accelerations. Shared by
-/// [`JwParallel`] and the multi-GPU extension (`multi_gpu`), which calls it
-/// once per device with that device's share of the walks. Retries transient
-/// injected faults.
+/// the partial and reduce kernels, and downloads accelerations. Retries
+/// transient injected faults.
 ///
 /// # Panics
-/// Panics if a fault is permanent or retries are exhausted; use
-/// [`try_run_jw_kernels`] to handle device loss.
+/// Panics if a fault is permanent or retries are exhausted.
 pub fn run_jw_kernels(
     device: &mut Device,
     set: &ParticleSet,
@@ -362,27 +359,12 @@ pub fn run_jw_kernels(
     config: &PlanConfig,
     params: &GravityParams,
 ) -> Vec<nbody_core::vec3::Vec3> {
-    try_run_jw_kernels(device, set, packed, config, params)
-        .unwrap_or_else(|e| panic!("jw-parallel kernels failed beyond recovery: {e}"))
-}
-
-/// Fallible [`run_jw_kernels`]: transient faults are retried with backoff;
-/// a permanent fault (lost device) or exhausted retries is returned so a
-/// multi-device driver can redistribute this device's walks.
-pub fn try_run_jw_kernels(
-    device: &mut Device,
-    set: &ParticleSet,
-    packed: &crate::w_parallel::PackedWalks,
-    config: &PlanConfig,
-    params: &GravityParams,
-) -> Result<Vec<nbody_core::vec3::Vec3>, FaultError> {
     let n = set.len();
     let ws = config.walk_size;
     let num_walks = packed.walk_desc.len();
     if num_walks == 0 {
-        // an empty walk share (e.g. more devices than walks) contributes
-        // nothing — no launch, zero forces
-        return Ok(vec![nbody_core::vec3::Vec3::ZERO; n]);
+        // an empty set has no walks: no launch, no forces
+        return vec![nbody_core::vec3::Vec3::ZERO; n];
     }
     let total_entries = packed.list_data.len() / 4;
     let slice_len =
@@ -390,17 +372,13 @@ pub fn try_run_jw_kernels(
     let (blocks, slot_ranges) = slice_walks(&packed.walk_desc, slice_len);
     let total_slots = blocks.len();
 
-    let policy = RetryPolicy::default();
     device.annotate("jw-parallel: upload");
     let pos_mass = device.alloc_f32(n * 4);
-    let pos_data = set.pack_pos_mass_f32();
-    crate::recover::with_retry(device, &policy, |d| d.try_upload_f32(pos_mass, &pos_data))?;
+    crate::recover::upload_f32_with_recovery(device, pos_mass, &set.pack_pos_mass_f32());
     let list_data = device.alloc_f32(packed.list_data.len().max(1));
-    crate::recover::with_retry(device, &policy, |d| {
-        d.try_upload_f32(list_data, &packed.list_data)
-    })?;
+    crate::recover::upload_f32_with_recovery(device, list_data, &packed.list_data);
     let targets = device.alloc_u32(packed.targets.len().max(1));
-    crate::recover::with_retry(device, &policy, |d| d.try_upload_u32(targets, &packed.targets))?;
+    crate::recover::upload_u32_with_recovery(device, targets, &packed.targets);
     let partial = device.alloc_f32(total_slots * ws * 4);
     let acc_out = device.alloc_f32(n * 4);
 
@@ -414,18 +392,22 @@ pub fn try_run_jw_kernels(
         eps_sq: params.eps_sq() as f32,
     };
     device.annotate("jw-parallel: force-eval");
-    crate::recover::with_retry(device, &policy, |d| {
-        d.try_launch(&k1, NdRange { global: total_slots * ws, local: ws })
-    })?;
+    crate::recover::launch_with_recovery(
+        device,
+        &k1,
+        NdRange { global: total_slots * ws, local: ws },
+    );
 
     let k2 = JwReduceKernel { partial, targets, acc_out, slot_ranges, walk_size: ws };
     device.annotate("jw-parallel: reduction");
-    crate::recover::with_retry(device, &policy, |d| {
-        d.try_launch(&k2, NdRange { global: num_walks.max(1) * ws, local: ws })
-    })?;
+    crate::recover::launch_with_recovery(
+        device,
+        &k2,
+        NdRange { global: num_walks.max(1) * ws, local: ws },
+    );
 
     device.annotate("jw-parallel: download");
-    crate::common::try_download_acc(device, acc_out, n, params.g)
+    crate::common::download_acc(device, acc_out, n, params.g)
 }
 
 #[cfg(test)]

@@ -24,7 +24,6 @@ pub mod engine;
 pub mod i_parallel;
 pub mod j_parallel;
 pub mod jw_parallel;
-pub mod multi_gpu;
 pub mod potential;
 pub mod recover;
 pub mod tree_pipeline;
@@ -43,8 +42,8 @@ pub mod prelude {
         PrecisionTier, SimBackend,
     };
     pub use crate::common::{
-        download_acc, interact_f32, interact_tile_f32, try_download_acc, upload_bodies,
-        ExecutionPlan, PlanConfig, PlanKind, PlanOutcome, FLOPS_PER_INTERACTION,
+        download_acc, upload_bodies, ExecutionPlan, PlanConfig, PlanKind, PlanOutcome,
+        FLOPS_PER_INTERACTION,
     };
     pub use crate::conformance::{
         check_cell, check_energy_drift, check_fault_contract, check_trace_contract, f32_l2_bound,
@@ -53,10 +52,7 @@ pub mod prelude {
     pub use crate::engine::PlanForceEngine;
     pub use crate::i_parallel::IParallel;
     pub use crate::j_parallel::{auto_j_slices, JParallel};
-    pub use crate::jw_parallel::{
-        auto_slice_len, run_jw_kernels, slice_walks, try_run_jw_kernels, JwParallel,
-    };
-    pub use crate::multi_gpu::{MultiGpuJw, MultiGpuOutcome, MultiGpuPp};
+    pub use crate::jw_parallel::{auto_slice_len, run_jw_kernels, slice_walks, JwParallel};
     pub use crate::potential::potential_on_device;
     pub use crate::recover::{launch_with_recovery, with_retry};
     pub use crate::tree_pipeline::{

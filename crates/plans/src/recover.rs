@@ -13,10 +13,8 @@
 //! wall time. A permanent fault ([`FaultKind::DeviceLost`]) or exhausted
 //! attempts surfaces as the last error.
 //!
-//! The `*_with_recovery` wrappers are what the single-device plan runners
-//! use: retry under the default policy, and treat unrecoverable faults as
-//! fatal for this device (multi-device drivers instead catch the error and
-//! redistribute — see `multi_gpu`).
+//! The `*_with_recovery` wrappers are what the plan runners use: retry under
+//! the default policy, and treat unrecoverable faults as fatal.
 
 use gpu_sim::prelude::*;
 

@@ -344,32 +344,7 @@ impl std::error::Error for SnapshotError {}
 mod tests {
     use super::*;
     use crate::plummer::{plummer, PlummerParams};
-    use std::path::PathBuf;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-
-    /// A fresh directory unique to this process and call (process id plus
-    /// a counter), removed on drop, so parallel or concurrent test runs
-    /// never share or delete each other's files.
-    struct Scratch(PathBuf);
-
-    impl Scratch {
-        fn new(tag: &str) -> Self {
-            let n = NEXT.fetch_add(1, Ordering::Relaxed);
-            let dir = std::env::temp_dir()
-                .join(format!("nbody-ptpm-snapshot-{tag}-{}-{n}", std::process::id()));
-            std::fs::remove_dir_all(&dir).ok();
-            std::fs::create_dir_all(&dir).unwrap();
-            Self(dir)
-        }
-    }
-
-    impl Drop for Scratch {
-        fn drop(&mut self) {
-            std::fs::remove_dir_all(&self.0).ok();
-        }
-    }
+    use nbody_core::testutil::ScratchDir;
 
     #[test]
     fn roundtrip_exact() {
@@ -387,8 +362,8 @@ mod tests {
     fn file_roundtrip() {
         let set = plummer(16, PlummerParams::default(), 10);
         let snap = Snapshot::new("file-test", 0.0, set);
-        let dir = Scratch::new("file");
-        let path = dir.0.join("snap.snap");
+        let dir = ScratchDir::new("file");
+        let path = dir.join("snap.snap");
         snap.save(&path).unwrap();
         assert!(std::fs::read(&path).unwrap().starts_with(&BINARY_MAGIC), "save writes v3");
         let back = Snapshot::load(&path).unwrap();
@@ -399,12 +374,12 @@ mod tests {
     fn save_is_atomic_leaving_no_tmp_sibling() {
         let set = plummer(8, PlummerParams::default(), 21);
         let snap = Snapshot::new("atomic", 0.25, set);
-        let dir = Scratch::new("atomic");
-        let path = dir.0.join("snap.snap");
+        let dir = ScratchDir::new("atomic");
+        let path = dir.join("snap.snap");
         // a stale tmp from a previous crash must not confuse the write
-        std::fs::write(dir.0.join("snap.snap.tmp"), "{half-written").unwrap();
+        std::fs::write(dir.join("snap.snap.tmp"), "{half-written").unwrap();
         snap.save(&path).unwrap();
-        assert!(!dir.0.join("snap.snap.tmp").exists(), "tmp renamed away");
+        assert!(!dir.join("snap.snap.tmp").exists(), "tmp renamed away");
         assert_eq!(Snapshot::load(&path).unwrap(), snap);
     }
 

@@ -2,8 +2,8 @@
 //! every observable result — forces, energies, interaction counts, and all
 //! *simulated* clocks — is bit-identical for any worker-thread count. These
 //! tests sweep `--threads` ∈ {1, 2, 3, 8} (more threads than cores included
-//! deliberately) over every plan, the treecode pipeline, the multi-GPU
-//! evaluators, and a full integrated trajectory.
+//! deliberately) over every plan, the treecode pipeline, and a full
+//! integrated trajectory.
 //!
 //! `PlanOutcome::host_measured_s` is real wall clock ("informational only")
 //! and is the one field deliberately excluded from the comparisons.
@@ -89,28 +89,6 @@ fn treecode_pipeline_is_bit_exact_across_thread_counts() {
         assert_eq!(base.5, got.5, "quadrupoles differ at {t} threads");
         assert_eq!(base.6, got.6, "quadrupole forces differ at {t} threads");
         assert_eq!(base.7, got.7, "quadrupole stats differ at {t} threads");
-    }
-    par::set_threads(1);
-}
-
-#[test]
-fn multi_gpu_is_bit_exact_across_thread_counts() {
-    let set = plummer(900, PlummerParams::default(), 47);
-    let run = |t: usize| {
-        par::set_threads(t);
-        (MultiGpuJw::new(3).evaluate(&set, &params()), MultiGpuPp::new(3).evaluate(&set, &params()))
-    };
-    let (jw0, pp0) = run(THREAD_MATRIX[0]);
-    for &t in &THREAD_MATRIX[1..] {
-        let (jw, pp) = run(t);
-        for (base, got, what) in [(&jw0, &jw, "multi-gpu jw"), (&pp0, &pp, "multi-gpu pp")] {
-            let what = format!("{what} @ {t} threads");
-            assert_outcomes_identical(&base.combined, &got.combined, &what);
-            assert_eq!(base.per_device_kernel_s, got.per_device_kernel_s, "{what}: kernel split");
-            assert_eq!(base.walks_per_device, got.walks_per_device, "{what}: walk split");
-            assert_eq!(base.lost_devices, got.lost_devices, "{what}: losses");
-            assert_eq!(base.redistributed_walks, got.redistributed_walks, "{what}: rescues");
-        }
     }
     par::set_threads(1);
 }

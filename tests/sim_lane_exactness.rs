@@ -12,17 +12,22 @@
 //! * a lane kernel and the same kernel run item by item leave identical
 //!   memory, identical per-group costs and identical race reports, and
 //!   inactive lanes keep their registers untouched;
-//! * sim forces equal `DeviceF32Backend`'s for every plan, size, block and
-//!   thread count in the matrix.
+//! * sim forces equal an independent f32 oracle written here, which replays
+//!   each plan's slicing and reduction order with the scalar chain, for
+//!   every plan, size, block and thread count in the matrix.
 //!
 //! The lanes only vectorize in optimized builds, so CI also runs this file
 //! with `--release`.
 
 use gpu_sim::exec::{execute_launch, execute_launch_checked, ExecOutcome};
 use gpu_sim::prelude::*;
+use nbody_core::body::ParticleSet;
 use nbody_core::gravity::GravityParams;
 use plans::common::{force_eval_lanes, lanes_interact_tile_f32, ForceLane, LANE_BLOCK};
 use plans::prelude::*;
+use treecode::interaction_list::build_walks;
+use treecode::mac::OpeningAngle;
+use treecode::tree::{Octree, TreeParams};
 use workloads::spec::WorkloadSpec;
 
 /// The OpenCL kernel's per-item loop, written out independently of
@@ -116,10 +121,9 @@ fn coincident_bodies_at_zero_softening_give_the_same_nan() {
     assert!(lanes[3].iter().all(|v| v.is_nan()), "coincident lane must be NaN: {:?}", lanes[3]);
     assert!(lanes[4].iter().all(|v| v.is_finite()), "a NaN lane must not leak into its neighbour");
     assert_lanes_match(&targets, &acc, &tile, 0.0);
-    // the one-lane forms agree too
-    let mut one = [0.0_f32; 3];
-    interact_tile_f32(targets[3], &tile, 0.0, &mut one);
-    assert_eq!(bits(one), bits(lanes[3]));
+    // the one-lane form agrees too
+    let one = run_lanes(&targets[3..4], &acc[3..4], &tile, 0.0);
+    assert_eq!(bits(one[0]), bits(lanes[3]));
 }
 
 #[test]
@@ -145,13 +149,10 @@ fn one_lane_forms_are_the_scalar_chain() {
     let tile: Vec<f32> = (0..4 * 19).map(|_| rng.next()).collect();
     let xi = [rng.next(), rng.next(), rng.next()];
     let start = [0.25, -0.0, 1.0];
-    let mut a = start;
-    interact_tile_f32(xi, &tile, 1e-3, &mut a);
+    let a = run_lanes(&[xi], &[start], &tile, 1e-3)[0];
     assert_eq!(bits(a), bits(scalar_chain(xi, &tile, 1e-3, start)));
-    let mut b = start;
-    for s in tile.chunks_exact(4) {
-        interact_f32(xi, s, 1e-3, &mut b);
-    }
+    // one source at a time continues the same chain
+    let b = tile.chunks_exact(4).fold(start, |b, s| run_lanes(&[xi], &[b], s, 1e-3)[0]);
     assert_eq!(bits(b), bits(a));
 }
 
@@ -364,7 +365,7 @@ fn lane_reads_are_race_tracked_like_item_reads() {
 }
 
 // ---------------------------------------------------------------------------
-// Sim forces against DeviceF32Backend
+// Sim forces against an independent per-plan f32 oracle
 // ---------------------------------------------------------------------------
 
 /// Forces as exact bits, one `[x, y, z]` per body.
@@ -372,25 +373,102 @@ fn force_bits(outcome: &PlanOutcome) -> Vec<[u64; 3]> {
     outcome.acc.iter().map(|a| [a.x.to_bits(), a.y.to_bits(), a.z.to_bits()]).collect()
 }
 
+/// An f32 accumulator widened and scaled the way the device download is.
+fn widen_bits(a: [f32; 3], g: f64) -> [u64; 3] {
+    a.map(|v| (f64::from(v) * g).to_bits())
+}
+
+fn add3(a: [f32; 3], b: [f32; 3]) -> [f32; 3] {
+    [a[0] + b[0], a[1] + b[1], a[2] + b[2]]
+}
+
+/// Each plan's f32 reduction order replayed per target with
+/// [`scalar_chain`] and the public geometry helpers only:
+///
+/// * i: one j-ascending pass over the padded buffer;
+/// * j: per-slice partials, added in slice order;
+/// * w: one pass over the walk's list per walk lane;
+/// * jw: per-(walk, slice) partials, added in slot order.
+fn oracle_bits(
+    kind: PlanKind,
+    set: &ParticleSet,
+    config: &PlanConfig,
+    params: &GravityParams,
+) -> Vec<[u64; 3]> {
+    let spec = DeviceSpec::radeon_hd_5850();
+    let eps_sq = params.eps_sq() as f32;
+    let n = set.len();
+    let mut acc = vec![[0.0_f32; 3]; n];
+    let target = |packed: &[f32], t: usize| [packed[4 * t], packed[4 * t + 1], packed[4 * t + 2]];
+    if !kind.uses_tree() {
+        let p = config.block_size;
+        let n_padded = n.div_ceil(p).max(1) * p;
+        let mut packed = set.pack_pos_mass_f32();
+        packed.resize(4 * n_padded, 0.0);
+        let slices = config.j_slices.unwrap_or_else(|| auto_j_slices(n_padded, p, &spec));
+        let slice_len = n_padded.div_ceil(slices);
+        for (i, a) in acc.iter_mut().enumerate() {
+            let xi = target(&packed, i);
+            *a = if kind == PlanKind::IParallel {
+                scalar_chain(xi, &packed, eps_sq, [0.0; 3])
+            } else {
+                (0..slices).fold([0.0; 3], |sum, s| {
+                    let start = (s * slice_len).min(n_padded);
+                    let end = (start + slice_len).min(n_padded);
+                    add3(sum, scalar_chain(xi, &packed[4 * start..4 * end], eps_sq, [0.0; 3]))
+                })
+            };
+        }
+    } else {
+        let ws = config.walk_size;
+        let tree = Octree::build(set, TreeParams { leaf_capacity: config.leaf_capacity });
+        let walks = build_walks(&tree, set, OpeningAngle::new(config.theta), ws);
+        let packed = pack_walks(&walks, &tree, set, ws);
+        let pos_mass = set.pack_pos_mass_f32();
+        let entries = |start: u32, len: u32| {
+            &packed.list_data[4 * start as usize..4 * (start + len) as usize]
+        };
+        let total_entries = packed.list_data.len() / 4;
+        let slice_len =
+            config.jw_slice_len.unwrap_or_else(|| auto_slice_len(total_entries, ws, &spec));
+        let (blocks, slot_ranges) = slice_walks(&packed.walk_desc, slice_len);
+        for (w, &(start, len)) in packed.walk_desc.iter().enumerate() {
+            for &t in packed.targets[w * ws..(w + 1) * ws].iter().filter(|&&t| t != NO_TARGET) {
+                let xi = target(&pos_mass, t as usize);
+                acc[t as usize] = if kind == PlanKind::WParallel {
+                    scalar_chain(xi, entries(start, len), eps_sq, [0.0; 3])
+                } else {
+                    let (first, count) = slot_ranges[w];
+                    blocks[first as usize..(first + count) as usize].iter().fold(
+                        [0.0; 3],
+                        |sum, b| {
+                            add3(sum, scalar_chain(xi, entries(b.start, b.len), eps_sq, [0.0; 3]))
+                        },
+                    )
+                };
+            }
+        }
+    }
+    acc.into_iter().map(|a| widen_bits(a, params.g)).collect()
+}
+
 // par::set_threads is process-global, so the whole matrix lives in one test.
 #[test]
-fn sim_forces_equal_device_f32_bitwise() {
+fn sim_forces_equal_the_f32_oracle_bitwise() {
     let params = GravityParams { g: 1.0, softening: 0.05 };
-    for &threads in &[1usize, 2] {
-        par::set_threads(threads);
-        for &n in &[1usize, 100, 257, 1000, 2048] {
-            let mut set = WorkloadSpec::plummer(n, 17).generate();
-            set.recenter();
-            for &block in &[32usize, 64, 256] {
-                let config =
-                    PlanConfig { block_size: block, walk_size: block, ..Default::default() };
-                for kind in PlanKind::all() {
+    for &n in &[1usize, 100, 257, 1000, 2048] {
+        let mut set = WorkloadSpec::plummer(n, 17).generate();
+        set.recenter();
+        for &block in &[32usize, 64, 256] {
+            let config = PlanConfig { block_size: block, walk_size: block, ..Default::default() };
+            for kind in PlanKind::all() {
+                let want = oracle_bits(kind, &set, &config, &params);
+                for &threads in &[1usize, 2] {
+                    par::set_threads(threads);
                     let sim = make_backend(BackendKind::Sim, config).evaluate(kind, &set, &params);
-                    let f32 = make_backend(BackendKind::F32, config).evaluate(kind, &set, &params);
-                    assert_eq!(
-                        force_bits(&sim),
-                        force_bits(&f32),
-                        "{} N={n} block={block} threads={threads}",
+                    assert!(
+                        force_bits(&sim) == want,
+                        "{} N={n} block={block} threads={threads}: sim diverged from the oracle",
                         kind.id()
                     );
                 }
