@@ -32,6 +32,15 @@ for f in trace.json trace.csv; do
     test -s "$out/$f" || { echo "FAIL: $f is empty"; exit 1; }
 done
 grep -q '"traceEvents"' "$out/trace.json" || { echo "FAIL: not a Chrome trace"; exit 1; }
+# A sharded host-tree run is the same shard loop as an unsharded one: one
+# force-eval marker per shard, every label the plan's own (the
+# `tree-pipeline:` labels belong to the device-tree path only).
+cargo run --release -p harness --bin trace -- --n 1024 --plan jw --shards 3 --out "$out/sharded.csv"
+evals="$(grep -c ',jw-parallel: force-eval,' "$out/sharded.csv" || true)"
+test "$evals" -eq 3 || { echo "FAIL: sharded trace has $evals force-eval markers, want 3"; exit 1; }
+if grep -q 'tree-pipeline:' "$out/sharded.csv"; then
+    echo "FAIL: host-tree sharded trace carries a tree-pipeline label"; exit 1
+fi
 
 echo "==> fault-injection smoke test"
 cargo run --release -p harness --bin faults -- --seed 7 --dir "$out/faults" | tee "$out/faults.log"

@@ -102,7 +102,7 @@ pub fn ptpm_report(runner: &mut Runner) -> Vec<PtpmRow> {
         let walks = build_walks(&tree, &set, OpeningAngle::new(cfg.theta), cfg.walk_size);
         let lens: Vec<usize> = walks.groups.iter().map(|g| g.list_len()).collect();
         let total: usize = lens.iter().sum();
-        let slice = plans::jw_parallel::auto_slice_len(total, cfg.walk_size, &spec);
+        let slice = cfg.jw_slice_len_for(total, &spec);
         let j_plan = JParallel::new(cfg);
         let slices = j_plan.slices_for(n, &spec);
 

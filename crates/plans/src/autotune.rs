@@ -32,7 +32,6 @@
 
 use crate::common::{PlanConfig, PlanKind};
 use crate::j_parallel::auto_j_slices;
-use crate::jw_parallel::auto_slice_len;
 use crate::make_plan;
 use crate::tree_pipeline::predict_pipeline_shape;
 use gpu_sim::prelude::{Device, DeviceSpec, TransferModel};
@@ -263,10 +262,7 @@ pub fn forecast_candidate(
         PlanKind::JwParallel => {
             let lists = geom.lists_for(c.config.walk_size);
             let total: usize = lists.iter().sum();
-            let slice = c
-                .config
-                .jw_slice_len
-                .unwrap_or_else(|| auto_slice_len(total, c.config.walk_size, spec));
+            let slice = c.config.jw_slice_len_for(total, spec);
             forecast_blocks(&jw_parallel_block_flops(lists, c.config.walk_size, slice), spec)
                 .seconds
         }

@@ -27,6 +27,7 @@
 //!   [`crate::conformance::f32_l2_bound`] error-model band.
 
 use crate::common::{PlanConfig, PlanKind, PlanOutcome};
+use crate::tree_pipeline::shard_decomposition;
 use gpu_sim::device::Device;
 use gpu_sim::prelude::{DeviceSpec, TransferModel};
 use nbody_core::body::ParticleSet;
@@ -35,10 +36,8 @@ use nbody_core::soa::{accelerations_pp_tiled_parallel, accelerations_pp_tiled_wi
 use nbody_core::vec3::Vec3;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
-use treecode::interaction_list::{build_walks, evaluate_walk_lanes, WalkSet};
+use treecode::interaction_list::{build_walks, evaluate_walk_lanes};
 use treecode::mac::OpeningAngle;
-use treecode::morton::keys_in_order;
-use treecode::shards::MortonShards;
 use treecode::tree::{Octree, TreeParams};
 
 /// Which execution substrate to run plans on (`--backend` CLI values).
@@ -268,31 +267,6 @@ impl HostBackend {
         }
     }
 
-    /// The Morton-shard decomposition of the walk range for out-of-core
-    /// configs. The host has no device arenas, so a memory budget is read
-    /// against the same packed-list byte estimate the device path arenas
-    /// hold (16 bytes per entry + the target lane); the result only chunks
-    /// the evaluation order, which the disjoint-target scatter makes
-    /// bit-invariant.
-    fn shard_decomposition(
-        &self,
-        set: &ParticleSet,
-        tree: &Octree,
-        walks: &WalkSet,
-    ) -> MortonShards {
-        let ws = self.config.walk_size;
-        let keys = keys_in_order(set, tree.order());
-        if let Some(count) = self.config.shards {
-            return MortonShards::by_count(&keys, ws, count);
-        }
-        if let Some(budget) = self.config.mem_budget_bytes {
-            let bytes: Vec<usize> =
-                walks.groups.iter().map(|g| 16 * g.list_len() + 4 * ws).collect();
-            return MortonShards::by_budget(&keys, ws, &bytes, 0, budget);
-        }
-        MortonShards::unsharded(set.len(), ws)
-    }
-
     /// Returns `(interactions, shards used)`.
     fn evaluate_tree(
         &self,
@@ -303,7 +277,12 @@ impl HostBackend {
         let tree = Octree::build(set, TreeParams { leaf_capacity: self.config.leaf_capacity });
         let walks =
             build_walks(&tree, set, OpeningAngle::new(self.config.theta), self.config.walk_size);
-        let decomp = self.shard_decomposition(set, &tree, &walks);
+        // the sim path's shard policy; the host has no device arenas, so a
+        // budget is read against the packed-list bytes the device arenas
+        // would hold (16 bytes per entry + the target lane)
+        let ws = self.config.walk_size;
+        let walk_bytes = walks.groups.iter().map(|g| 16 * g.list_len() + 4 * ws);
+        let decomp = shard_decomposition(&self.config, set, &tree, walk_bytes, 0);
         // one pass per shard (a single pass when unsharded) — walks own
         // disjoint bodies, so any shard cut is bit-invariant
         for shard in decomp.shards() {
@@ -581,14 +560,14 @@ mod tests {
     }
 
     #[test]
-    fn sim_backend_routes_out_of_core_configs_bit_exactly() {
-        // the sim backend must dispatch sharded and device-tree configs to
-        // the tree pipeline, and both must reproduce the legacy forces
+    fn sim_backend_out_of_core_configs_match_unsharded_bit_exactly() {
+        // sharded and device-tree configs on the sim backend must reproduce
+        // the unsharded host-tree forces
         let set = random_set(500, 16);
         let base = PlanConfig::default();
         for plan in [PlanKind::WParallel, PlanKind::JwParallel] {
-            let mut legacy = make_backend(BackendKind::Sim, base);
-            let reference = legacy.evaluate(plan, &set, &params());
+            let mut unsharded = make_backend(BackendKind::Sim, base);
+            let reference = unsharded.evaluate(plan, &set, &params());
             for config in
                 [PlanConfig { shards: Some(3), ..base }, PlanConfig { device_tree: true, ..base }]
             {

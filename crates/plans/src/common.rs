@@ -168,6 +168,13 @@ impl PlanConfig {
         2 * spec.compute_units as usize * 6
     }
 
+    /// The jw-parallel slice length for `total_entries` list entries on
+    /// `spec`: the explicit [`PlanConfig::jw_slice_len`], else
+    /// [`crate::jw_parallel::auto_slice_len`].
+    pub fn jw_slice_len_for(&self, total_entries: usize, spec: &DeviceSpec) -> usize {
+        self.jw_slice_len.unwrap_or_else(|| crate::jw_parallel::auto_slice_len(total_entries, spec))
+    }
+
     /// Validates the configuration against a device.
     pub fn validate(&self, spec: &DeviceSpec) -> Result<(), String> {
         if self.block_size == 0 || self.block_size > spec.max_workgroup_size as usize {
@@ -216,7 +223,11 @@ pub struct PlanOutcome {
     /// Simulated host seconds generating walks/interaction lists.
     pub host_walk_s: f64,
     /// Wall time the *actual* host spent on tree + walks + packing —
-    /// informational only, never used in tables.
+    /// informational only, never used in tables. On the device-tree path
+    /// ([`PlanConfig::device_tree`]) that work runs inside simulated
+    /// kernels, so there it is the wall time of the whole evaluation,
+    /// simulation included. Wall-clock-only backends report the wall time of
+    /// the whole call.
     pub host_measured_s: f64,
     /// Simulated device seconds inside kernels.
     pub kernel_s: f64,

@@ -15,11 +15,15 @@
 //! (load balance), and the extra cost is one more kernel plus the partial
 //! traffic — cheap next to what it buys until N is large enough that
 //! w-parallel saturates the device on its own.
+//!
+//! This module holds the slicing and the two kernels; the host program that
+//! runs them is [`crate::tree_pipeline::evaluate_tree_plan`], shared with
+//! w-parallel.
 
 use crate::common::{
     force_eval_lanes, ExecutionPlan, ForceLane, PlanConfig, PlanKind, PlanOutcome,
 };
-use crate::w_parallel::{prepare_walks, NO_TARGET};
+use crate::w_parallel::NO_TARGET;
 use gpu_sim::prelude::*;
 use nbody_core::body::ParticleSet;
 use nbody_core::gravity::GravityParams;
@@ -43,7 +47,8 @@ pub const MIN_JW_SLICE_ENTRIES: usize = 64;
 
 /// Slice length chosen for a total list size on a device: long enough to
 /// amortize staging, short enough to bound block cost and multiply blocks.
-pub fn auto_slice_len(total_entries: usize, _walk_size: usize, spec: &DeviceSpec) -> usize {
+/// Plans read it through [`PlanConfig::jw_slice_len_for`].
+pub fn auto_slice_len(total_entries: usize, spec: &DeviceSpec) -> usize {
     let target = PlanConfig::target_groups(spec).max(1);
     MIN_JW_SLICE_ENTRIES.max(total_entries.div_ceil(target))
 }
@@ -299,115 +304,23 @@ impl ExecutionPlan for JwParallel {
         &self.config
     }
 
+    /// Runs the one tree-plan device path,
+    /// [`crate::tree_pipeline::evaluate_tree_plan`].
     fn evaluate(
         &self,
         device: &mut Device,
         set: &ParticleSet,
         params: &GravityParams,
     ) -> PlanOutcome {
-        if self.config.device_tree
-            || self.config.shards.is_some()
-            || self.config.mem_budget_bytes.is_some()
-        {
-            return crate::tree_pipeline::evaluate_tree_plan(
-                PlanKind::JwParallel,
-                &self.config,
-                device,
-                set,
-                params,
-            )
-            .outcome;
-        }
-        assert!(params.softening > 0.0, "device plans require softening > 0");
-        self.config.validate(device.spec()).expect("invalid plan config");
-        device.reset_clocks();
-
-        let n = set.len();
-        let prep = prepare_walks(set, &self.config);
-        let packed = &prep.packed;
-        let total_entries = packed.list_data.len() / 4;
-
-        let acc = run_jw_kernels(device, set, packed, &self.config, params);
-
-        PlanOutcome {
-            acc,
-            interactions: packed.interactions,
-            host_tree_s: self.config.host_model.tree_seconds(n),
-            host_walk_s: self.config.host_model.walk_seconds(total_entries),
-            host_measured_s: prep.tree_s + prep.walk_s,
-            kernel_s: device.kernel_seconds(),
-            transfer_s: device.transfer_seconds(),
-            recovery_s: device.stall_seconds(),
-            launches: device.launches().len(),
-            overlap_walk_with_kernel: true,
-            peak_device_bytes: device.debug_pool().peak_bytes(),
-            ..PlanOutcome::empty()
-        }
+        crate::tree_pipeline::evaluate_tree_plan(
+            PlanKind::JwParallel,
+            &self.config,
+            device,
+            set,
+            params,
+        )
+        .outcome
     }
-}
-
-/// Device-side half of jw-parallel: given packed walks, runs the uploads,
-/// the partial and reduce kernels, and downloads accelerations. Retries
-/// transient injected faults.
-///
-/// # Panics
-/// Panics if a fault is permanent or retries are exhausted.
-pub fn run_jw_kernels(
-    device: &mut Device,
-    set: &ParticleSet,
-    packed: &crate::w_parallel::PackedWalks,
-    config: &PlanConfig,
-    params: &GravityParams,
-) -> Vec<nbody_core::vec3::Vec3> {
-    let n = set.len();
-    let ws = config.walk_size;
-    let num_walks = packed.walk_desc.len();
-    if num_walks == 0 {
-        // an empty set has no walks: no launch, no forces
-        return vec![nbody_core::vec3::Vec3::ZERO; n];
-    }
-    let total_entries = packed.list_data.len() / 4;
-    let slice_len =
-        config.jw_slice_len.unwrap_or_else(|| auto_slice_len(total_entries, ws, device.spec()));
-    let (blocks, slot_ranges) = slice_walks(&packed.walk_desc, slice_len);
-    let total_slots = blocks.len();
-
-    device.annotate("jw-parallel: upload");
-    let pos_mass = device.alloc_f32(n * 4);
-    crate::recover::upload_f32_with_recovery(device, pos_mass, &set.pack_pos_mass_f32());
-    let list_data = device.alloc_f32(packed.list_data.len().max(1));
-    crate::recover::upload_f32_with_recovery(device, list_data, &packed.list_data);
-    let targets = device.alloc_u32(packed.targets.len().max(1));
-    crate::recover::upload_u32_with_recovery(device, targets, &packed.targets);
-    let partial = device.alloc_f32(total_slots * ws * 4);
-    let acc_out = device.alloc_f32(n * 4);
-
-    let k1 = JwPartialKernel {
-        list_data,
-        targets,
-        pos_mass,
-        partial,
-        blocks,
-        walk_size: ws,
-        eps_sq: params.eps_sq() as f32,
-    };
-    device.annotate("jw-parallel: force-eval");
-    crate::recover::launch_with_recovery(
-        device,
-        &k1,
-        NdRange { global: total_slots * ws, local: ws },
-    );
-
-    let k2 = JwReduceKernel { partial, targets, acc_out, slot_ranges, walk_size: ws };
-    device.annotate("jw-parallel: reduction");
-    crate::recover::launch_with_recovery(
-        device,
-        &k2,
-        NdRange { global: num_walks.max(1) * ws, local: ws },
-    );
-
-    device.annotate("jw-parallel: download");
-    crate::common::download_acc(device, acc_out, n, params.g)
 }
 
 #[cfg(test)]
@@ -503,9 +416,9 @@ mod tests {
     fn auto_slice_len_bounds() {
         let spec = DeviceSpec::radeon_hd_5850();
         // small totals: floor at one wavefront tile
-        assert_eq!(auto_slice_len(100, 64, &spec), 64);
+        assert_eq!(auto_slice_len(100, &spec), 64);
         // large totals: ~ total / target groups
-        let l = auto_slice_len(1_000_000, 64, &spec);
+        let l = auto_slice_len(1_000_000, &spec);
         let target = PlanConfig::target_groups(&spec);
         assert_eq!(l, 1_000_000_usize.div_ceil(target));
     }

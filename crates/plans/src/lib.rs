@@ -12,7 +12,9 @@
 //!
 //! All plans implement [`ExecutionPlan`] and produce a [`PlanOutcome`] whose
 //! time split (host tree/walks, kernel, transfers) is what the paper's
-//! Tables 1–3 and Figures 4–5 report.
+//! Tables 1–3 and Figures 4–5 report. The two tree plans share one host
+//! program, [`tree_pipeline::evaluate_tree_plan`]: the Morton shard loop,
+//! whose one-shard case is the unsharded evaluation.
 
 #![warn(missing_docs)]
 
@@ -52,7 +54,7 @@ pub mod prelude {
     pub use crate::engine::PlanForceEngine;
     pub use crate::i_parallel::IParallel;
     pub use crate::j_parallel::{auto_j_slices, JParallel};
-    pub use crate::jw_parallel::{auto_slice_len, run_jw_kernels, slice_walks, JwParallel};
+    pub use crate::jw_parallel::{auto_slice_len, slice_walks, JwParallel};
     pub use crate::potential::potential_on_device;
     pub use crate::recover::{launch_with_recovery, with_retry};
     pub use crate::tree_pipeline::{

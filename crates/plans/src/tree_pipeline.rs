@@ -1,4 +1,12 @@
-//! On-device tree pipeline + Morton-sharded out-of-core execution.
+//! The tree plans' one device path: on-device tree pipeline + Morton-sharded
+//! execution.
+//!
+//! [`evaluate_tree_plan`] is how w-parallel and jw-parallel run on the
+//! simulated device. The host (or, with [`PlanConfig::device_tree`], the
+//! device) builds the tree and walk lists; one shard policy cuts the walks
+//! into [`MortonShards`]; one loop streams each shard's lists through
+//! max-shard-sized arenas into the plan's force kernels. An unsharded
+//! evaluation is the one-shard case and issues the plan's own trace markers.
 //!
 //! At N ≥ 1M the host-side tree build and walk generation of the paper's
 //! tree plans stop hiding under the kernel: the host becomes the bottleneck
@@ -19,19 +27,17 @@
 //!    two passes (lengths, then packed float4 lists), bit-identical to
 //!    [`treecode::interaction_list::build_walks`] + `pack_walks`.
 //!
-//! The emit pass streams through [`MortonShards`]: whole walk groups are
-//! cut at eligible Morton splits, each shard's packed lists reuse one
-//! max-shard-sized arena, and the force kernels run per shard. Because a
-//! walk's forces depend only on the shared tree and its own bodies, any
-//! shard count is bit-exact against the unsharded run. Every kernel charges
+//! Shards cut whole walk groups at eligible Morton splits. Because a walk's
+//! forces depend only on the shared tree and its own bodies, any shard
+//! count is bit-exact against the unsharded run. Every kernel charges
 //! the device cost model with exactly the per-phase terms
 //! [`ptpm::model::forecast_pipeline`] prices, so forecast and observation
 //! agree by construction.
 
 use crate::common::{download_acc, PlanConfig, PlanKind, PlanOutcome};
-use crate::jw_parallel::{auto_slice_len, slice_walks, JwPartialKernel, JwReduceKernel};
+use crate::jw_parallel::{slice_walks, JwPartialKernel, JwReduceKernel};
 use crate::recover::{launch_with_recovery, upload_f32_with_recovery, upload_u32_with_recovery};
-use crate::w_parallel::{pack_walks, WWalkKernel, NO_TARGET};
+use crate::w_parallel::{pack_walks, PackedWalks, WWalkKernel, NO_TARGET};
 use gpu_sim::prelude::*;
 use nbody_core::body::ParticleSet;
 use nbody_core::gravity::GravityParams;
@@ -933,86 +939,65 @@ fn shard_walk_bytes(kind: PlanKind, len: usize, walk_size: usize, slice_len: usi
     }
 }
 
-fn shard_decomposition(
+/// The one Morton-shard policy of the tree plans, shared by the sim device
+/// path and [`crate::backend::HostBackend`]: a shard count cuts by count, a
+/// memory budget cuts by `walk_bytes` (bytes per walk, in walk order) on top
+/// of `fixed_bytes`, and anything else runs as one shard. The Morton keys
+/// and the byte vector are computed only when a count or a budget needs
+/// them.
+pub(crate) fn shard_decomposition(
     config: &PlanConfig,
-    keys: &[u64],
-    walk_size: usize,
-    bytes_per_walk: &[usize],
+    set: &ParticleSet,
+    tree: &Octree,
+    walk_bytes: impl Iterator<Item = usize>,
     fixed_bytes: usize,
 ) -> MortonShards {
+    let ws = config.walk_size;
     if let Some(count) = config.shards {
-        MortonShards::by_count(keys, walk_size, count)
+        MortonShards::by_count(&keys_in_order(set, tree.order()), ws, count)
     } else if let Some(budget) = config.mem_budget_bytes {
-        MortonShards::by_budget(keys, walk_size, bytes_per_walk, fixed_bytes, budget)
+        let keys = keys_in_order(set, tree.order());
+        MortonShards::by_budget(&keys, ws, &walk_bytes.collect::<Vec<_>>(), fixed_bytes, budget)
     } else {
-        MortonShards::unsharded(keys.len(), walk_size)
+        MortonShards::unsharded(set.len(), ws)
     }
 }
 
-/// Launches the force kernels of `kind` over one shard's device-resident
-/// packed lists. `desc` is shard-local; per-walk force math is independent
-/// of list offsets, so sharded results are bit-identical to unsharded.
-#[allow(clippy::too_many_arguments)]
-fn launch_shard_forces(
-    device: &mut Device,
-    kind: PlanKind,
-    config: &PlanConfig,
-    params: &GravityParams,
-    desc: &[(u32, u32)],
-    slice_len: usize,
-    list_data: BufF32,
-    targets: BufU32,
+/// How each shard's packed lists reach the device.
+enum ShardLists {
+    /// Host-packed lists ([`pack_walks`]), uploaded shard by shard.
+    Upload(PackedWalks),
+    /// Lists the walk-emit kernel writes from the device-resident f64 bodies.
+    Emit { pos_bits: BufU64, mass_bits: BufU64 },
+}
+
+/// The front half of a tree evaluation: the tree, the per-walk list lengths
+/// and the device-resident bodies the shard loop streams against.
+struct TreeFront {
+    tree: Octree,
+    lists: ShardLists,
+    /// List length per walk, in walk order.
+    walk_len: Vec<u32>,
     pos_mass: BufF32,
     acc_out: BufF32,
-    partial: Option<BufF32>,
-) {
-    if desc.is_empty() {
-        return;
-    }
-    let ws = config.walk_size;
-    let eps_sq = params.eps_sq() as f32;
-    match kind {
-        PlanKind::WParallel => {
-            device.annotate("w-parallel: force-eval");
-            let kernel = WWalkKernel {
-                list_data,
-                targets,
-                pos_mass,
-                acc_out,
-                walk_desc: desc.to_vec(),
-                walk_size: ws,
-                eps_sq,
-            };
-            launch_with_recovery(device, &kernel, NdRange { global: desc.len() * ws, local: ws });
-        }
-        PlanKind::JwParallel => {
-            let (blocks, slot_ranges) = slice_walks(desc, slice_len);
-            let total_slots = blocks.len();
-            let partial = partial.expect("jw-parallel shard launch needs a partial buffer");
-            device.annotate("jw-parallel: force-eval");
-            let k1 = JwPartialKernel {
-                list_data,
-                targets,
-                pos_mass,
-                partial,
-                blocks,
-                walk_size: ws,
-                eps_sq,
-            };
-            launch_with_recovery(device, &k1, NdRange { global: total_slots * ws, local: ws });
-            device.annotate("jw-parallel: reduction");
-            let k2 = JwReduceKernel { partial, targets, acc_out, slot_ranges, walk_size: ws };
-            launch_with_recovery(device, &k2, NdRange { global: desc.len() * ws, local: ws });
-        }
-        _ => unreachable!("tree pipeline only serves tree plans"),
-    }
+    /// Device-tree path: the pipeline's tree and walk-scan shape.
+    shape: PipelineShape,
+    /// Device seconds spent in the pipeline so far (zero on the host path).
+    pipeline_s: f64,
+    /// Host path: wall seconds of the tree build, walks and packing.
+    prep_s: Option<f64>,
 }
 
-/// Evaluates a tree plan (`w-parallel` or `jw-parallel`) through the
-/// tree-pipeline/sharding path: device-built tree + device-emitted lists
-/// when [`PlanConfig::device_tree`] is set, host tree + Morton-sharded
-/// streaming otherwise. Forces are bit-identical to the legacy unsharded
-/// plan for any shard count.
+/// Evaluates a tree plan (`w-parallel` or `jw-parallel`) on the simulated
+/// device. This is the only device path of the tree plans: the host (or,
+/// with [`PlanConfig::device_tree`], the device) builds the tree and the
+/// walk lists, one shard policy cuts the walks into Morton shards (a single
+/// shard unless [`PlanConfig::shards`] or [`PlanConfig::mem_budget_bytes`]
+/// asks for more), and one loop streams every shard's lists through
+/// max-shard-sized arenas into the force kernels. The two tree builders
+/// differ only in how a shard's lists reach the device: uploaded from the
+/// host, or written by the walk-emit kernel. Forces are bit-identical for
+/// any shard count and either builder.
 pub fn evaluate_tree_plan(
     kind: PlanKind,
     config: &PlanConfig,
@@ -1028,69 +1013,30 @@ pub fn evaluate_tree_plan(
         return TreePipelineRun { outcome: PlanOutcome::empty(), shape: PipelineShape::default() };
     }
     let wall = Instant::now();
-    if config.device_tree {
-        evaluate_device_tree(kind, config, device, set, params, wall)
-    } else {
-        evaluate_host_tree_sharded(kind, config, device, set, params, wall)
-    }
-}
-
-fn evaluate_device_tree(
-    kind: PlanKind,
-    config: &PlanConfig,
-    device: &mut Device,
-    set: &ParticleSet,
-    params: &GravityParams,
-    wall: Instant,
-) -> TreePipelineRun {
     let n = set.len();
     let ws = config.walk_size;
-    let DeviceTreeBuild { tree, pos_bits, mass_bits, mut shape } =
-        build_tree_on_device(device, set, TreeParams { leaf_capacity: config.leaf_capacity });
-    let theta = OpeningAngle::new(config.theta);
-
-    device.annotate("tree-pipeline: convert-f32");
-    let pos_mass = device.alloc_f32(4 * n);
-    launch_with_recovery(
-        device,
-        &ConvertKernel { pos_bits, mass_bits, pos_mass, n },
-        NdRange::round_up(n, PIPELINE_LOCAL),
-    );
-
-    device.annotate("tree-pipeline: walk-scan");
-    let num_walks = n.div_ceil(ws);
-    let lens_buf = device.alloc_u32(3 * num_walks);
-    launch_with_recovery(
-        device,
-        &WalkScanKernel { tree: &tree, pos_bits, lens_out: lens_buf, theta, walk_size: ws },
-        NdRange { global: num_walks * PIPELINE_GROUP_LOCAL, local: PIPELINE_GROUP_LOCAL },
-    );
-    let lens = device.download_u32(lens_buf);
-    let walk_len: Vec<u32> = (0..num_walks).map(|w| lens[3 * w]).collect();
+    let label = kind.id();
+    let front = if config.device_tree {
+        device_tree_front(config, device, set)
+    } else {
+        host_tree_front(label, config, device, set)
+    };
+    let TreeFront { tree, lists, walk_len, pos_mass, acc_out, shape, mut pipeline_s, prep_s } =
+        front;
     let entries: usize = walk_len.iter().map(|&l| l as usize).sum();
-    let cells_total: usize = (0..num_walks).map(|w| lens[3 * w + 1] as usize).sum();
-    shape.walks = num_walks;
-    shape.walk_size = ws;
-    shape.entries = entries;
-    shape.body_entries = entries - cells_total;
-    shape.visited = (0..num_walks).map(|w| lens[3 * w + 2] as usize).sum();
-    let mut interactions = 0_u64;
-    for (w, &len) in walk_len.iter().enumerate() {
-        interactions += (ws.min(n - w * ws)) as u64 * u64::from(len);
-    }
+    let interactions: u64 = walk_len
+        .iter()
+        .enumerate()
+        .map(|(w, &len)| ws.min(n - w * ws) as u64 * u64::from(len))
+        .sum();
 
-    let host_tree_s =
-        if shape.fallback_host_build { config.host_model.tree_seconds(n) } else { 0.0 };
-    let pipeline_base = device.kernel_seconds() + device.transfer_seconds();
-
-    let slice_len =
-        config.jw_slice_len.unwrap_or_else(|| auto_slice_len(entries, ws, device.spec()));
-    let keys = keys_in_order(set, tree.order());
-    let bytes_per_walk: Vec<usize> =
-        walk_len.iter().map(|&l| shard_walk_bytes(kind, l as usize, ws, slice_len)).collect();
+    let slice_len = config.jw_slice_len_for(entries, device.spec());
     let fixed = device.debug_pool().total_bytes();
-    let decomp = shard_decomposition(config, &keys, ws, &bytes_per_walk, fixed);
+    let walk_bytes = walk_len.iter().map(|&l| shard_walk_bytes(kind, l as usize, ws, slice_len));
+    let decomp = shard_decomposition(config, set, &tree, walk_bytes, fixed);
+    debug_assert_eq!(decomp.shards().last().map(|s| s.walk_end), Some(walk_len.len()));
 
+    // one arena set, sized for the largest shard, serves every shard
     let mut max_entries = 1_usize;
     let mut max_walks = 1_usize;
     let mut max_slots = 1_usize;
@@ -1103,171 +1049,199 @@ fn evaluate_device_tree(
     }
     let list_buf = device.alloc_f32(4 * max_entries);
     let targets_buf = device.alloc_u32(max_walks * ws);
-    let acc_out = device.alloc_f32(4 * n);
     let partial = (kind == PlanKind::JwParallel).then(|| device.alloc_f32(4 * max_slots * ws));
+    let eps_sq = params.eps_sq() as f32;
 
-    let mut pipeline_emit = 0.0;
-    for shard in decomp.shards() {
+    for (i, shard) in decomp.shards().iter().enumerate() {
         let mut desc = Vec::with_capacity(shard.num_walks());
         let mut cursor = 0_u32;
         for &len in &walk_len[shard.walk_start..shard.walk_end] {
             desc.push((cursor, len));
             cursor += len;
         }
-        device.annotate("tree-pipeline: walk-emit");
-        let before = device.kernel_seconds() + device.transfer_seconds();
-        launch_with_recovery(
-            device,
-            &WalkEmitKernel {
-                tree: &tree,
-                pos_bits,
-                mass_bits,
-                list_out: list_buf,
-                targets_out: targets_buf,
-                desc: desc.clone(),
-                walk_start: shard.walk_start,
+        match &lists {
+            ShardLists::Upload(packed) => {
+                // the first shard's lists ride under the plan's upload marker
+                if i > 0 {
+                    device.annotate(&format!("{label}: shard-upload"));
+                }
+                let start = 4 * packed.walk_desc[shard.walk_start].0 as usize;
+                upload_f32_with_recovery(
+                    device,
+                    list_buf,
+                    &packed.list_data[start..start + 4 * cursor as usize],
+                );
+                upload_u32_with_recovery(
+                    device,
+                    targets_buf,
+                    &packed.targets[shard.walk_start * ws..shard.walk_end * ws],
+                );
+            }
+            &ShardLists::Emit { pos_bits, mass_bits } => {
+                device.annotate("tree-pipeline: walk-emit");
+                let before = device.kernel_seconds() + device.transfer_seconds();
+                launch_with_recovery(
+                    device,
+                    &WalkEmitKernel {
+                        tree: &tree,
+                        pos_bits,
+                        mass_bits,
+                        list_out: list_buf,
+                        targets_out: targets_buf,
+                        desc: desc.clone(),
+                        walk_start: shard.walk_start,
+                        walk_size: ws,
+                        theta: OpeningAngle::new(config.theta),
+                    },
+                    NdRange {
+                        global: shard.num_walks() * PIPELINE_GROUP_LOCAL,
+                        local: PIPELINE_GROUP_LOCAL,
+                    },
+                );
+                pipeline_s += device.kernel_seconds() + device.transfer_seconds() - before;
+            }
+        }
+        // per-walk force math is independent of list offsets, so shard-local
+        // descriptors give bit-identical forces for any shard count
+        let walks = desc.len();
+        device.annotate(&format!("{label}: force-eval"));
+        if let Some(partial) = partial {
+            // jw-parallel: (walk × slice) partials, then the per-walk reduction
+            let (blocks, slot_ranges) = slice_walks(&desc, slice_len);
+            let slots = blocks.len();
+            let k1 = JwPartialKernel {
+                list_data: list_buf,
+                targets: targets_buf,
+                pos_mass,
+                partial,
+                blocks,
                 walk_size: ws,
-                theta,
-            },
-            NdRange {
-                global: shard.num_walks() * PIPELINE_GROUP_LOCAL,
-                local: PIPELINE_GROUP_LOCAL,
-            },
-        );
-        pipeline_emit += device.kernel_seconds() + device.transfer_seconds() - before;
-        launch_shard_forces(
-            device,
-            kind,
-            config,
-            params,
-            &desc,
-            slice_len,
-            list_buf,
-            targets_buf,
-            pos_mass,
-            acc_out,
-            partial,
-        );
+                eps_sq,
+            };
+            launch_with_recovery(device, &k1, NdRange { global: slots * ws, local: ws });
+            device.annotate("jw-parallel: reduction");
+            let k2 = JwReduceKernel {
+                partial,
+                targets: targets_buf,
+                acc_out,
+                slot_ranges,
+                walk_size: ws,
+            };
+            launch_with_recovery(device, &k2, NdRange { global: walks * ws, local: ws });
+        } else {
+            let kernel = WWalkKernel {
+                list_data: list_buf,
+                targets: targets_buf,
+                pos_mass,
+                acc_out,
+                walk_desc: desc,
+                walk_size: ws,
+                eps_sq,
+            };
+            launch_with_recovery(device, &kernel, NdRange { global: walks * ws, local: ws });
+        }
     }
 
-    device.annotate("tree-pipeline: download");
+    device.annotate(&format!("{label}: download"));
     let acc = download_acc(device, acc_out, n, params.g);
+    let host_tree = !config.device_tree || shape.fallback_host_build;
     let outcome = PlanOutcome {
         acc,
         interactions,
-        host_tree_s,
-        host_walk_s: 0.0,
-        host_measured_s: wall.elapsed().as_secs_f64(),
+        host_tree_s: if host_tree { config.host_model.tree_seconds(n) } else { 0.0 },
+        host_walk_s: if config.device_tree { 0.0 } else { config.host_model.walk_seconds(entries) },
+        host_measured_s: prep_s.unwrap_or_else(|| wall.elapsed().as_secs_f64()),
         kernel_s: device.kernel_seconds(),
         transfer_s: device.transfer_seconds(),
         recovery_s: device.stall_seconds(),
         launches: device.launches().len(),
-        overlap_walk_with_kernel: false,
-        pipeline_s: pipeline_base + pipeline_emit,
+        overlap_walk_with_kernel: !config.device_tree,
+        pipeline_s,
         shards_used: decomp.len(),
         peak_device_bytes: device.debug_pool().peak_bytes(),
     };
     TreePipelineRun { outcome, shape }
 }
 
-fn evaluate_host_tree_sharded(
-    kind: PlanKind,
+/// Host front half: tree build, walks and packing on the host (their wall
+/// time becomes `host_measured_s`), then the body upload under the plan's
+/// upload marker.
+fn host_tree_front(
+    label: &str,
     config: &PlanConfig,
     device: &mut Device,
     set: &ParticleSet,
-    params: &GravityParams,
-    wall: Instant,
-) -> TreePipelineRun {
+) -> TreeFront {
+    let t0 = Instant::now();
+    let tree = Octree::build(set, TreeParams { leaf_capacity: config.leaf_capacity });
+    let walks = build_walks(&tree, set, OpeningAngle::new(config.theta), config.walk_size);
+    let packed = pack_walks(&walks, &tree, set, config.walk_size);
+    let prep_s = t0.elapsed().as_secs_f64();
+
+    device.annotate(&format!("{label}: upload"));
+    let (pos_mass, acc_out) = crate::common::upload_bodies(device, set);
+    let walk_len = packed.walk_desc.iter().map(|&(_, len)| len).collect();
+    TreeFront {
+        tree,
+        lists: ShardLists::Upload(packed),
+        walk_len,
+        pos_mass,
+        acc_out,
+        shape: PipelineShape::default(),
+        pipeline_s: 0.0,
+        prep_s: Some(prep_s),
+    }
+}
+
+/// Device front half: the device-built tree, the f32 body conversion, and
+/// the walk-scan pass that sizes every walk's list without emitting it.
+fn device_tree_front(config: &PlanConfig, device: &mut Device, set: &ParticleSet) -> TreeFront {
     let n = set.len();
     let ws = config.walk_size;
-    let tree = Octree::build(set, TreeParams { leaf_capacity: config.leaf_capacity });
-    let walks = build_walks(&tree, set, OpeningAngle::new(config.theta), ws);
-    let packed = pack_walks(&walks, &tree, set, ws);
-    let num_walks = packed.walk_desc.len();
-    let entries = packed.list_data.len() / 4;
+    let DeviceTreeBuild { tree, pos_bits, mass_bits, mut shape } =
+        build_tree_on_device(device, set, TreeParams { leaf_capacity: config.leaf_capacity });
 
-    device.annotate("tree-pipeline: upload");
-    let (pos_mass, acc_out) = crate::common::upload_bodies(device, set);
-    let slice_len =
-        config.jw_slice_len.unwrap_or_else(|| auto_slice_len(entries, ws, device.spec()));
-    let keys = keys_in_order(set, tree.order());
-    let bytes_per_walk: Vec<usize> = packed
-        .walk_desc
-        .iter()
-        .map(|&(_, l)| shard_walk_bytes(kind, l as usize, ws, slice_len))
-        .collect();
-    let fixed = device.debug_pool().total_bytes();
-    let decomp = shard_decomposition(config, &keys, ws, &bytes_per_walk, fixed);
-    debug_assert_eq!(decomp.shards().last().map(|s| s.walk_end), Some(num_walks));
+    device.annotate("tree-pipeline: convert-f32");
+    let pos_mass = device.alloc_f32(4 * n);
+    launch_with_recovery(
+        device,
+        &ConvertKernel { pos_bits, mass_bits, pos_mass, n },
+        NdRange::round_up(n, PIPELINE_LOCAL),
+    );
+    let acc_out = device.alloc_f32(4 * n);
 
-    let mut max_entries = 1_usize;
-    let mut max_walks = 1_usize;
-    let mut max_slots = 1_usize;
-    for s in decomp.shards() {
-        let descs = &packed.walk_desc[s.walk_start..s.walk_end];
-        max_entries = max_entries.max(descs.iter().map(|&(_, l)| l as usize).sum());
-        max_walks = max_walks.max(s.num_walks());
-        max_slots = max_slots
-            .max(descs.iter().map(|&(_, l)| (l as usize).div_ceil(slice_len).max(1)).sum());
+    device.annotate("tree-pipeline: walk-scan");
+    let num_walks = n.div_ceil(ws);
+    let lens_buf = device.alloc_u32(3 * num_walks);
+    launch_with_recovery(
+        device,
+        &WalkScanKernel {
+            tree: &tree,
+            pos_bits,
+            lens_out: lens_buf,
+            theta: OpeningAngle::new(config.theta),
+            walk_size: ws,
+        },
+        NdRange { global: num_walks * PIPELINE_GROUP_LOCAL, local: PIPELINE_GROUP_LOCAL },
+    );
+    let lens = device.download_u32(lens_buf);
+    let walk_len: Vec<u32> = (0..num_walks).map(|w| lens[3 * w]).collect();
+    shape.walks = num_walks;
+    shape.walk_size = ws;
+    shape.entries = walk_len.iter().map(|&l| l as usize).sum();
+    shape.body_entries =
+        shape.entries - (0..num_walks).map(|w| lens[3 * w + 1] as usize).sum::<usize>();
+    shape.visited = (0..num_walks).map(|w| lens[3 * w + 2] as usize).sum();
+    TreeFront {
+        tree,
+        lists: ShardLists::Emit { pos_bits, mass_bits },
+        walk_len,
+        pos_mass,
+        acc_out,
+        shape,
+        pipeline_s: device.kernel_seconds() + device.transfer_seconds(),
+        prep_s: None,
     }
-    let list_buf = device.alloc_f32(4 * max_entries);
-    let targets_buf = device.alloc_u32(max_walks * ws);
-    let partial = (kind == PlanKind::JwParallel).then(|| device.alloc_f32(4 * max_slots * ws));
-
-    for shard in decomp.shards() {
-        let global_start = packed.walk_desc[shard.walk_start].0 as usize;
-        let shard_entries: usize = packed.walk_desc[shard.walk_start..shard.walk_end]
-            .iter()
-            .map(|&(_, l)| l as usize)
-            .sum();
-        let desc: Vec<(u32, u32)> = packed.walk_desc[shard.walk_start..shard.walk_end]
-            .iter()
-            .map(|&(s, l)| (s - global_start as u32, l))
-            .collect();
-        device.annotate("tree-pipeline: shard-upload");
-        upload_f32_with_recovery(
-            device,
-            list_buf,
-            &packed.list_data[4 * global_start..4 * (global_start + shard_entries)],
-        );
-        upload_u32_with_recovery(
-            device,
-            targets_buf,
-            &packed.targets[shard.walk_start * ws..shard.walk_end * ws],
-        );
-        launch_shard_forces(
-            device,
-            kind,
-            config,
-            params,
-            &desc,
-            slice_len,
-            list_buf,
-            targets_buf,
-            pos_mass,
-            acc_out,
-            partial,
-        );
-    }
-
-    device.annotate("tree-pipeline: download");
-    let acc = download_acc(device, acc_out, n, params.g);
-    let outcome = PlanOutcome {
-        acc,
-        interactions: packed.interactions,
-        host_tree_s: config.host_model.tree_seconds(n),
-        host_walk_s: config.host_model.walk_seconds(entries),
-        host_measured_s: wall.elapsed().as_secs_f64(),
-        kernel_s: device.kernel_seconds(),
-        transfer_s: device.transfer_seconds(),
-        recovery_s: device.stall_seconds(),
-        launches: device.launches().len(),
-        overlap_walk_with_kernel: true,
-        pipeline_s: 0.0,
-        shards_used: decomp.len(),
-        peak_device_bytes: device.debug_pool().peak_bytes(),
-    };
-    TreePipelineRun { outcome, shape: PipelineShape::default() }
 }
 
 #[cfg(test)]
@@ -1315,15 +1289,15 @@ mod tests {
     }
 
     #[test]
-    fn device_tree_forces_match_legacy_w_parallel_bitwise() {
+    fn device_tree_forces_match_host_tree_w_parallel_bitwise() {
         let set = random_set(1500, 6);
         let p = params();
         let mut dev = device();
-        let legacy = crate::w_parallel::WParallel::default().evaluate(&mut dev, &set, &p);
+        let host_tree = crate::w_parallel::WParallel::default().evaluate(&mut dev, &set, &p);
         let config = PlanConfig { device_tree: true, ..Default::default() };
         let run = evaluate_tree_plan(PlanKind::WParallel, &config, &mut dev, &set, &p);
-        assert_eq!(run.outcome.acc, legacy.acc, "device-tree W forces differ");
-        assert_eq!(run.outcome.interactions, legacy.interactions);
+        assert_eq!(run.outcome.acc, host_tree.acc, "device-tree W forces differ");
+        assert_eq!(run.outcome.interactions, host_tree.interactions);
         assert!(run.outcome.pipeline_s > 0.0);
         assert!(!run.shape.fallback_host_build);
     }
@@ -1366,19 +1340,18 @@ mod tests {
     }
 
     #[test]
-    fn plan_dispatch_routes_sharded_configs() {
-        // WParallel::evaluate / JwParallel::evaluate hand off to the
-        // pipeline path whenever sharding or the device tree is requested
+    fn plan_evaluate_sharded_matches_unsharded() {
+        // WParallel::evaluate runs the shard loop; a shard count only moves
+        // where the lists are cut
         let set = random_set(900, 9);
         let p = params();
         let mut dev = device();
-        let legacy = crate::w_parallel::WParallel::default().evaluate(&mut dev, &set, &p);
+        let unsharded = crate::w_parallel::WParallel::default().evaluate(&mut dev, &set, &p);
         let sharded =
             crate::w_parallel::WParallel::new(PlanConfig { shards: Some(3), ..Default::default() })
                 .evaluate(&mut dev, &set, &p);
-        assert_eq!(sharded.acc, legacy.acc);
+        assert_eq!(sharded.acc, unsharded.acc);
         assert!(sharded.shards_used > 1);
-        assert!(!sharded.overlap_walk_with_kernel || sharded.shards_used > 1);
     }
 
     #[test]

@@ -11,17 +11,18 @@
 //! ragged list lengths make blocks unequal — the load imbalance jw-parallel
 //! later removes — and at small N there are simply too few walks to fill
 //! the device.
+//!
+//! This module holds the packing and the walk kernel; the host program that
+//! runs them is [`crate::tree_pipeline::evaluate_tree_plan`].
 
 use crate::common::{
-    download_acc, force_eval_lanes, ExecutionPlan, ForceLane, PlanConfig, PlanKind, PlanOutcome,
+    force_eval_lanes, ExecutionPlan, ForceLane, PlanConfig, PlanKind, PlanOutcome,
 };
 use gpu_sim::prelude::*;
 use nbody_core::body::ParticleSet;
 use nbody_core::gravity::GravityParams;
-use std::time::Instant;
-use treecode::interaction_list::{build_walks, WalkSet};
-use treecode::mac::OpeningAngle;
-use treecode::tree::{Octree, TreeParams};
+use treecode::interaction_list::WalkSet;
+use treecode::tree::Octree;
 
 /// Sentinel marking an inactive (padding) thread slot in the targets buffer.
 pub const NO_TARGET: u32 = u32::MAX;
@@ -34,8 +35,6 @@ pub struct PackedWalks {
     pub walk_desc: Vec<(u32, u32)>,
     /// Target body indices, `walk_size`-strided, padded with [`NO_TARGET`].
     pub targets: Vec<u32>,
-    /// Useful pairwise interactions (Σ walk targets × list length).
-    pub interactions: u64,
 }
 
 /// Flattens a [`WalkSet`] against tree node and body data into device
@@ -52,7 +51,6 @@ pub fn pack_walks(
     let mut list_data = Vec::with_capacity(total_entries * 4);
     let mut walk_desc = Vec::with_capacity(walks.groups.len());
     let mut targets = Vec::with_capacity(walks.groups.len() * walk_size);
-    let mut interactions = 0_u64;
 
     for group in &walks.groups {
         let start = (list_data.len() / 4) as u32;
@@ -76,14 +74,13 @@ pub fn pack_walks(
         }
         let len = group.list_len() as u32;
         walk_desc.push((start, len));
-        interactions += group.bodies.len() as u64 * u64::from(len);
 
         for slot in 0..walk_size {
             targets.push(group.bodies.get(slot).copied().unwrap_or(NO_TARGET));
         }
     }
 
-    PackedWalks { list_data, walk_desc, targets, interactions }
+    PackedWalks { list_data, walk_desc, targets }
 }
 
 /// Device kernel: one block per walk, list tiled through LDS.
@@ -244,24 +241,6 @@ impl WParallel {
     }
 }
 
-/// Host-side preparation shared by w-parallel and jw-parallel: tree, walks,
-/// packing — with the tree and walk wall times measured separately.
-pub(crate) struct PreparedWalks {
-    pub tree_s: f64,
-    pub walk_s: f64,
-    pub packed: PackedWalks,
-}
-
-pub(crate) fn prepare_walks(set: &ParticleSet, config: &PlanConfig) -> PreparedWalks {
-    let t0 = Instant::now();
-    let tree = Octree::build(set, TreeParams { leaf_capacity: config.leaf_capacity });
-    let t1 = Instant::now();
-    let walks = build_walks(&tree, set, OpeningAngle::new(config.theta), config.walk_size);
-    let packed = pack_walks(&walks, &tree, set, config.walk_size);
-    let t2 = Instant::now();
-    PreparedWalks { tree_s: (t1 - t0).as_secs_f64(), walk_s: (t2 - t1).as_secs_f64(), packed }
-}
-
 impl ExecutionPlan for WParallel {
     fn kind(&self) -> PlanKind {
         PlanKind::WParallel
@@ -271,79 +250,22 @@ impl ExecutionPlan for WParallel {
         &self.config
     }
 
+    /// Runs the one tree-plan device path,
+    /// [`crate::tree_pipeline::evaluate_tree_plan`].
     fn evaluate(
         &self,
         device: &mut Device,
         set: &ParticleSet,
         params: &GravityParams,
     ) -> PlanOutcome {
-        if self.config.device_tree
-            || self.config.shards.is_some()
-            || self.config.mem_budget_bytes.is_some()
-        {
-            return crate::tree_pipeline::evaluate_tree_plan(
-                PlanKind::WParallel,
-                &self.config,
-                device,
-                set,
-                params,
-            )
-            .outcome;
-        }
-        assert!(params.softening > 0.0, "device plans require softening > 0");
-        self.config.validate(device.spec()).expect("invalid plan config");
-        device.reset_clocks();
-
-        let n = set.len();
-        let prep = prepare_walks(set, &self.config);
-        let packed = &prep.packed;
-        let num_walks = packed.walk_desc.len();
-        let entries = packed.list_data.len() / 4;
-
-        device.annotate("w-parallel: upload");
-        let pos_mass = device.alloc_f32(n * 4);
-        crate::recover::upload_f32_with_recovery(device, pos_mass, &set.pack_pos_mass_f32());
-        let list_data = device.alloc_f32(packed.list_data.len().max(1));
-        crate::recover::upload_f32_with_recovery(device, list_data, &packed.list_data);
-        let targets = device.alloc_u32(packed.targets.len().max(1));
-        crate::recover::upload_u32_with_recovery(device, targets, &packed.targets);
-        let acc_out = device.alloc_f32(n * 4);
-
-        let kernel = WWalkKernel {
-            list_data,
-            targets,
-            pos_mass,
-            acc_out,
-            walk_desc: packed.walk_desc.clone(),
-            walk_size: self.config.walk_size,
-            eps_sq: params.eps_sq() as f32,
-        };
-        device.annotate("w-parallel: force-eval");
-        crate::recover::launch_with_recovery(
+        crate::tree_pipeline::evaluate_tree_plan(
+            PlanKind::WParallel,
+            &self.config,
             device,
-            &kernel,
-            NdRange {
-                global: num_walks.max(1) * self.config.walk_size,
-                local: self.config.walk_size,
-            },
-        );
-        device.annotate("w-parallel: download");
-        let acc = download_acc(device, acc_out, n, params.g);
-
-        PlanOutcome {
-            acc,
-            interactions: packed.interactions,
-            host_tree_s: self.config.host_model.tree_seconds(n),
-            host_walk_s: self.config.host_model.walk_seconds(entries),
-            host_measured_s: prep.tree_s + prep.walk_s,
-            kernel_s: device.kernel_seconds(),
-            transfer_s: device.transfer_seconds(),
-            recovery_s: device.stall_seconds(),
-            launches: device.launches().len(),
-            overlap_walk_with_kernel: true,
-            peak_device_bytes: device.debug_pool().peak_bytes(),
-            ..PlanOutcome::empty()
-        }
+            set,
+            params,
+        )
+        .outcome
     }
 }
 
@@ -353,6 +275,9 @@ mod tests {
     use nbody_core::gravity::{accelerations_pp, max_relative_error};
     use nbody_core::testutil::random_set;
     use nbody_core::vec3::Vec3;
+    use treecode::interaction_list::build_walks;
+    use treecode::mac::OpeningAngle;
+    use treecode::tree::TreeParams;
 
     fn device() -> Device {
         Device::with_transfer_model(DeviceSpec::radeon_hd_5850(), TransferModel::pcie2_x16())

@@ -72,7 +72,7 @@ fn forecast_ranks_w_vs_jw_like_the_simulator() {
         let walks = build_walks(&tree, &set, OpeningAngle::new(cfg.theta), cfg.walk_size);
         let lens: Vec<usize> = walks.groups.iter().map(|g| g.list_len()).collect();
         let total: usize = lens.iter().sum();
-        let slice = plans::jw_parallel::auto_slice_len(total, cfg.walk_size, &spec);
+        let slice = cfg.jw_slice_len_for(total, &spec);
 
         let w_fc = forecast_w_parallel(&lens, cfg.walk_size, &spec).seconds;
         let jw_fc = forecast_jw_parallel(&lens, cfg.walk_size, slice, &spec).seconds;
@@ -126,7 +126,7 @@ fn forecast_grids_agree_with_observed_schedules_for_all_plans() {
         let walks = build_walks(&tree, &set, OpeningAngle::new(cfg.theta), cfg.walk_size);
         let lens: Vec<usize> = walks.groups.iter().map(|g| g.list_len()).collect();
         let total: usize = lens.iter().sum();
-        let slice = plans::jw_parallel::auto_slice_len(total, cfg.walk_size, &spec);
+        let slice = cfg.jw_slice_len_for(total, &spec);
         let slices = JParallel::new(cfg).slices_for(n, &spec);
 
         for kind in PlanKind::all() {

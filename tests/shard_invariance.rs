@@ -1,17 +1,20 @@
 //! Out-of-core invariance matrix: Morton-sharded and device-tree execution
 //! must be *observably absent* — every shard count, thread count, and
 //! backend substrate reproduces that substrate's unsharded forces and
-//! post-kick total energy bit-for-bit, the memory budget actually bounds
+//! post-kick total energy bit-for-bit, one shard is the unsharded run event
+//! for event, the memory budget actually bounds
 //! the device working set, and the PTPM pipeline forecast tracks the
 //! simulated pipeline clock at moderate N.
 
+use gpu_sim::prelude::{FaultConfig, FaultPlan, MemoryTraceSink, Trace};
 use nbody_core::body::ParticleSet;
 use nbody_core::energy::total_energy;
 use nbody_core::gravity::GravityParams;
 use nbody_core::vec3::Vec3;
+use plans::make_plan;
 use plans::prelude::{
     build_tree_on_device, default_device, evaluate_tree_plan, make_backend, predict_pipeline_shape,
-    BackendKind, PlanConfig, PlanKind,
+    BackendKind, PlanConfig, PlanKind, PlanOutcome,
 };
 use ptpm::model::forecast_pipeline;
 use treecode::tree::{Octree, TreeParams};
@@ -70,6 +73,65 @@ fn shard_matrix_reproduces_unsharded_forces_and_energy_bitwise() {
         }
     }
     par::set_threads(1);
+}
+
+/// Every field of [`PlanOutcome`] except the wall-clock `host_measured_s`.
+fn assert_outcomes_identical(a: &PlanOutcome, b: &PlanOutcome, what: &str) {
+    assert_eq!(a.acc, b.acc, "{what}: forces differ");
+    assert_eq!(a.interactions, b.interactions, "{what}: interactions differ");
+    assert_eq!(a.host_tree_s, b.host_tree_s, "{what}: host_tree_s differs");
+    assert_eq!(a.host_walk_s, b.host_walk_s, "{what}: host_walk_s differs");
+    assert_eq!(a.kernel_s, b.kernel_s, "{what}: kernel_s differs");
+    assert_eq!(a.transfer_s, b.transfer_s, "{what}: transfer_s differs");
+    assert_eq!(a.recovery_s, b.recovery_s, "{what}: recovery_s differs");
+    assert_eq!(a.launches, b.launches, "{what}: launches differ");
+    assert_eq!(a.overlap_walk_with_kernel, b.overlap_walk_with_kernel, "{what}: overlap differs");
+    assert_eq!(a.pipeline_s, b.pipeline_s, "{what}: pipeline_s differs");
+    assert_eq!(a.shards_used, b.shards_used, "{what}: shards_used differs");
+    assert_eq!(a.peak_device_bytes, b.peak_device_bytes, "{what}: peak bytes differ");
+}
+
+/// One sim evaluation of `plan` with a recording trace sink and, when
+/// `faults` is set, a seeded transient fault plan.
+fn traced_run(
+    plan: PlanKind,
+    config: PlanConfig,
+    faults: bool,
+    bodies: &ParticleSet,
+) -> (PlanOutcome, Trace) {
+    let mut device = default_device();
+    if faults {
+        device.set_fault_plan(FaultPlan::new(3, FaultConfig::transient(0.3)));
+    }
+    let sink = MemoryTraceSink::new();
+    device.set_trace_sink(Box::new(sink.clone()));
+    let outcome = make_plan(plan, config).evaluate(&mut device, bodies, &params());
+    (outcome, sink.take())
+}
+
+#[test]
+fn one_shard_is_the_unsharded_evaluation_event_for_event() {
+    // an unsharded tree evaluation is the one-shard case of the shard loop:
+    // same outcome, and the same launches, transfers, faults and marker
+    // labels, with and without injected transient faults
+    par::set_threads(1);
+    let mut faults_seen = 0;
+    for n in [1, 70, 1000] {
+        let bodies = set(n, 13);
+        for plan in [PlanKind::WParallel, PlanKind::JwParallel] {
+            for faults in [false, true] {
+                let (base, base_trace) = traced_run(plan, PlanConfig::default(), faults, &bodies);
+                let one_shard = PlanConfig { shards: Some(1), ..Default::default() };
+                let (one, one_trace) = traced_run(plan, one_shard, faults, &bodies);
+                let what = format!("{} n={n} faults={faults}", plan.id());
+                assert_outcomes_identical(&base, &one, &what);
+                assert_eq!(one_trace, base_trace, "{what}: traces differ");
+                assert!(!base_trace.markers.is_empty(), "{what}: no markers recorded");
+                faults_seen += base_trace.faults.len();
+            }
+        }
+    }
+    assert!(faults_seen > 0, "the fault plan injected nothing");
 }
 
 #[test]

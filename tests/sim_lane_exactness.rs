@@ -429,8 +429,7 @@ fn oracle_bits(
             &packed.list_data[4 * start as usize..4 * (start + len) as usize]
         };
         let total_entries = packed.list_data.len() / 4;
-        let slice_len =
-            config.jw_slice_len.unwrap_or_else(|| auto_slice_len(total_entries, ws, &spec));
+        let slice_len = config.jw_slice_len_for(total_entries, &spec);
         let (blocks, slot_ranges) = slice_walks(&packed.walk_desc, slice_len);
         for (w, &(start, len)) in packed.walk_desc.iter().enumerate() {
             for &t in packed.targets[w * ws..(w + 1) * ws].iter().filter(|&&t| t != NO_TARGET) {
