@@ -211,12 +211,16 @@ echo "==> allocation-regression gate (zero allocs per steady-state step)"
 # warmup; run it in release so the gate matches shipping codegen.
 cargo test --release -q --test alloc_steady_state
 
-echo "==> release exactness gate (walk lanes, PP tiles, sim work-group lanes, snapshot formats)"
+echo "==> release exactness gate (walk lanes, PP tiles, sim work-group lanes and memory phases, golden traces, race reports, snapshot formats)"
 # The lane kernels only auto-vectorize in optimized builds, so the debug
 # test run cannot catch a lane-order bug: rerun the bitwise property
-# matrices against their scalar references in release. The snapshot-format
-# tests pin checkpoint bits and cache-entry bytes under the same codegen.
+# matrices against their scalar references in release. The golden traces
+# and the race-checking tests pin the simulated costs and race reports the
+# sim kernels' group-level loads and stores must reproduce, under the same
+# codegen. The snapshot-format tests pin checkpoint bits and cache-entry
+# bytes.
 cargo test --release -q --test walk_lane_exactness --test tiled_exactness \
-    --test sim_lane_exactness --test snapshot_format
+    --test sim_lane_exactness --test golden_trace --test race_checking \
+    --test snapshot_format
 
 echo "CI OK"

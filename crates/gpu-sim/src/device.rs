@@ -576,6 +576,16 @@ impl Device {
         self.fault_events = 0;
     }
 
+    /// Starts one plan evaluation: clears the clocks and logs as
+    /// [`Device::reset_clocks`] does, and frees every buffer. A device that
+    /// serves many evaluations then holds one evaluation's buffers at a
+    /// time, and [`BufferPool::peak_bytes`] is that evaluation's high-water
+    /// mark.
+    pub fn begin_evaluation(&mut self) {
+        self.reset_clocks();
+        self.pool = BufferPool::new();
+    }
+
     /// CU health to schedule against, when the fault plan degrades any CU.
     fn degraded_health(&self) -> Option<&[CuHealth]> {
         self.fault.as_ref().filter(|f| f.degrades_scheduling()).map(FaultPlan::cu_health)

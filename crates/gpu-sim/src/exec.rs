@@ -12,9 +12,16 @@
 //!
 //! [`GroupCtx`] is the whole group's view of one phase. The executor hands it
 //! to [`Kernel::phase_group`], which by default builds each item's
-//! [`ItemCtx`] in local-id order; a kernel may instead run the phase's items
-//! as SIMD lanes over one shared LDS tile, charged per item in the same
-//! order.
+//! [`ItemCtx`] in local-id order. A kernel may instead run a phase for the
+//! whole group: its items as SIMD lanes over one shared LDS tile
+//! ([`GroupCtx::lds`], [`GroupCtx::charge_items_lds_read`]), or its float4
+//! loads and stores as one group-level primitive
+//! ([`GroupCtx::stage_tile_f32x4`], [`GroupCtx::read_f32x4_rows`],
+//! [`GroupCtx::gather_f32x4_indexed`], [`GroupCtx::write_f32x4_rows`],
+//! [`GroupCtx::scatter_f32x4`]). Either way every item is charged,
+//! race-recorded and write-logged in local-id order with the increments of
+//! the [`ItemCtx`] calls it replaces, so memory, costs and race reports are
+//! those of the item-by-item run; only the host work per item shrinks.
 //!
 //! Execution is deterministic regardless of host thread count: groups run
 //! in index order (serially, or chunked over `par` worker threads with the
@@ -491,10 +498,11 @@ impl<'a> ItemCtx<'a> {
 /// which builds each item's [`ItemCtx`] in local-id order. A kernel whose
 /// items all consume the same LDS tile can instead read the tile once
 /// ([`GroupCtx::lds`]) and evaluate its items as SIMD lanes, charging them
-/// with [`GroupCtx::charge_items_lds_read`]. That helper adds each item's
-/// charges in local-id order and records each item's reads with the race
-/// detector in the same order, so the group's cost sums and race report are
-/// identical to the item-by-item run.
+/// with [`GroupCtx::charge_items_lds_read`]; a phase that only moves one
+/// float4 per item runs as one of the group-level memory primitives below.
+/// These helpers add each item's charges in local-id order and record each
+/// item's accesses with the race detector in the same order, so the group's
+/// cost sums and race report are identical to the item-by-item run.
 pub struct GroupCtx<'a> {
     /// Work-group index.
     pub group_id: usize,
@@ -562,6 +570,161 @@ impl GroupCtx<'_> {
                 for i in base..base + len {
                     d.read(local_id, Space::Lds, i);
                 }
+            }
+        }
+    }
+
+    // --- Group-level float4 memory phases ---------------------------------
+    //
+    // Each primitive below is a whole phase's worth of one per-item access:
+    // it adds every item's charges in local-id order with the increments of
+    // the `ItemCtx` call it stands for, records that item's accesses with the
+    // race detector in the same order, and logs writes in the same order, so
+    // memory, `GroupCost` bits and race reports equal the item-by-item run.
+    // The data itself moves in bulk. `items` always starts at local id 0.
+
+    /// Items `0..count` each load the float4 `first + local_id` of `buf`
+    /// (coalesced) into LDS words `4 * local_id..`: the tile-staging phase.
+    /// Each item is charged as by `read_f32_vec_coalesced::<4>` then
+    /// `lds_write_slice` of the four words.
+    pub fn stage_tile_f32x4(&mut self, buf: BufF32, first: usize, count: usize) {
+        let src = &self.pool.f32(buf)[4 * first..4 * (first + count)];
+        let transactions = 4.0 * 4.0 * self.inv_transaction_bytes;
+        for local_id in 0..count {
+            self.cost.read_bytes += 16.0;
+            self.cost.read_transactions += transactions;
+            self.cost.lds_accesses += 4.0;
+            let global = 4 * (first + local_id);
+            record(&mut self.race, local_id, Space::GlobalF32(buf.raw()), global, 4, false);
+            record(&mut self.race, local_id, Space::Lds, 4 * local_id, 4, true);
+        }
+        self.lds[..src.len()].copy_from_slice(src);
+    }
+
+    /// Item `k` reads the float4 `first + k` of `buf` (coalesced) and hands
+    /// it to `f` with its registers. Each item is charged as by
+    /// `read_f32_vec_coalesced::<4>`.
+    pub fn read_f32x4_rows<R>(
+        &mut self,
+        buf: BufF32,
+        first: usize,
+        items: &mut [R],
+        mut f: impl FnMut(&mut R, [f32; 4]),
+    ) {
+        let (rows, _) = self.pool.f32(buf)[4 * first..4 * (first + items.len())].as_chunks::<4>();
+        let transactions = 4.0 * 4.0 * self.inv_transaction_bytes;
+        for (local_id, (regs, &v)) in items.iter_mut().zip(rows).enumerate() {
+            self.cost.read_bytes += 16.0;
+            self.cost.read_transactions += transactions;
+            let global = 4 * (first + local_id);
+            record(&mut self.race, local_id, Space::GlobalF32(buf.raw()), global, 4, false);
+            f(regs, v);
+        }
+    }
+
+    /// Item `k` reads the index word `index[first + k]` (coalesced) and,
+    /// unless it is `skip`, gathers the float4 at that index of `buf`; `f`
+    /// gets the item's registers, its index word and the float4 (`None` when
+    /// skipped). Each item is charged as by `read_u32_coalesced` then, when
+    /// it gathers, `read_f32_vec::<4>`.
+    pub fn gather_f32x4_indexed<R>(
+        &mut self,
+        buf: BufF32,
+        index: BufU32,
+        first: usize,
+        skip: u32,
+        items: &mut [R],
+        mut f: impl FnMut(&mut R, u32, Option<[f32; 4]>),
+    ) {
+        let words = &self.pool.u32(index)[first..first + items.len()];
+        let data = self.pool.f32(buf);
+        let index_transactions = 4.0 * self.inv_transaction_bytes;
+        let index_space = Space::GlobalU32(index.raw());
+        for (local_id, (regs, &at)) in items.iter_mut().zip(words).enumerate() {
+            self.cost.read_bytes += 4.0;
+            self.cost.read_transactions += index_transactions;
+            record(&mut self.race, local_id, index_space, first + local_id, 1, false);
+            let v = if at == skip {
+                None
+            } else {
+                let base = 4 * at as usize;
+                self.cost.read_bytes += 16.0;
+                self.cost.read_transactions += 1.0;
+                record(&mut self.race, local_id, Space::GlobalF32(buf.raw()), base, 4, false);
+                let mut v = [0.0; 4];
+                v.copy_from_slice(&data[base..base + 4]);
+                Some(v)
+            };
+            f(regs, at, v);
+        }
+    }
+
+    /// Item `k` writes `f(&items[k])` to the float4 `first + k` of `buf`
+    /// (coalesced). Each item is charged as by
+    /// `write_f32_vec_coalesced::<4>`.
+    pub fn write_f32x4_rows<R>(
+        &mut self,
+        buf: BufF32,
+        first: usize,
+        items: &[R],
+        f: impl Fn(&R) -> [f32; 4],
+    ) {
+        let transactions = 4.0 * 4.0 * self.inv_transaction_bytes;
+        let (rows, _) =
+            self.pool.f32_mut(buf)[4 * first..4 * (first + items.len())].as_chunks_mut::<4>();
+        for (local_id, (regs, row)) in items.iter().zip(rows).enumerate() {
+            let v = f(regs);
+            let global = 4 * (first + local_id);
+            self.cost.write_bytes += 16.0;
+            self.cost.write_transactions += transactions;
+            record(&mut self.race, local_id, Space::GlobalF32(buf.raw()), global, 4, true);
+            if let Some(log) = self.log.as_deref_mut() {
+                log.f32s.extend((0..4).map(|k| (buf, global + k, v[k])));
+            }
+            *row = v;
+        }
+    }
+
+    /// Every item for which `f` gives `Some((at, v))` writes `v` to the
+    /// float4 `at` of `buf` as a scatter. Each writing item is charged as by
+    /// `write_f32_vec::<4>`.
+    pub fn scatter_f32x4<R>(
+        &mut self,
+        buf: BufF32,
+        items: &[R],
+        f: impl Fn(&R) -> Option<(usize, [f32; 4])>,
+    ) {
+        let data = self.pool.f32_mut(buf);
+        for (local_id, regs) in items.iter().enumerate() {
+            let Some((at, v)) = f(regs) else { continue };
+            let global = 4 * at;
+            self.cost.write_bytes += 16.0;
+            self.cost.write_transactions += 1.0;
+            record(&mut self.race, local_id, Space::GlobalF32(buf.raw()), global, 4, true);
+            if let Some(log) = self.log.as_deref_mut() {
+                log.f32s.extend((0..4).map(|k| (buf, global + k, v[k])));
+            }
+            data[global..global + 4].copy_from_slice(&v);
+        }
+    }
+}
+
+/// Records item `local_id`'s access of the `len` words from `base` of
+/// `space` with the race detector, if there is one.
+fn record(
+    race: &mut Option<&mut RaceDetector>,
+    local_id: usize,
+    space: Space,
+    base: usize,
+    len: usize,
+    write: bool,
+) {
+    if let Some(d) = race.as_deref_mut() {
+        for i in base..base + len {
+            if write {
+                d.write(local_id, space, i);
+            } else {
+                d.read(local_id, space, i);
             }
         }
     }
@@ -1054,6 +1217,258 @@ mod tests {
             assert_eq!(capture(threads), serial, "threads={threads} diverged from serial");
         }
         par::set_threads(1);
+    }
+
+    /// Exercises every group-level float4 primitive, one per phase, or the
+    /// item-by-item code each one stands for (`group: false`). `racy` makes
+    /// item 0 touch a word of item 1 in every primitive phase, just before
+    /// the access, so the race reports are not empty.
+    struct PrimKernel {
+        rows: BufF32,
+        index: BufU32,
+        out: BufF32,
+        scattered: BufF32,
+        group: bool,
+        racy: bool,
+    }
+
+    #[derive(Debug, Clone, Copy, Default)]
+    struct PrimRegs {
+        a: [f32; 4],
+        b: [f32; 4],
+        at: u32,
+    }
+
+    /// Index words equal to this are skipped by the gather and the scatter.
+    const SKIP: u32 = u32::MAX;
+
+    impl PrimKernel {
+        /// Tile length staged in phase 2: ragged, never the whole group.
+        fn tile(local: usize) -> usize {
+            local.div_ceil(2)
+        }
+
+        /// Items of a group that write phase 4's coalesced rows.
+        fn live(group_id: usize, local: usize) -> usize {
+            if group_id == 1 {
+                local / 2
+            } else {
+                local
+            }
+        }
+
+        fn sum(r: &PrimRegs) -> [f32; 4] {
+            std::array::from_fn(|k| r.a[k] + r.b[k])
+        }
+    }
+
+    impl Kernel for PrimKernel {
+        type ItemRegs = PrimRegs;
+        type GroupRegs = ();
+
+        fn name(&self) -> &str {
+            "primitives"
+        }
+
+        fn lds_words(&self) -> usize {
+            4 * 64
+        }
+
+        fn phase(&self, phase: usize, ctx: &mut ItemCtx<'_>, regs: &mut PrimRegs, _: &()) {
+            let first = ctx.group_id * ctx.local_size;
+            let racy = self.racy && ctx.local_id == 0 && ctx.local_size > 1;
+            match phase {
+                0 => {
+                    if racy {
+                        ctx.write_f32(self.rows, 4 * (first + 1), 0.5);
+                    }
+                    regs.a = ctx.read_f32_vec_coalesced::<4>(self.rows, 4 * ctx.global_id);
+                }
+                1 => {
+                    if racy {
+                        ctx.write_u32_coalesced(self.index, first + 1, 2);
+                    }
+                    regs.at = ctx.read_u32_coalesced(self.index, ctx.global_id);
+                    if regs.at != SKIP {
+                        regs.b = ctx.read_f32_vec::<4>(self.rows, 4 * regs.at as usize);
+                    }
+                }
+                2 => {
+                    if racy {
+                        ctx.lds_write(4, -1.0);
+                    }
+                    if ctx.local_id < Self::tile(ctx.local_size) {
+                        let v = ctx.read_f32_vec_coalesced::<4>(self.rows, 4 * (3 + ctx.local_id));
+                        ctx.lds_write_slice(4 * ctx.local_id, &v);
+                    }
+                }
+                3 => {
+                    // item form in both variants: reads back the staged tile
+                    let tile = Self::tile(ctx.local_size);
+                    let w = ctx.lds_read_slice(4 * (ctx.local_id * 7 % tile), 4).to_vec();
+                    regs.a = std::array::from_fn(|k| regs.a[k] + w[k]);
+                }
+                4 => {
+                    if racy {
+                        ctx.write_f32(self.out, 4 * (first + 1), 0.25);
+                    }
+                    if ctx.local_id < Self::live(ctx.group_id, ctx.local_size) {
+                        ctx.write_f32_vec_coalesced::<4>(
+                            self.out,
+                            4 * ctx.global_id,
+                            Self::sum(regs),
+                        );
+                    }
+                }
+                _ => {
+                    // phase 1's racy write sent item 1's scatter to float4 2
+                    if racy {
+                        let _ = ctx.read_f32(self.scattered, 8);
+                    }
+                    if regs.at != SKIP {
+                        ctx.write_f32_vec::<4>(self.scattered, 4 * regs.at as usize, regs.b);
+                    }
+                }
+            }
+        }
+
+        fn phase_group(
+            &self,
+            phase: usize,
+            ctx: &mut GroupCtx<'_>,
+            items: &mut [PrimRegs],
+            _: &(),
+        ) {
+            if !self.group || phase == 3 {
+                ctx.for_each_item(items, |item, regs| self.phase(phase, item, regs, &()));
+                return;
+            }
+            let (local, first) = (ctx.local_size, ctx.group_id * ctx.local_size);
+            if self.racy && local > 1 {
+                let mut item0 = ctx.item(0);
+                match phase {
+                    0 => item0.write_f32(self.rows, 4 * (first + 1), 0.5),
+                    1 => item0.write_u32_coalesced(self.index, first + 1, 2),
+                    2 => item0.lds_write(4, -1.0),
+                    4 => item0.write_f32(self.out, 4 * (first + 1), 0.25),
+                    _ => {
+                        let _ = item0.read_f32(self.scattered, 8);
+                    }
+                }
+            }
+            match phase {
+                0 => ctx.read_f32x4_rows(self.rows, first, items, |r, v| r.a = v),
+                1 => ctx.gather_f32x4_indexed(
+                    self.rows,
+                    self.index,
+                    first,
+                    SKIP,
+                    items,
+                    |r, at, v| {
+                        r.at = at;
+                        if let Some(v) = v {
+                            r.b = v;
+                        }
+                    },
+                ),
+                2 => ctx.stage_tile_f32x4(self.rows, 3, Self::tile(local)),
+                4 => {
+                    let live = Self::live(ctx.group_id, local);
+                    ctx.write_f32x4_rows(self.out, first, &items[..live], Self::sum);
+                }
+                _ => ctx.scatter_f32x4(self.scattered, items, |r| {
+                    (r.at != SKIP).then_some((r.at as usize, r.b))
+                }),
+            }
+        }
+
+        fn control(&self, phase: usize, _: &mut (), _: &GroupInfo) -> Control {
+            if phase < 5 {
+                Control::Next
+            } else {
+                Control::Done
+            }
+        }
+    }
+
+    /// Buffer bits, per-group cost bits and race reports of one launch.
+    fn run_primitives(local: usize, group: bool, racy: bool, checked: bool) -> Vec<String> {
+        // 96-byte transactions: a coalesced word charges a fraction with no
+        // exact binary form, so the charge order shows in the sums' bits
+        let spec = DeviceSpec {
+            max_workgroup_size: 64,
+            transaction_bytes: 96,
+            ..DeviceSpec::tiny_test_device()
+        };
+        let items = 3 * local;
+        let mut pool = BufferPool::new();
+        let rows = pool.alloc_f32(4 * (items + 3));
+        let index = pool.alloc_u32(items);
+        let out = pool.alloc_f32(4 * items);
+        let scattered = pool.alloc_f32(4 * items);
+        for (w, v) in pool.f32_mut(rows).iter_mut().enumerate() {
+            *v = ((w * 37 % 101) as f32 - 50.0) / 7.0;
+        }
+        for (k, at) in pool.u32_mut(index).iter_mut().enumerate() {
+            // a permutation of the items, every fourth one skipped
+            *at = if k % 4 == 3 { SKIP } else { ((k * 5 + 2) % items) as u32 };
+        }
+        let kernel = PrimKernel { rows, index, out, scattered, group, racy };
+        let grid = NdRange { global: items, local };
+        // profiled, so each phase's own charges are compared too: a sum
+        // taken in another order can round back to the same group total
+        let (outcome, races) = execute_launch_profiled(&kernel, grid, &spec, &mut pool, checked);
+        let f32_bits = |b| pool.f32(b).iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let bits = [rows, out, scattered].map(|b| format!("{:?}", f32_bits(b)));
+        let cost_bits = |c: &GroupCost| {
+            let fields = [
+                c.flops,
+                c.lds_accesses,
+                c.read_bytes,
+                c.write_bytes,
+                c.read_transactions,
+                c.write_transactions,
+            ];
+            format!("{:?} {} {}", fields.map(f64::to_bits), c.barriers, c.items)
+        };
+        let phases = outcome.phase_costs.iter().flatten().map(|pc| cost_bits(&pc.cost));
+        bits.into_iter()
+            .chain([format!("{:?}", pool.u32(index))])
+            .chain(outcome.group_costs.iter().map(cost_bits))
+            .chain(phases)
+            .chain(races.iter().map(ToString::to_string))
+            .collect()
+    }
+
+    #[test]
+    fn group_primitives_equal_their_item_form() {
+        for local in [1, 3, 8, 64] {
+            for checked in [false, true] {
+                let items = run_primitives(local, false, false, checked);
+                let group = run_primitives(local, true, false, checked);
+                assert_eq!(group, items, "local {local}, checked {checked}");
+            }
+            let items = run_primitives(local, false, true, true);
+            let group = run_primitives(local, true, true, true);
+            if local > 1 {
+                for phase in [0, 1, 2, 4, 5] {
+                    let tag = format!("phase {phase}: item");
+                    assert!(items.iter().any(|l| l.contains(&tag)), "local {local}: {tag} no race");
+                }
+            }
+            assert_eq!(group, items, "local {local}: racy race reports");
+        }
+    }
+
+    #[test]
+    fn group_primitives_replay_their_writes_across_threads() {
+        let serial = run_primitives(8, false, false, false);
+        par::set_threads(2);
+        let items = run_primitives(8, false, false, false);
+        let group = run_primitives(8, true, false, false);
+        par::set_threads(1);
+        assert_eq!(items, serial);
+        assert_eq!(group, serial);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! A simulated kernel is written as a **phase machine**: the body between two
 //! consecutive barriers is one *phase*. The executor runs phase `k` for every
 //! work-item of a group (through [`Kernel::phase_group`]: item by item unless
-//! the kernel runs that phase as lanes), then consults the kernel's
+//! the kernel runs that phase for the whole group), then consults the kernel's
 //! [`Kernel::control`] to decide what follows the implicit barrier — proceed,
 //! loop back, or finish.
 //!
@@ -114,22 +114,27 @@ pub trait Kernel: Sync {
         format!("phase{phase}")
     }
 
-    /// Executes one phase for one work-item.
+    /// Executes one phase for one work-item. A kernel that runs every phase
+    /// in [`Kernel::phase_group`] keeps this default, which panics.
     fn phase(
         &self,
         phase: usize,
-        ctx: &mut crate::exec::ItemCtx<'_>,
-        regs: &mut Self::ItemRegs,
-        group: &Self::GroupRegs,
-    );
+        _ctx: &mut crate::exec::ItemCtx<'_>,
+        _regs: &mut Self::ItemRegs,
+        _group: &Self::GroupRegs,
+    ) {
+        unreachable!("kernel `{}` runs phase {phase} in phase_group only", self.name())
+    }
 
     /// Executes one phase for the whole group: `items` holds every item's
     /// registers in local-id order. The default runs [`Kernel::phase`] for
-    /// each item in local-id order. A kernel overrides it for a phase whose
-    /// items can run as SIMD lanes over shared data (see
-    /// [`crate::exec::GroupCtx`]); the override must leave memory, registers
-    /// and charges exactly as the item-by-item run would, and delegates
-    /// every other phase to [`crate::exec::GroupCtx::for_each_item`].
+    /// each item in local-id order. A kernel overrides it to run a phase for
+    /// the whole group at once: its items as SIMD lanes over shared data, or
+    /// its loads and stores through the group-level primitives of
+    /// [`crate::exec::GroupCtx`]. The override must leave memory, registers,
+    /// charges and race reports exactly as the item-by-item run would, and
+    /// delegates any phase it does not cover to
+    /// [`crate::exec::GroupCtx::for_each_item`].
     fn phase_group(
         &self,
         phase: usize,

@@ -272,6 +272,13 @@ fn pp_tile_block(
 /// lane with the expression tree of [`crate::gravity::pair_acceleration`],
 /// which is what makes both kernels bit-identical to their scalar
 /// references.
+///
+/// It compiles at the baseline width only (SSE2 `sqrtpd`/`divpd`), with no
+/// AVX2 build picked at run time as the f32 device sweep has: the loop is
+/// bound by the f64 divider, not by register width. An AVX2 build took 256
+/// lanes from 0.44 to 0.48 G interactions/s on a 2-vCPU Xeon, and
+/// `perfbench` `host-tier` `jobs_per_s` stayed flat over three pairs
+/// (0.797/0.805, 0.934/0.770, 0.806/0.808 baseline/AVX2).
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub fn lanes_accumulate(

@@ -583,6 +583,38 @@ mod tests {
     }
 
     #[test]
+    fn repeated_evaluations_on_one_device_repeat_memory_and_shards() {
+        // every evaluation starts from an empty device: nothing the last
+        // one allocated counts against the next one's peak or budget
+        let set = random_set(1024, 17);
+        for plan in PlanKind::all() {
+            let mut sim = make_backend(BackendKind::Sim, PlanConfig::default());
+            let first = sim.evaluate(plan, &set, &params());
+            let budget = PlanConfig {
+                mem_budget_bytes: Some(first.peak_device_bytes * 3 / 4),
+                ..PlanConfig::default()
+            };
+            let mut budgeted = make_backend(BackendKind::Sim, budget);
+            let first_budgeted = budgeted.evaluate(plan, &set, &params());
+            if plan.uses_tree() {
+                assert!(first_budgeted.shards_used > 1, "{plan:?}: the budget did not shard");
+            }
+            for k in 1..4 {
+                for (again, want, backend) in [
+                    (sim.evaluate(plan, &set, &params()), &first, "unbudgeted"),
+                    (budgeted.evaluate(plan, &set, &params()), &first_budgeted, "budgeted"),
+                ] {
+                    let what = format!("{plan:?} {backend} evaluation {k}");
+                    assert_eq!(again.peak_device_bytes, want.peak_device_bytes, "{what}");
+                    assert_eq!(again.shards_used, want.shards_used, "{what}");
+                    assert_eq!(again.launches, want.launches, "{what}");
+                    assert_eq!(again.acc, want.acc, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn f32_tier_tracks_the_f64_tier() {
         let set = random_set(256, 14);
         for plan in PlanKind::all() {

@@ -71,38 +71,6 @@ impl Kernel for IParallelKernel {
         }
     }
 
-    fn phase(&self, phase: usize, ctx: &mut ItemCtx<'_>, regs: &mut IItemRegs, group: &IGroupRegs) {
-        match phase {
-            // load own body
-            0 => {
-                let i = ctx.global_id;
-                let v = ctx.read_f32_vec_coalesced::<4>(self.pos_mass, 4 * i);
-                regs.xi = [v[0], v[1], v[2]];
-                regs.acc = [0.0; 3];
-            }
-            // stage one tile into LDS
-            1 => {
-                let j = group.tile * self.block + ctx.local_id;
-                let v = ctx.read_f32_vec_coalesced::<4>(self.pos_mass, 4 * j);
-                ctx.lds_write_slice(4 * ctx.local_id, &v);
-            }
-            // phase 2 (accumulate p interactions from LDS) runs as lanes in
-            // `phase_group`
-            // write result
-            3 => {
-                let i = ctx.global_id;
-                if i < self.n {
-                    ctx.write_f32_vec_coalesced::<4>(
-                        self.acc_out,
-                        4 * i,
-                        [regs.acc[0], regs.acc[1], regs.acc[2], 0.0],
-                    );
-                }
-            }
-            _ => unreachable!("i-parallel phase {phase} runs in phase_group or does not exist"),
-        }
-    }
-
     fn phase_group(
         &self,
         phase: usize,
@@ -110,10 +78,24 @@ impl Kernel for IParallelKernel {
         items: &mut [IItemRegs],
         group: &IGroupRegs,
     ) {
-        if phase == 2 {
-            force_eval_lanes(ctx, items, self.block, self.eps_sq);
-        } else {
-            ctx.for_each_item(items, |item, regs| self.phase(phase, item, regs, group));
+        let first = ctx.group_id * ctx.local_size;
+        match phase {
+            // load own body
+            0 => ctx.read_f32x4_rows(self.pos_mass, first, items, |regs, v| {
+                regs.xi = [v[0], v[1], v[2]];
+                regs.acc = [0.0; 3];
+            }),
+            // stage one tile into LDS
+            1 => ctx.stage_tile_f32x4(self.pos_mass, group.tile * self.block, ctx.local_size),
+            // accumulate p interactions from LDS
+            2 => force_eval_lanes(ctx, items, self.block, self.eps_sq),
+            // write result; the padding tail writes nothing
+            _ => {
+                let live = self.n.saturating_sub(first).min(items.len());
+                ctx.write_f32x4_rows(self.acc_out, first, &items[..live], |regs| {
+                    [regs.acc[0], regs.acc[1], regs.acc[2], 0.0]
+                });
+            }
         }
     }
 
@@ -172,7 +154,7 @@ impl ExecutionPlan for IParallel {
     ) -> PlanOutcome {
         assert!(params.softening > 0.0, "device plans require softening > 0");
         self.config.validate(device.spec()).expect("invalid plan config");
-        device.reset_clocks();
+        device.begin_evaluation();
 
         let n = set.len();
         let p = self.config.block_size;

@@ -55,12 +55,6 @@ impl JPartialKernel {
         (s, start, len)
     }
 
-    /// Target body index of a thread.
-    fn target_of(&self, group_id: usize, local_id: usize) -> usize {
-        let chunk = group_id / self.s_count;
-        chunk * self.block + local_id
-    }
-
     /// Current tile length given the group cursor.
     fn tile_len(&self, group_id: usize, cursor: usize) -> usize {
         let (_, _, len) = self.slice_of(group_id);
@@ -108,37 +102,6 @@ impl Kernel for JPartialKernel {
         }
     }
 
-    fn phase(&self, phase: usize, ctx: &mut ItemCtx<'_>, regs: &mut JItemRegs, group: &JGroupRegs) {
-        match phase {
-            0 => {
-                let i = self.target_of(ctx.group_id, ctx.local_id);
-                let v = ctx.read_f32_vec_coalesced::<4>(self.pos_mass, 4 * i);
-                regs.xi = [v[0], v[1], v[2]];
-                regs.acc = [0.0; 3];
-            }
-            1 => {
-                let (_, start, _) = self.slice_of(ctx.group_id);
-                let tile = self.tile_len(ctx.group_id, group.cursor);
-                if ctx.local_id < tile {
-                    let j = start + group.cursor + ctx.local_id;
-                    let v = ctx.read_f32_vec_coalesced::<4>(self.pos_mass, 4 * j);
-                    ctx.lds_write_slice(4 * ctx.local_id, &v);
-                }
-            }
-            // phase 2 (force-eval) runs as lanes in `phase_group`
-            3 => {
-                let (s, _, _) = self.slice_of(ctx.group_id);
-                let i = self.target_of(ctx.group_id, ctx.local_id);
-                ctx.write_f32_vec_coalesced::<4>(
-                    self.partial,
-                    4 * (s * self.n_padded + i),
-                    [regs.acc[0], regs.acc[1], regs.acc[2], 0.0],
-                );
-            }
-            _ => unreachable!("j-partial phase {phase} runs in phase_group or does not exist"),
-        }
-    }
-
     fn phase_group(
         &self,
         phase: usize,
@@ -146,11 +109,25 @@ impl Kernel for JPartialKernel {
         items: &mut [JItemRegs],
         group: &JGroupRegs,
     ) {
-        if phase == 2 {
-            let tile = self.tile_len(ctx.group_id, group.cursor);
-            force_eval_lanes(ctx, items, tile, self.eps_sq);
-        } else {
-            ctx.for_each_item(items, |item, regs| self.phase(phase, item, regs, group));
+        let (s, start, _) = self.slice_of(ctx.group_id);
+        // the group's first target body: its i-chunk's start
+        let first = ctx.group_id / self.s_count * self.block;
+        match phase {
+            0 => ctx.read_f32x4_rows(self.pos_mass, first, items, |regs, v| {
+                regs.xi = [v[0], v[1], v[2]];
+                regs.acc = [0.0; 3];
+            }),
+            1 => {
+                let tile = self.tile_len(ctx.group_id, group.cursor);
+                ctx.stage_tile_f32x4(self.pos_mass, start + group.cursor, tile);
+            }
+            2 => {
+                let tile = self.tile_len(ctx.group_id, group.cursor);
+                force_eval_lanes(ctx, items, tile, self.eps_sq);
+            }
+            _ => ctx.write_f32x4_rows(self.partial, s * self.n_padded + first, items, |regs| {
+                [regs.acc[0], regs.acc[1], regs.acc[2], 0.0]
+            }),
         }
     }
 
@@ -260,7 +237,7 @@ impl ExecutionPlan for JParallel {
     ) -> PlanOutcome {
         assert!(params.softening > 0.0, "device plans require softening > 0");
         self.config.validate(device.spec()).expect("invalid plan config");
-        device.reset_clocks();
+        device.begin_evaluation();
 
         let n = set.len();
         let p = self.config.block_size;

@@ -20,10 +20,8 @@
 //! runs them is [`crate::tree_pipeline::evaluate_tree_plan`], shared with
 //! w-parallel.
 
-use crate::common::{
-    force_eval_lanes, ExecutionPlan, ForceLane, PlanConfig, PlanKind, PlanOutcome,
-};
-use crate::w_parallel::NO_TARGET;
+use crate::common::{force_eval_lanes, ExecutionPlan, PlanConfig, PlanKind, PlanOutcome};
+use crate::w_parallel::{WItemRegs, NO_TARGET};
 use gpu_sim::prelude::*;
 use nbody_core::body::ParticleSet;
 use nbody_core::gravity::GravityParams;
@@ -108,26 +106,6 @@ impl JwPartialKernel {
     }
 }
 
-/// Per-thread registers.
-#[derive(Debug, Clone, Copy)]
-pub struct JwItemRegs {
-    xi: [f32; 3],
-    acc: [f32; 3],
-    target: u32,
-}
-
-impl Default for JwItemRegs {
-    fn default() -> Self {
-        Self { xi: [0.0; 3], acc: [0.0; 3], target: NO_TARGET }
-    }
-}
-
-impl ForceLane for JwItemRegs {
-    fn lane(&mut self) -> Option<([f32; 3], &mut [f32; 3])> {
-        (self.target != NO_TARGET).then_some((self.xi, &mut self.acc))
-    }
-}
-
 /// Per-block registers.
 #[derive(Debug, Default)]
 pub struct JwGroupRegs {
@@ -135,7 +113,7 @@ pub struct JwGroupRegs {
 }
 
 impl Kernel for JwPartialKernel {
-    type ItemRegs = JwItemRegs;
+    type ItemRegs = WItemRegs;
     type GroupRegs = JwGroupRegs;
 
     fn name(&self) -> &str {
@@ -155,59 +133,40 @@ impl Kernel for JwPartialKernel {
         }
     }
 
-    fn phase(
-        &self,
-        phase: usize,
-        ctx: &mut ItemCtx<'_>,
-        regs: &mut JwItemRegs,
-        group: &JwGroupRegs,
-    ) {
-        let block = self.blocks[ctx.group_id];
-        match phase {
-            0 => {
-                let slot = block.walk as usize * self.walk_size + ctx.local_id;
-                regs.target = ctx.read_u32_coalesced(self.targets, slot);
-                regs.acc = [0.0; 3];
-                if regs.target != NO_TARGET {
-                    let v = ctx.read_f32_vec::<4>(self.pos_mass, 4 * regs.target as usize);
-                    regs.xi = [v[0], v[1], v[2]];
-                }
-            }
-            1 => {
-                let tile = self.tile_len(ctx.group_id, group.cursor);
-                if ctx.local_id < tile {
-                    let e = block.start as usize + group.cursor + ctx.local_id;
-                    let v = ctx.read_f32_vec_coalesced::<4>(self.list_data, 4 * e);
-                    ctx.lds_write_slice(4 * ctx.local_id, &v);
-                }
-            }
-            // phase 2 (force-eval) runs as lanes in `phase_group`
-            3 => {
-                let base = (block.slot as usize * self.walk_size + ctx.local_id) * 4;
-                ctx.write_f32_vec_coalesced::<4>(
-                    self.partial,
-                    base,
-                    [regs.acc[0], regs.acc[1], regs.acc[2], 0.0],
-                );
-            }
-            _ => unreachable!("jw-partial phase {phase} runs in phase_group or does not exist"),
-        }
-    }
-
     /// Phase 2 accumulates the tile as lanes; inactive items are charged
     /// too, as in w-parallel.
     fn phase_group(
         &self,
         phase: usize,
         ctx: &mut GroupCtx<'_>,
-        items: &mut [JwItemRegs],
+        items: &mut [WItemRegs],
         group: &JwGroupRegs,
     ) {
-        if phase == 2 {
-            let tile = self.tile_len(ctx.group_id, group.cursor);
-            force_eval_lanes(ctx, items, tile, self.eps_sq);
-        } else {
-            ctx.for_each_item(items, |item, regs| self.phase(phase, item, regs, group));
+        let block = self.blocks[ctx.group_id];
+        match phase {
+            0 => {
+                let first = block.walk as usize * self.walk_size;
+                ctx.gather_f32x4_indexed(
+                    self.pos_mass,
+                    self.targets,
+                    first,
+                    NO_TARGET,
+                    items,
+                    WItemRegs::load_target,
+                );
+            }
+            1 => {
+                let tile = self.tile_len(ctx.group_id, group.cursor);
+                ctx.stage_tile_f32x4(self.list_data, block.start as usize + group.cursor, tile);
+            }
+            2 => {
+                let tile = self.tile_len(ctx.group_id, group.cursor);
+                force_eval_lanes(ctx, items, tile, self.eps_sq);
+            }
+            _ => {
+                let first = block.slot as usize * self.walk_size;
+                ctx.write_f32x4_rows(self.partial, first, items, WItemRegs::acc4);
+            }
         }
     }
 

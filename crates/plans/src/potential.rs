@@ -126,7 +126,7 @@ pub fn potential_on_device(
     config: &PlanConfig,
 ) -> (f64, f64) {
     assert!(params.softening > 0.0, "device diagnostics require softening > 0");
-    device.reset_clocks();
+    device.begin_evaluation();
     let n = set.len();
     let p = config.block_size;
     let n_padded = n.div_ceil(p).max(1) * p;

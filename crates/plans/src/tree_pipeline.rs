@@ -1008,7 +1008,7 @@ pub fn evaluate_tree_plan(
     assert!(params.softening > 0.0, "device plans require softening > 0");
     assert!(kind.uses_tree(), "tree pipeline only serves the tree plans");
     config.validate(device.spec()).expect("invalid plan config");
-    device.reset_clocks();
+    device.begin_evaluation();
     if set.is_empty() {
         return TreePipelineRun { outcome: PlanOutcome::empty(), shape: PipelineShape::default() };
     }

@@ -108,7 +108,8 @@ impl WWalkKernel {
     }
 }
 
-/// Per-thread registers.
+/// Per-thread registers of the walk kernels: [`WWalkKernel`] and
+/// jw-parallel's partial kernel.
 #[derive(Debug, Clone, Copy)]
 pub struct WItemRegs {
     xi: [f32; 3],
@@ -119,6 +120,23 @@ pub struct WItemRegs {
 impl Default for WItemRegs {
     fn default() -> Self {
         Self { xi: [0.0; 3], acc: [0.0; 3], target: NO_TARGET }
+    }
+}
+
+impl WItemRegs {
+    /// The load-targets phase for one item: its walk slot's `target` and,
+    /// unless the slot is padding, that body's position.
+    pub(crate) fn load_target(&mut self, target: u32, body: Option<[f32; 4]>) {
+        self.target = target;
+        self.acc = [0.0; 3];
+        if let Some(v) = body {
+            self.xi = [v[0], v[1], v[2]];
+        }
+    }
+
+    /// The accumulated acceleration as the float4 the kernels store.
+    pub(crate) fn acc4(&self) -> [f32; 4] {
+        [self.acc[0], self.acc[1], self.acc[2], 0.0]
     }
 }
 
@@ -155,43 +173,6 @@ impl Kernel for WWalkKernel {
         }
     }
 
-    fn phase(&self, phase: usize, ctx: &mut ItemCtx<'_>, regs: &mut WItemRegs, group: &WGroupRegs) {
-        match phase {
-            // load own target body (gather: tree order ≠ memory order)
-            0 => {
-                let slot = ctx.group_id * self.walk_size + ctx.local_id;
-                regs.target = ctx.read_u32_coalesced(self.targets, slot);
-                regs.acc = [0.0; 3];
-                if regs.target != NO_TARGET {
-                    let v = ctx.read_f32_vec::<4>(self.pos_mass, 4 * regs.target as usize);
-                    regs.xi = [v[0], v[1], v[2]];
-                }
-            }
-            // stage a tile of the interaction list
-            1 => {
-                let (start, _) = self.walk_desc[ctx.group_id];
-                let tile = self.tile_len(ctx.group_id, group.cursor);
-                if ctx.local_id < tile {
-                    let e = start as usize + group.cursor + ctx.local_id;
-                    let v = ctx.read_f32_vec_coalesced::<4>(self.list_data, 4 * e);
-                    ctx.lds_write_slice(4 * ctx.local_id, &v);
-                }
-            }
-            // phase 2 (force-eval) runs as lanes in `phase_group`
-            // scatter the result
-            3 => {
-                if regs.target != NO_TARGET {
-                    ctx.write_f32_vec::<4>(
-                        self.acc_out,
-                        4 * regs.target as usize,
-                        [regs.acc[0], regs.acc[1], regs.acc[2], 0.0],
-                    );
-                }
-            }
-            _ => unreachable!("w-walk phase {phase} runs in phase_group or does not exist"),
-        }
-    }
-
     /// Phase 2 accumulates the tile as lanes. Every item of the wavefront
     /// burns cycles, active or not (the cost of ragged walks), so inactive
     /// items are charged too.
@@ -202,11 +183,33 @@ impl Kernel for WWalkKernel {
         items: &mut [WItemRegs],
         group: &WGroupRegs,
     ) {
-        if phase == 2 {
-            let tile = self.tile_len(ctx.group_id, group.cursor);
-            force_eval_lanes(ctx, items, tile, self.eps_sq);
-        } else {
-            ctx.for_each_item(items, |item, regs| self.phase(phase, item, regs, group));
+        match phase {
+            // load own target body (gather: tree order ≠ memory order)
+            0 => {
+                let first = ctx.group_id * self.walk_size;
+                ctx.gather_f32x4_indexed(
+                    self.pos_mass,
+                    self.targets,
+                    first,
+                    NO_TARGET,
+                    items,
+                    WItemRegs::load_target,
+                );
+            }
+            // stage a tile of the interaction list
+            1 => {
+                let (start, _) = self.walk_desc[ctx.group_id];
+                let tile = self.tile_len(ctx.group_id, group.cursor);
+                ctx.stage_tile_f32x4(self.list_data, start as usize + group.cursor, tile);
+            }
+            2 => {
+                let tile = self.tile_len(ctx.group_id, group.cursor);
+                force_eval_lanes(ctx, items, tile, self.eps_sq);
+            }
+            // scatter the result
+            _ => ctx.scatter_f32x4(self.acc_out, items, |regs| {
+                (regs.target != NO_TARGET).then(|| (regs.target as usize, regs.acc4()))
+            }),
         }
     }
 

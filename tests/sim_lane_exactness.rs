@@ -6,9 +6,10 @@
 //! lanes change nothing observable:
 //!
 //! * the lane helper equals an independent scalar chain written here, bit
-//!   for bit, including NaN from coincident bodies at `eps_sq = 0`, `-0.0`
-//!   sums, tile lengths 0, 1 and ragged, and lane counts on and off the
-//!   register-block width;
+//!   for bit, at every sweep width the host runs (the baseline build always,
+//!   the AVX2 build when the CPU has it), including NaN from coincident
+//!   bodies at `eps_sq = 0`, `-0.0` sums, tile lengths 0, 1 and ragged, and
+//!   lane counts on and off the register-block width;
 //! * a lane kernel and the same kernel run item by item leave identical
 //!   memory, identical per-group costs and identical race reports, and
 //!   inactive lanes keep their registers untouched;
@@ -23,7 +24,10 @@ use gpu_sim::exec::{execute_launch, execute_launch_checked, ExecOutcome};
 use gpu_sim::prelude::*;
 use nbody_core::body::ParticleSet;
 use nbody_core::gravity::GravityParams;
-use plans::common::{force_eval_lanes, lanes_interact_tile_f32, ForceLane, LANE_BLOCK};
+use plans::common::{
+    force_eval_lanes, lanes_interact_tile_f32, sweep_lanes_avx2, sweep_lanes_baseline, ForceLane,
+    LANE_BLOCK,
+};
 use plans::prelude::*;
 use treecode::interaction_list::build_walks;
 use treecode::mac::OpeningAngle;
@@ -63,28 +67,63 @@ fn bits(v: [f32; 3]) -> [u32; 3] {
     v.map(f32::to_bits)
 }
 
-/// Runs the lane helper over `targets` with starting accumulators `acc`
-/// and returns the lanes' results.
-fn run_lanes(targets: &[[f32; 3]], acc: &[[f32; 3]], tile: &[f32], eps_sq: f32) -> Vec<[f32; 3]> {
+/// One build of the f32 tile sweep.
+type Sweep = fn([&[f32]; 3], [&mut [f32]; 3], &[f32], f32);
+
+fn avx2_sweep(xi: [&[f32]; 3], acc: [&mut [f32]; 3], tile: &[f32], eps_sq: f32) {
+    assert!(sweep_lanes_avx2(xi, acc, tile, eps_sq), "AVX2 went missing");
+}
+
+/// Every sweep build this host runs: the inline lane helper, its baseline
+/// out-of-line build, and the AVX2 build when the CPU has AVX2 (a skip is
+/// printed otherwise).
+fn sweeps() -> Vec<(&'static str, Sweep)> {
+    let mut sweeps: Vec<(&'static str, Sweep)> =
+        vec![("inline", lanes_interact_tile_f32), ("baseline", sweep_lanes_baseline)];
+    if sweep_lanes_avx2([&[], &[], &[]], [&mut [], &mut [], &mut []], &[], 0.0) {
+        sweeps.push(("avx2", avx2_sweep));
+    } else {
+        eprintln!("skipping the AVX2 sweep: the host CPU has no AVX2");
+    }
+    sweeps
+}
+
+/// Runs `sweep` over `targets` with starting accumulators `acc` and returns
+/// the lanes' results.
+fn run_lanes_with(
+    sweep: Sweep,
+    targets: &[[f32; 3]],
+    acc: &[[f32; 3]],
+    tile: &[f32],
+    eps_sq: f32,
+) -> Vec<[f32; 3]> {
     let axis = |v: &[[f32; 3]], a: usize| v.iter().map(|p| p[a]).collect::<Vec<_>>();
     let (xs, ys, zs) = (axis(targets, 0), axis(targets, 1), axis(targets, 2));
     let (mut ax, mut ay, mut az) = (axis(acc, 0), axis(acc, 1), axis(acc, 2));
-    lanes_interact_tile_f32([&xs, &ys, &zs], [&mut ax, &mut ay, &mut az], tile, eps_sq);
+    sweep([&xs, &ys, &zs], [&mut ax, &mut ay, &mut az], tile, eps_sq);
     (0..targets.len()).map(|k| [ax[k], ay[k], az[k]]).collect()
 }
 
-/// Asserts every lane equals its scalar chain bit for bit.
+/// [`run_lanes_with`] the inline lane helper.
+fn run_lanes(targets: &[[f32; 3]], acc: &[[f32; 3]], tile: &[f32], eps_sq: f32) -> Vec<[f32; 3]> {
+    run_lanes_with(lanes_interact_tile_f32, targets, acc, tile, eps_sq)
+}
+
+/// Asserts every lane of every sweep build equals its scalar chain bit for
+/// bit.
 fn assert_lanes_match(targets: &[[f32; 3]], acc: &[[f32; 3]], tile: &[f32], eps_sq: f32) {
-    let lanes = run_lanes(targets, acc, tile, eps_sq);
-    for (k, got) in lanes.iter().enumerate() {
-        let want = scalar_chain(targets[k], tile, eps_sq, acc[k]);
-        assert_eq!(
-            bits(*got),
-            bits(want),
-            "lane {k} of {}, tile {} sources, eps_sq {eps_sq}: {got:?} vs {want:?}",
-            targets.len(),
-            tile.len() / 4
-        );
+    for (width, sweep) in sweeps() {
+        let lanes = run_lanes_with(sweep, targets, acc, tile, eps_sq);
+        for (k, got) in lanes.iter().enumerate() {
+            let want = scalar_chain(targets[k], tile, eps_sq, acc[k]);
+            assert_eq!(
+                bits(*got),
+                bits(want),
+                "{width}: lane {k} of {}, tile {} sources, eps_sq {eps_sq}: {got:?} vs {want:?}",
+                targets.len(),
+                tile.len() / 4
+            );
+        }
     }
 }
 
