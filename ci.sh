@@ -23,6 +23,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> rustdoc gate (RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps)"
+# Any rustdoc warning fails, so an intra-doc link left pointing at a
+# deleted or private item cannot land.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> trace export smoke test"
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT

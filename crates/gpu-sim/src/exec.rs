@@ -276,17 +276,6 @@ impl<'a> ItemCtx<'a> {
         self.pool.u32(buf)[idx]
     }
 
-    /// Reads one `u32` as a gather.
-    #[inline]
-    pub fn read_u32(&mut self, buf: BufU32, idx: usize) -> u32 {
-        self.cost.read_bytes += 4.0;
-        self.cost.read_transactions += 1.0;
-        if let Some(d) = self.race.as_deref_mut() {
-            d.read(self.local_id, Space::GlobalU32(buf.raw()), idx);
-        }
-        self.pool.u32(buf)[idx]
-    }
-
     /// Writes one `u32`, coalesced.
     #[inline]
     pub fn write_u32_coalesced(&mut self, buf: BufU32, idx: usize, v: u32) {
@@ -312,36 +301,11 @@ impl<'a> ItemCtx<'a> {
         self.pool.u64(buf)[idx]
     }
 
-    /// Reads one `u64` as a gather.
-    #[inline]
-    pub fn read_u64(&mut self, buf: BufU64, idx: usize) -> u64 {
-        self.cost.read_bytes += 8.0;
-        self.cost.read_transactions += 1.0;
-        if let Some(d) = self.race.as_deref_mut() {
-            d.read(self.local_id, Space::GlobalU64(buf.raw()), idx);
-        }
-        self.pool.u64(buf)[idx]
-    }
-
     /// Writes one `u64`, coalesced.
     #[inline]
     pub fn write_u64_coalesced(&mut self, buf: BufU64, idx: usize, v: u64) {
         self.cost.write_bytes += 8.0;
         self.cost.write_transactions += 8.0 * self.inv_transaction_bytes;
-        if let Some(d) = self.race.as_deref_mut() {
-            d.write(self.local_id, Space::GlobalU64(buf.raw()), idx);
-        }
-        if let Some(log) = self.log.as_deref_mut() {
-            log.u64s.push((buf, idx, v));
-        }
-        self.pool.u64_mut(buf)[idx] = v;
-    }
-
-    /// Writes one `u64` as a scatter.
-    #[inline]
-    pub fn write_u64(&mut self, buf: BufU64, idx: usize, v: u64) {
-        self.cost.write_bytes += 8.0;
-        self.cost.write_transactions += 1.0;
         if let Some(d) = self.race.as_deref_mut() {
             d.write(self.local_id, Space::GlobalU64(buf.raw()), idx);
         }
@@ -387,13 +351,6 @@ impl<'a> ItemCtx<'a> {
         self.lds
     }
 
-    /// Uncounted, race-untracked mutable view of LDS. Pair with
-    /// [`ItemCtx::charge_lds`]; prefer [`ItemCtx::lds_write_slice`].
-    #[inline]
-    pub fn lds_mut(&mut self) -> &mut [f32] {
-        self.lds
-    }
-
     /// Charges `words` LDS accesses without touching memory.
     #[inline]
     pub fn charge_lds(&mut self, words: f64) {
@@ -429,13 +386,6 @@ impl<'a> ItemCtx<'a> {
     #[inline]
     pub fn coalesced_transactions(&self, bytes: f64) -> f64 {
         bytes * self.inv_transaction_bytes
-    }
-
-    /// Uncounted, race-untracked read-only view of a global `f32` buffer.
-    /// Pair with [`ItemCtx::charge_global_read`].
-    #[inline]
-    pub fn global_f32(&self, buf: BufF32) -> &[f32] {
-        self.pool.f32(buf)
     }
 
     /// Uncounted, race-untracked read-only view of a global `u32` buffer.

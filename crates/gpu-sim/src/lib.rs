@@ -55,7 +55,6 @@ pub mod device;
 pub mod exec;
 pub mod fault;
 pub mod kernel;
-pub mod kernels;
 pub mod pcie;
 pub mod race;
 pub mod sched;
@@ -72,7 +71,6 @@ pub mod prelude {
         CuHealth, FaultConfig, FaultCounts, FaultError, FaultKind, FaultPlan, RetryPolicy,
     };
     pub use crate::kernel::{Control, GroupInfo, Kernel, NdRange};
-    pub use crate::kernels::{device_sum, SumReduceKernel};
     pub use crate::pcie::TransferModel;
     pub use crate::race::{Race, RaceDetector, Space};
     pub use crate::sched::{

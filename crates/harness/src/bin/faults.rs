@@ -12,7 +12,7 @@
 //! checkpoint, or divergence exits 1 with a typed error.
 
 use harness::error::{or_exit, HarnessError};
-use harness::faults::{demo, FaultRun};
+use harness::faults::{demo, smoke};
 
 fn parsed<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<Result<T, HarnessError>> {
     let pos = args.iter().position(|a| a == flag)?;
@@ -27,18 +27,16 @@ fn parsed<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<Result<T,
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     harness::apply_threads_flag(&args);
-    let mut cfg = FaultRun::smoke(7);
-    if let Some(seed) = parsed(&args, "--seed") {
-        cfg.fault_seed = or_exit(seed);
-    }
+    let seed = parsed(&args, "--seed").map_or(7, or_exit);
+    let mut spec = smoke(seed);
     if let Some(n) = parsed(&args, "--n") {
-        cfg.n = or_exit(n);
+        spec.workload.n = or_exit(n);
     }
     if let Some(steps) = parsed(&args, "--steps") {
-        cfg.steps = or_exit(steps);
+        spec.steps = or_exit(steps);
     }
     if let Some(every) = parsed(&args, "--every") {
-        cfg.checkpoint_every = or_exit(every);
+        spec.checkpoint_every = or_exit(every);
     }
     let dir = args
         .iter()
@@ -49,9 +47,9 @@ fn main() {
 
     println!(
         "fault-tolerant run: N={}, {} steps, checkpoint every {}, fault seed {}",
-        cfg.n, cfg.steps, cfg.checkpoint_every, cfg.fault_seed
+        spec.workload.n, spec.steps, spec.checkpoint_every, seed
     );
-    let text = or_exit(demo(&cfg, &dir));
+    let text = or_exit(demo(&spec, &dir));
     print!("{text}");
     std::fs::remove_dir_all(&dir).ok();
 }

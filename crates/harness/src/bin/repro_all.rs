@@ -119,7 +119,7 @@ fn suite(args: &[String]) {
     if let Some(seed) = results.config.fault_seed {
         println!("\n== fault-recovery smoke (seed {seed}) ==");
         let dir = ScratchDir::new("repro-faults");
-        let text = or_exit(harness::faults::demo(&harness::faults::FaultRun::smoke(seed), &dir));
+        let text = or_exit(harness::faults::demo(&harness::faults::smoke(seed), &dir));
         print!("{text}");
     }
 }

@@ -119,8 +119,10 @@ fn main() {
     }
     let count: usize = parsed(&args, "--count").map_or(1, or_exit);
 
-    // the resolver needs the spool's fs seam and tuning.json, so open first
-    let (spool, _recovery) = Spool::open(spool_dir).unwrap_or_else(|e| {
+    // the resolver needs the spool's fs seam and tuning.json, so attach
+    // first; attaching runs no crash recovery, which belongs to the server
+    // (a live daemon's running/ records and .tmp files are in flight)
+    let spool = Spool::attach(spool_dir).unwrap_or_else(|e| {
         eprintln!("error: cannot open spool {spool_dir}: {e}");
         std::process::exit(1);
     });

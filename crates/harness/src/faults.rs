@@ -1,108 +1,38 @@
-//! Fault-tolerant checkpointed simulation driver.
+//! Fault-tolerant checkpointed simulation demo.
 //!
-//! Runs a Plummer workload on the simulated GPU under an injected
-//! [`FaultPlan`], writing a checkpoint through [`jobs::checkpoint`] every
-//! few steps. A crash (simulated with [`FaultRun::crash_after`]) loses only
-//! the work since the last checkpoint: [`run`] resumes from the newest
-//! usable checkpoint in the directory and re-primes forces from the
-//! restored positions, so the completed trajectory is **bit-exact** against
-//! an uninterrupted fault-free run — transient faults are absorbed by retry,
-//! crashes by restart.
+//! The demo is a job: [`smoke`] builds a [`JobSpec`] (Plummer, jw-parallel,
+//! transient faults at p = 0.1) that [`run_job`] integrates on the simulated
+//! GPU under the spec's injected fault plan, checkpointing every few steps.
+//! A crash ([`RunOptions::crash_after`]) loses only the work since the last
+//! checkpoint: the next attempt resumes from the newest usable checkpoint
+//! in the directory and re-primes forces from the restored positions, so
+//! the completed trajectory is **bit-exact** against the fault-free
+//! [`reference_set`] — transient faults are absorbed by retry, crashes by
+//! restart.
 //!
-//! The `faults` binary drives the whole story (reference run, faulty run,
-//! mid-run crash, resume, bit-exact verification) and prints `FAULTS OK`;
+//! The `faults` binary drives the whole story (faulty run, mid-run crash,
+//! resume, bit-exact verification) and prints `FAULTS OK`;
 //! `repro-all --faults <seed>` instead injects faults into the full
 //! experiment suite (see [`crate::config::ExperimentConfig::fault_seed`]).
 
 use crate::error::HarnessError;
-use gpu_sim::prelude::*;
-use jobs::checkpoint::save_checkpoint;
-use nbody_core::body::ParticleSet;
-use nbody_core::gravity::GravityParams;
-use nbody_core::integrator::{prime, Integrator, LeapfrogKdk};
-use plans::engine::PlanForceEngine;
-use plans::make_plan;
-use plans::prelude::{PlanConfig, PlanKind};
+use jobs::cache::JobResult;
+use jobs::runner::{reference_set, run_job, RunOptions, RunStatus};
+use jobs::spec::JobSpec;
+use plans::prelude::PlanKind;
 use std::path::Path;
 use workloads::snapshot::Snapshot;
 use workloads::spec::WorkloadSpec;
 
-/// One fault-tolerant run: workload, fault model, checkpoint cadence.
-#[derive(Debug, Clone)]
-pub struct FaultRun {
-    /// Seed for the deterministic fault schedule.
-    pub fault_seed: u64,
-    /// Per-operation fault probabilities and penalties.
-    pub faults: FaultConfig,
-    /// Workload size (Plummer sphere).
-    pub n: usize,
-    /// Workload seed.
-    pub workload_seed: u64,
-    /// Integration steps to complete.
-    pub steps: usize,
-    /// Write a checkpoint every this many steps.
-    pub checkpoint_every: usize,
-    /// Time-step size.
-    pub dt: f64,
-    /// Stop (state lost, like a host crash) after this many steps.
-    pub crash_after: Option<usize>,
-}
-
-impl FaultRun {
-    /// A small, CI-sized run: N = 384, 12 steps, checkpoint every 4.
-    pub fn smoke(fault_seed: u64) -> Self {
-        Self {
-            fault_seed,
-            faults: FaultConfig::transient(0.1),
-            n: 384,
-            workload_seed: 20110101,
-            steps: 12,
-            checkpoint_every: 4,
-            dt: 1e-3,
-            crash_after: None,
-        }
-    }
-
-    /// The initial particle set.
-    pub fn initial_set(&self) -> ParticleSet {
-        let mut set = WorkloadSpec::plummer(self.n, self.workload_seed).generate();
-        set.recenter();
-        set
-    }
-
-    fn engine(&self, with_faults: bool) -> PlanForceEngine {
-        let mut device =
-            Device::with_transfer_model(DeviceSpec::radeon_hd_5850(), TransferModel::pcie2_x16());
-        if with_faults {
-            device.set_fault_plan(FaultPlan::new(self.fault_seed, self.faults));
-        }
-        PlanForceEngine::new(
-            device,
-            make_plan(PlanKind::JwParallel, PlanConfig::default()),
-            GravityParams { g: 1.0, softening: 0.05 },
-        )
-    }
-}
-
-/// What a (possibly crashed, possibly resumed) run did.
-#[derive(Debug)]
-pub struct FaultRunReport {
-    /// Steps completed in this invocation (counting resumed-over steps).
-    pub steps_completed: usize,
-    /// Step the run resumed from, if a checkpoint was found.
-    pub resumed_from: Option<usize>,
-    /// Checkpoints written by this invocation.
-    pub checkpoints_written: usize,
-    /// True when the run stopped early at [`FaultRun::crash_after`].
-    pub crashed: bool,
-    /// Simulated seconds spent on fault recovery (retry backoff + stalls).
-    pub recovery_s: f64,
-    /// Simulated end-to-end seconds of every force evaluation.
-    pub simulated_total_s: f64,
-    /// Injected-fault tally by kind.
-    pub fault_counts: FaultCounts,
-    /// The particle state at the end of the run.
-    pub final_set: ParticleSet,
+/// A small, CI-sized faulty job: a 384-body Plummer sphere on jw-parallel,
+/// 12 steps, a checkpoint every 4, transient faults at p = 0.1 from
+/// `fault_seed`.
+pub fn smoke(fault_seed: u64) -> JobSpec {
+    let mut spec = JobSpec::new(WorkloadSpec::plummer(384, 20110101), PlanKind::JwParallel, 12);
+    spec.checkpoint_every = 4;
+    spec.fault_seed = Some(fault_seed);
+    spec.fault_prob = Some(0.1);
+    spec
 }
 
 /// Finds the newest loadable checkpoint `(step, snapshot)` in `dir`.
@@ -119,7 +49,7 @@ pub fn latest_checkpoint(dir: &Path) -> Result<Option<(usize, Snapshot)>, Harnes
     Ok(scan.best)
 }
 
-/// Carries a checkpoint error over, keeping its path for io and snapshot
+/// Carries a job error over, keeping its path for io and snapshot
 /// failures.
 fn harness_error(err: jobs::JobError) -> HarnessError {
     match err {
@@ -129,110 +59,41 @@ fn harness_error(err: jobs::JobError) -> HarnessError {
     }
 }
 
-/// Runs (or resumes) a fault-tolerant simulation, checkpointing into `dir`.
-pub fn run(cfg: &FaultRun, dir: &Path) -> Result<FaultRunReport, HarnessError> {
-    std::fs::create_dir_all(dir).map_err(|e| HarnessError::io(dir.display().to_string(), e))?;
-    let (start_step, mut set) = match latest_checkpoint(dir)? {
-        Some((step, snap)) => (step, snap.set),
-        None => (0, cfg.initial_set()),
-    };
-    let resumed_from = (start_step > 0).then_some(start_step);
-
-    let mut engine = cfg.engine(true);
-    // re-prime after restore: forces are a deterministic function of the
-    // restored positions, so this reproduces the pre-crash accelerations
-    // bit-exactly (and fills them on a fresh start)
-    prime(&mut set, &mut engine);
-
-    let mut checkpoints_written = 0;
-    let mut crashed = false;
-    let mut step = start_step;
-    while step < cfg.steps {
-        LeapfrogKdk.step(&mut set, &mut engine, cfg.dt);
-        step += 1;
-        if step % cfg.checkpoint_every == 0 || step == cfg.steps {
-            let label = format!("faults n={}", cfg.n);
-            save_checkpoint(dir, &label, step as f64 * cfg.dt, step, &set)
-                .map_err(harness_error)?;
-            checkpoints_written += 1;
-        }
-        if cfg.crash_after == Some(step) && step < cfg.steps {
-            crashed = true;
-            break;
-        }
-    }
-
-    let fault_counts =
-        engine.device().and_then(|d| d.fault_plan()).map(|p| p.counts()).unwrap_or_default();
-    Ok(FaultRunReport {
-        steps_completed: step,
-        resumed_from,
-        checkpoints_written,
-        crashed,
-        recovery_s: engine.simulated_recovery_seconds(),
-        simulated_total_s: engine.simulated_total_seconds(),
-        fault_counts,
-        final_set: set,
-    })
-}
-
-/// Fault-free reference trajectory for the same run (no checkpointing).
-pub fn reference(cfg: &FaultRun) -> ParticleSet {
-    let mut set = cfg.initial_set();
-    let mut engine = cfg.engine(false);
-    prime(&mut set, &mut engine);
-    for _ in 0..cfg.steps {
-        LeapfrogKdk.step(&mut set, &mut engine, cfg.dt);
-    }
-    set
-}
-
-/// The full demonstration the `faults` binary and CI smoke run: a faulty
-/// run that crashes mid-way, a resume that completes it, and a bit-exact
-/// check of the result against the fault-free reference. Returns the
-/// human-readable report; ends with `FAULTS OK` only if every invariant
-/// held.
-pub fn demo(cfg: &FaultRun, dir: &Path) -> Result<String, HarnessError> {
+/// The full demonstration the `faults` binary and CI smoke run: an attempt
+/// of `spec` that crashes half-way, a resumed attempt that completes it,
+/// and a bit-exact check of the result against the fault-free reference.
+/// Returns the human-readable report; ends with `FAULTS OK` only if every
+/// invariant held.
+pub fn demo(spec: &JobSpec, dir: &Path) -> Result<String, HarnessError> {
     // fresh checkpoint directory so stale state can't mask a failure
     if dir.exists() {
         std::fs::remove_dir_all(dir).map_err(|e| HarnessError::io(dir.display().to_string(), e))?;
     }
     let mut out = String::new();
-    let mut crash_cfg = cfg.clone();
-    crash_cfg.crash_after = Some(cfg.steps / 2);
-    let first = run(&crash_cfg, dir)?;
-    out.push_str(&format!(
-        "crashed run : {} of {} steps, {} checkpoint(s), {} fault(s) injected, recovery {:.3e} s\n",
-        first.steps_completed,
-        cfg.steps,
-        first.checkpoints_written,
-        first.fault_counts.total(),
-        first.recovery_s,
-    ));
-    if !first.crashed {
-        return Err(HarnessError::Verification("simulated crash did not trigger".into()));
+    let crash = RunOptions { crash_after: Some(spec.steps / 2), ..Default::default() };
+    match run_job(spec, dir, &crash).map_err(harness_error)? {
+        RunStatus::Crashed { at_step } => {
+            out.push_str(&format!("crashed run : at step {at_step} of {}\n", spec.steps));
+        }
+        _ => return Err(HarnessError::Verification("simulated crash did not trigger".into())),
     }
 
-    let second = run(cfg, dir)?;
+    let result: JobResult =
+        match run_job(spec, dir, &RunOptions::default()).map_err(harness_error)? {
+            RunStatus::Complete(result) => *result,
+            other => return Err(HarnessError::Verification(format!("resume ended as {other:?}"))),
+        };
     out.push_str(&format!(
         "resumed run : from step {}, completed {} steps, {} fault(s) injected, recovery {:.3e} s\n",
-        second.resumed_from.map_or_else(|| "-".into(), |s| s.to_string()),
-        second.steps_completed,
-        second.fault_counts.total(),
-        second.recovery_s,
+        result.resumed_from, result.steps, result.fault_total, result.recovery_s,
     ));
-    if second.resumed_from.is_none() {
+    if result.resumed_from == 0 {
         return Err(HarnessError::Verification("resume did not pick up a checkpoint".into()));
     }
-    if second.steps_completed != cfg.steps {
-        return Err(HarnessError::Verification(format!(
-            "resume stopped at step {} of {}",
-            second.steps_completed, cfg.steps
-        )));
-    }
 
-    let exact = reference(cfg);
-    if second.final_set.pos() != exact.pos() || second.final_set.vel() != exact.vel() {
+    let exact = reference_set(spec);
+    let recovered = &result.final_snapshot.set;
+    if recovered.pos() != exact.pos() || recovered.vel() != exact.vel() {
         return Err(HarnessError::Verification(
             "recovered trajectory diverged from the fault-free reference".into(),
         ));
@@ -240,7 +101,9 @@ pub fn demo(cfg: &FaultRun, dir: &Path) -> Result<String, HarnessError> {
     out.push_str(&format!(
         "verification: recovered trajectory is bit-exact vs fault-free reference \
          (N={}, {} steps, fault seed {})\n",
-        cfg.n, cfg.steps, cfg.fault_seed
+        spec.workload.n,
+        spec.steps,
+        spec.fault_seed.map_or_else(|| "none".into(), |s| s.to_string()),
     ));
     out.push_str("FAULTS OK\n");
     Ok(out)
@@ -252,49 +115,52 @@ mod tests {
     use jobs::checkpoint::checkpoint_path;
     use nbody_core::testutil::ScratchDir;
 
+    fn complete(status: RunStatus) -> JobResult {
+        match status {
+            RunStatus::Complete(result) => *result,
+            other => panic!("unexpected status {other:?}"),
+        }
+    }
+
     #[test]
     fn uninterrupted_faulty_run_matches_reference_bitexactly() {
-        let cfg = FaultRun::smoke(3);
+        let spec = smoke(3);
         let dir = ScratchDir::new("faults-plain");
-        let report = run(&cfg, &dir).unwrap();
-        assert!(!report.crashed);
-        assert_eq!(report.steps_completed, cfg.steps);
-        assert!(report.fault_counts.total() > 0, "seed 3 must inject something");
-        assert!(report.recovery_s > 0.0);
-        let exact = reference(&cfg);
-        assert_eq!(report.final_set.pos(), exact.pos());
-        assert_eq!(report.final_set.vel(), exact.vel());
+        let result = complete(run_job(&spec, &dir, &RunOptions::default()).unwrap());
+        assert_eq!(result.steps, spec.steps);
+        assert!(result.fault_total > 0, "seed 3 must inject something");
+        assert!(result.recovery_s > 0.0);
+        let exact = reference_set(&spec);
+        assert_eq!(result.final_snapshot.set.pos(), exact.pos());
+        assert_eq!(result.final_snapshot.set.vel(), exact.vel());
     }
 
     #[test]
     fn crash_then_resume_completes_bitexactly() {
-        let cfg = FaultRun::smoke(5);
         let dir = ScratchDir::new("faults-crash-resume");
-        let text = demo(&cfg, &dir).unwrap();
+        let text = demo(&smoke(5), &dir).unwrap();
         assert!(text.ends_with("FAULTS OK\n"), "{text}");
         assert!(text.contains("bit-exact"));
     }
 
     #[test]
     fn resume_skips_corrupt_checkpoint() {
-        let cfg = FaultRun::smoke(7);
+        let spec = smoke(7);
         let dir = ScratchDir::new("faults-corrupt");
-        let mut crash_cfg = cfg.clone();
         // crash after the second checkpoint (steps 4 and 8) so an older
         // one is still there once the newest is corrupted
-        crash_cfg.crash_after = Some(9);
-        let first = run(&crash_cfg, &dir).unwrap();
-        assert!(first.crashed);
+        let crash = RunOptions { crash_after: Some(9), ..Default::default() };
+        assert!(matches!(run_job(&spec, &dir, &crash).unwrap(), RunStatus::Crashed { .. }));
         // truncate the newest checkpoint, as a crash mid-write would
         let (step, _) = latest_checkpoint(&dir).unwrap().unwrap();
         let newest = checkpoint_path(&dir, step);
         std::fs::write(&newest, "{truncated").unwrap();
         let (fallback, _) = latest_checkpoint(&dir).unwrap().expect("older checkpoint survives");
         assert!(fallback < step);
-        let second = run(&cfg, &dir).unwrap();
-        assert_eq!(second.resumed_from, Some(fallback));
-        let exact = reference(&cfg);
-        assert_eq!(second.final_set.pos(), exact.pos());
+        let result = complete(run_job(&spec, &dir, &RunOptions::default()).unwrap());
+        assert_eq!(result.resumed_from, fallback);
+        let exact = reference_set(&spec);
+        assert_eq!(result.final_snapshot.set.pos(), exact.pos());
     }
 
     #[test]
@@ -304,10 +170,9 @@ mod tests {
 
     #[test]
     fn latest_checkpoint_survives_crash_litter() {
-        let cfg = FaultRun::smoke(13);
+        let spec = smoke(13);
         let dir = ScratchDir::new("faults-litter");
-        let report = run(&cfg, &dir).unwrap();
-        assert!(!report.crashed);
+        complete(run_job(&spec, &dir, &RunOptions::default()).unwrap());
         let (step, _) = latest_checkpoint(&dir).unwrap().unwrap();
         // litter the directory the way assorted crashes would
         std::fs::write(dir.join(format!("ckpt-{:05}.json", step + 1)), "").unwrap();
@@ -321,14 +186,14 @@ mod tests {
 
     #[test]
     fn fault_schedule_is_seed_deterministic() {
-        let cfg = FaultRun::smoke(11);
+        let spec = smoke(11);
         let a_dir = ScratchDir::new("faults-det-a");
         let b_dir = ScratchDir::new("faults-det-b");
-        let a = run(&cfg, &a_dir).unwrap();
-        let b = run(&cfg, &b_dir).unwrap();
-        assert_eq!(a.fault_counts.total(), b.fault_counts.total());
+        let a = complete(run_job(&spec, &a_dir, &RunOptions::default()).unwrap());
+        let b = complete(run_job(&spec, &b_dir, &RunOptions::default()).unwrap());
+        assert_eq!(a.fault_total, b.fault_total);
         assert_eq!(a.recovery_s, b.recovery_s);
         assert_eq!(a.simulated_total_s, b.simulated_total_s);
-        assert_eq!(a.final_set.pos(), b.final_set.pos());
+        assert_eq!(a.final_snapshot.set.pos(), b.final_snapshot.set.pos());
     }
 }

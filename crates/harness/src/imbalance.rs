@@ -63,8 +63,8 @@ pub fn imbalance_experiment(n: usize, seed: u64) -> Vec<ImbalanceRow> {
                 DeviceSpec::radeon_hd_5850(),
                 TransferModel::pcie2_x16(),
             );
-            let w = WParallel::new(cfg).evaluate(&mut dev, &set, &params);
-            let jw = JwParallel::new(cfg).evaluate(&mut dev, &set, &params);
+            let w = plans::evaluate(PlanKind::WParallel, &cfg, &mut dev, &set, &params);
+            let jw = plans::evaluate(PlanKind::JwParallel, &cfg, &mut dev, &set, &params);
             ImbalanceRow {
                 workload: label,
                 n,

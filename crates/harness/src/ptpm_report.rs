@@ -103,8 +103,7 @@ pub fn ptpm_report(runner: &mut Runner) -> Vec<PtpmRow> {
         let lens: Vec<usize> = walks.groups.iter().map(|g| g.list_len()).collect();
         let total: usize = lens.iter().sum();
         let slice = cfg.jw_slice_len_for(total, &spec);
-        let j_plan = JParallel::new(cfg);
-        let slices = j_plan.slices_for(n, &spec);
+        let slices = cfg.j_slices_for(n, &spec);
 
         for kind in PlanKind::all() {
             let forecast = match kind {

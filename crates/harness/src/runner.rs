@@ -4,7 +4,6 @@
 use crate::config::ExperimentConfig;
 use gpu_sim::trace::{MemoryTraceSink, Trace};
 use nbody_core::body::ParticleSet;
-use plans::make_plan;
 use plans::prelude::*;
 use std::collections::HashMap;
 
@@ -122,8 +121,7 @@ impl Runner {
         let mut device = cfg.device();
         let sink = MemoryTraceSink::new();
         device.set_trace_sink(Box::new(sink.clone()));
-        let plan = make_plan(kind, cfg.plan);
-        let outcome = plan.evaluate(&mut device, set, &cfg.gravity);
+        let outcome = plans::evaluate(kind, &cfg.plan, &mut device, set, &cfg.gravity);
         self.outcomes.entry((kind, n)).or_insert(outcome);
         let trace = sink.snapshot();
         self.traces.insert((kind, n), trace.clone());

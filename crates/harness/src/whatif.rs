@@ -11,7 +11,6 @@
 use crate::table::{fmt_seconds, TextTable};
 use gpu_sim::prelude::*;
 use nbody_core::gravity::GravityParams;
-use plans::make_plan;
 use plans::prelude::*;
 use serde::{Deserialize, Serialize};
 use workloads::prelude::{plummer, PlummerParams};
@@ -56,8 +55,8 @@ pub fn whatif(n: usize, seed: u64) -> Vec<WhatIfRow> {
             let mut kernel_s = [0.0_f64; 4];
             for (k, kind) in PlanKind::all().into_iter().enumerate() {
                 let mut dev = Device::with_transfer_model(spec.clone(), TransferModel::pcie2_x16());
-                let plan = make_plan(kind, PlanConfig::default());
-                kernel_s[k] = plan.evaluate(&mut dev, &set, &params).kernel_s;
+                let config = PlanConfig::default();
+                kernel_s[k] = plans::evaluate(kind, &config, &mut dev, &set, &params).kernel_s;
             }
             WhatIfRow { device: spec.name.clone(), cus: spec.compute_units, n, kernel_s }
         })

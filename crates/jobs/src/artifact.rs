@@ -65,44 +65,23 @@ pub struct BenchRecord {
     pub plan_source: Option<String>,
 }
 
-/// Captures one traced force evaluation of the job's plan: a fresh traced
-/// device primes the initial set once. Deterministic for a fixed spec.
+/// Captures one traced force evaluation of the job's plan: the job's own
+/// engine ([`crate::runner`] builds it, fault plan included) primes the
+/// initial set once with a [`MemoryTraceSink`] on its device. Deterministic
+/// for a fixed spec.
 ///
 /// Trace contract (DESIGN.md §11): only the sim backend owns a device, so
 /// jobs pinned to the host or f32 backend get an *empty* trace — the
 /// `trace.csv` artifact is then just the header.
 fn traced_evaluation(spec: &crate::spec::JobSpec) -> Trace {
-    use gpu_sim::prelude::{Device, DeviceSpec, FaultPlan, TransferModel};
-    use nbody_core::gravity::GravityParams;
-    use nbody_core::integrator::prime;
-    use plans::engine::PlanForceEngine;
-    use plans::make_plan;
-    use plans::prelude::{BackendKind, PlanConfig};
-
-    if spec.backend_kind() != BackendKind::Sim {
+    let mut engine = crate::runner::engine(spec, true);
+    let Some(device) = engine.device_mut() else {
         return Trace::default();
-    }
-
+    };
     let sink = MemoryTraceSink::new();
-    let mut device =
-        Device::with_transfer_model(DeviceSpec::radeon_hd_5850(), TransferModel::pcie2_x16());
     device.set_trace_sink(Box::new(sink.clone()));
-    if let Some((seed, cfg)) = spec.fault_config() {
-        device.set_fault_plan(FaultPlan::new(seed, cfg));
-    }
-    let mut config = PlanConfig::default();
-    if let Some(tile) = spec.tile {
-        config.block_size = tile;
-        config.walk_size = tile;
-    }
-    let mut engine = PlanForceEngine::new(
-        device,
-        make_plan(spec.plan, config),
-        GravityParams { g: 1.0, softening: 0.05 },
-    );
-    let mut set = spec.workload.generate();
-    set.recenter();
-    prime(&mut set, &mut engine);
+    let mut set = crate::runner::initial_set(spec);
+    nbody_core::integrator::prime(&mut set, &mut engine);
     sink.snapshot()
 }
 
@@ -251,6 +230,28 @@ mod tests {
             std::fs::read_to_string(&set2.trace_csv).unwrap()
         };
         assert_eq!(csv, csv2);
+    }
+
+    #[test]
+    fn sharded_spec_runs_the_shard_loop_bit_exactly() {
+        let mut spec = JobSpec::new(WorkloadSpec::plummer(1024, 11), PlanKind::JwParallel, 2);
+        spec.shards = Some(3);
+        let scratch = ScratchDir::new("artifact-sharded");
+        let dir: &Path = &scratch;
+        let result = match run_job(&spec, dir, &RunOptions::default()).unwrap() {
+            RunStatus::Complete(result) => *result,
+            other => panic!("unexpected status {other:?}"),
+        };
+        let set = write_artifacts(&result, dir, &crate::fsx::RealFs).unwrap();
+        let csv = std::fs::read_to_string(&set.trace_csv).unwrap();
+        let evals = csv.lines().filter(|l| l.starts_with("marker,,jw-parallel: force-eval,"));
+        assert_eq!(evals.count(), 3, "one force-eval marker per shard:\n{csv}");
+
+        let unsharded = JobSpec { shards: None, ..spec.clone() };
+        assert_eq!(spec.hash_hex(), unsharded.hash_hex(), "shards are not hashed");
+        let reference = crate::runner::reference_set(&unsharded);
+        assert_eq!(result.final_snapshot.set.pos(), reference.pos());
+        assert_eq!(result.final_snapshot.set.vel(), reference.vel());
     }
 
     #[test]

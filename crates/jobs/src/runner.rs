@@ -24,12 +24,12 @@ use crate::checkpoint::{save_checkpoint_with, scan};
 use crate::error::JobError;
 use crate::fsx::{real_fs, SpoolFs};
 use crate::spec::JobSpec;
-use gpu_sim::prelude::{Device, DeviceSpec, FaultPlan, TransferModel};
+use gpu_sim::prelude::FaultPlan;
 use nbody_core::body::ParticleSet;
 use nbody_core::gravity::GravityParams;
 use nbody_core::integrator::{prime, Integrator, LeapfrogKdk};
 use plans::engine::PlanForceEngine;
-use plans::prelude::{make_backend, Backend, BackendKind, PlanConfig, SimBackend};
+use plans::prelude::{default_device, make_backend, Backend, BackendKind, PlanConfig, SimBackend};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -93,7 +93,7 @@ pub enum RunStatus {
 
 /// The initial particle set of a spec, recentered like every driver in this
 /// repo does before integrating.
-fn initial_set(spec: &JobSpec) -> ParticleSet {
+pub(crate) fn initial_set(spec: &JobSpec) -> ParticleSet {
     let mut set = spec.workload.generate();
     set.recenter();
     set
@@ -110,20 +110,26 @@ fn plan_config(spec: &JobSpec) -> PlanConfig {
         config.block_size = tile;
         config.walk_size = tile;
     }
+    // the out-of-core knobs are bit-exact at any setting (DESIGN.md §14), so
+    // they pick the execution path without entering the canonical hash
+    config.shards = spec.shards;
+    config.mem_budget_bytes = spec.mem_budget_bytes;
+    config.device_tree = spec.device_tree;
     config
 }
 
-fn engine(spec: &JobSpec, with_faults: bool) -> PlanForceEngine {
+/// The one place a spec becomes an engine: its plan on its backend with
+/// the spec's tunables, and — when `with_faults` — the spec's fault plan
+/// on the sim device. Attempts, reference runs and the traced evaluation
+/// behind `trace.csv` all build their engine here.
+pub(crate) fn engine(spec: &JobSpec, with_faults: bool) -> PlanForceEngine {
     let config = plan_config(spec);
     let params = GravityParams { g: 1.0, softening: 0.05 };
     let backend: Box<dyn Backend> = match spec.backend_kind() {
         // admission guarantees fault injection only reaches the sim
-        // backend, but build the device here anyway so the plan can carry it
+        // backend, the one with a device to carry it
         BackendKind::Sim => {
-            let mut device = Device::with_transfer_model(
-                DeviceSpec::radeon_hd_5850(),
-                TransferModel::pcie2_x16(),
-            );
+            let mut device = default_device();
             if with_faults {
                 if let Some((seed, cfg)) = spec.fault_config() {
                     device.set_fault_plan(FaultPlan::new(seed, cfg));

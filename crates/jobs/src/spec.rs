@@ -105,20 +105,24 @@ pub struct JobSpec {
     /// are concrete — an auto-resolved job and the identical pinned job
     /// share one cache entry, which is exactly the §13 invariant.
     pub plan_source: Option<String>,
-    /// Morton shard count for out-of-core tree execution. Sharding is
+    /// Morton shard count for out-of-core tree execution; the runner passes
+    /// it on as [`plans::common::PlanConfig::shards`]. Sharding is
     /// bit-exact at any count (DESIGN.md §14), so this is a scheduling
     /// knob, *not* hashed — a sharded and an unsharded submission of the
     /// same job share one cached result.
     #[serde(default)]
     pub shards: Option<usize>,
     /// Device-memory budget in bytes for out-of-core tree execution; the
-    /// runner derives the shard count from it. Bit-exact like `shards`,
-    /// therefore also excluded from the canonical hash.
+    /// runner passes it on as [`plans::common::PlanConfig::mem_budget_bytes`],
+    /// from which the shard policy derives the count. Bit-exact like
+    /// `shards`, therefore also excluded from the canonical hash.
     #[serde(default)]
     pub mem_budget_bytes: Option<usize>,
-    /// Build the octree and interaction lists on the device (the PR-10 tree
-    /// pipeline). The device tree is byte-identical to the host build and
-    /// its forces bitwise-equal, so this too is excluded from the hash.
+    /// Build the octree and interaction lists on the device (the tree
+    /// pipeline; the runner passes it on as
+    /// [`plans::common::PlanConfig::device_tree`]). The device tree is
+    /// byte-identical to the host build and its forces bitwise-equal, so
+    /// this too is excluded from the hash.
     #[serde(default)]
     pub device_tree: bool,
 }

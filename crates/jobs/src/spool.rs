@@ -137,30 +137,39 @@ impl Spool {
         Self::open_with(root, real_fs())
     }
 
-    /// Opens the spool at `root` with every mutation routed through `fs`,
-    /// and repairs any crash litter: stale `.tmp` files are deleted
-    /// recursively across the whole tree (state dirs, cache, per-job
-    /// work/artifact dirs), duplicate records are resolved by state
-    /// precedence, and jobs a dead server left in `running/` are re-queued.
-    pub fn open_with(
-        root: impl Into<PathBuf>,
-        fs: Arc<dyn SpoolFs>,
-    ) -> Result<(Self, SpoolRecovery), JobError> {
-        let spool = Spool { root: root.into(), fs };
-        let mut recovery = SpoolRecovery::default();
-        for state in JobState::all() {
-            let dir = spool.dir(state);
+    /// Attaches to the spool at `root` on the production filesystem without
+    /// running crash recovery: creates any missing state directories and
+    /// touches nothing else. The client entry point (`submit`): a live
+    /// server may own `running/` records and `.tmp` files that are about to
+    /// be renamed, which [`Spool::open`] would requeue and delete.
+    pub fn attach(root: impl Into<PathBuf>) -> Result<Self, JobError> {
+        Self::attach_with(root.into(), real_fs())
+    }
+
+    fn attach_with(root: PathBuf, fs: Arc<dyn SpoolFs>) -> Result<Self, JobError> {
+        let spool = Spool { root, fs };
+        let state_dirs = JobState::all().into_iter().map(|state| spool.dir(state));
+        for dir in state_dirs.chain([spool.cache_dir(), spool.jobs_dir()]) {
             spool
                 .fs
                 .create_dir_all(&dir)
                 .map_err(|e| JobError::io(dir.display().to_string(), e))?;
         }
-        for extra in [spool.cache_dir(), spool.jobs_dir()] {
-            spool
-                .fs
-                .create_dir_all(&extra)
-                .map_err(|e| JobError::io(extra.display().to_string(), e))?;
-        }
+        Ok(spool)
+    }
+
+    /// Opens the spool at `root` with every mutation routed through `fs`,
+    /// and repairs any crash litter: stale `.tmp` files are deleted
+    /// recursively across the whole tree (state dirs, cache, per-job
+    /// work/artifact dirs), duplicate records are resolved by state
+    /// precedence, and jobs a dead server left in `running/` are re-queued.
+    /// Only a server may call it: see [`Spool::attach`].
+    pub fn open_with(
+        root: impl Into<PathBuf>,
+        fs: Arc<dyn SpoolFs>,
+    ) -> Result<(Self, SpoolRecovery), JobError> {
+        let spool = Self::attach_with(root.into(), fs)?;
+        let mut recovery = SpoolRecovery::default();
         // one recursive sweep covers everything: state dirs, the cache, and
         // every per-job work directory however deep its artifacts nest
         recovery.tmp_cleaned +=
@@ -443,6 +452,30 @@ mod tests {
         let listed = spool2.list(JobState::Submitted).unwrap();
         assert_eq!(listed[0].id, a.id);
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn attach_and_submit_leave_a_live_servers_state_alone() {
+        let scratch = ScratchDir::new("spool");
+        let root = scratch.join("attach");
+        let (server, _) = Spool::open(&root).unwrap();
+        let claimed = server.submit(&spec(32, 1)).unwrap();
+        server.transition(&claimed, JobState::Submitted, JobState::Running).unwrap();
+        // a write the server has not renamed into place yet
+        let tmp = server.job_dir(&claimed.hash_hex).join("ckpt-00002.snap.tmp");
+        std::fs::create_dir_all(tmp.parent().unwrap()).unwrap();
+        std::fs::write(&tmp, "in flight").unwrap();
+
+        let client = Spool::attach(&root).unwrap();
+        client.submit(&spec(32, 2)).unwrap();
+        assert_eq!(client.count(JobState::Running), 1, "attach requeued a claimed job");
+        assert!(tmp.exists(), "attach swept an in-flight .tmp file");
+        assert_eq!(client.count(JobState::Submitted), 1);
+
+        // a server restart is what recovers them
+        let (_, recovery) = Spool::open(&root).unwrap();
+        assert_eq!(recovery.requeued, 1);
+        assert!(!tmp.exists());
     }
 
     #[test]

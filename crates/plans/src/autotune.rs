@@ -32,7 +32,6 @@
 
 use crate::common::{PlanConfig, PlanKind};
 use crate::j_parallel::auto_j_slices;
-use crate::make_plan;
 use crate::tree_pipeline::predict_pipeline_shape;
 use gpu_sim::prelude::{Device, DeviceSpec, TransferModel};
 use nbody_core::body::ParticleSet;
@@ -364,7 +363,7 @@ pub fn measure(
         .iter()
         .map(|c| {
             let mut device = Device::with_transfer_model(spec.clone(), TransferModel::pcie2_x16());
-            let outcome = make_plan(c.kind, c.config).evaluate(&mut device, set, params);
+            let outcome = crate::evaluate(c.kind, &c.config, &mut device, set, params);
             let seconds = match objective {
                 TuneObjective::KernelTime => outcome.kernel_s,
                 TuneObjective::TotalTime => outcome.total_seconds(),
@@ -384,7 +383,7 @@ pub fn evaluate_forces(
     params: &GravityParams,
 ) -> Vec<Vec3> {
     let mut device = Device::with_transfer_model(spec.clone(), TransferModel::pcie2_x16());
-    make_plan(c.kind, c.config).evaluate(&mut device, set, params).acc
+    crate::evaluate(c.kind, &c.config, &mut device, set, params).acc
 }
 
 /// Verifies the replay invariant on a candidate: two independent

@@ -188,8 +188,8 @@ pub fn default_device() -> Device {
 // Sim
 // ---------------------------------------------------------------------------
 
-/// The simulated-device backend: dispatches each evaluation to the plan's
-/// device kernels exactly as before the trait existed.
+/// The simulated-device backend: runs each evaluation through
+/// [`crate::evaluate`] on its device.
 pub struct SimBackend {
     device: Device,
     config: PlanConfig,
@@ -214,7 +214,7 @@ impl Backend for SimBackend {
         set: &ParticleSet,
         params: &GravityParams,
     ) -> PlanOutcome {
-        crate::make_plan(plan, self.config).evaluate(&mut self.device, set, params)
+        crate::evaluate(plan, &self.config, &mut self.device, set, params)
     }
 
     fn device(&self) -> Option<&Device> {

@@ -1,9 +1,11 @@
 //! Shared infrastructure of the four execution plans.
 //!
-//! A plan ([`ExecutionPlan`]) is a host program: it packs particle data into
-//! device buffers, launches kernels on the simulated GPU, and collects a
-//! [`PlanOutcome`] splitting time into the components the paper's tables
-//! report — host tree/walk work, kernel time, transfer time.
+//! A plan is a host program, run on a device by [`crate::evaluate`]: it
+//! packs particle data into device buffers, launches kernels on the
+//! simulated GPU, and collects a [`PlanOutcome`] splitting time into the
+//! components the paper's tables report — host tree/walk work, kernel time,
+//! transfer time. [`PlanKind`] names the plan and [`PlanConfig`] holds its
+//! tunables.
 //!
 //! All device kernels share the same single-precision interaction
 //! ([`lanes_interact_tile_f32`]): the softened monopole of Eq. (1)/(3),
@@ -14,7 +16,6 @@
 use gpu_sim::prelude::*;
 use nbody_core::body::ParticleSet;
 use nbody_core::flops::FlopConvention;
-use nbody_core::gravity::GravityParams;
 use nbody_core::vec3::Vec3;
 use serde::{Deserialize, Serialize};
 
@@ -168,6 +169,14 @@ impl PlanConfig {
         2 * spec.compute_units as usize * 6
     }
 
+    /// The j-parallel slice count for `n` bodies on `spec`: the explicit
+    /// [`PlanConfig::j_slices`], else [`crate::j_parallel::auto_j_slices`].
+    pub fn j_slices_for(&self, n: usize, spec: &DeviceSpec) -> usize {
+        let p = self.block_size;
+        let n_padded = n.div_ceil(p).max(1) * p;
+        self.j_slices.unwrap_or_else(|| crate::j_parallel::auto_j_slices(n_padded, p, spec))
+    }
+
     /// The jw-parallel slice length for `total_entries` list entries on
     /// `spec`: the explicit [`PlanConfig::jw_slice_len`], else
     /// [`crate::jw_parallel::auto_slice_len`].
@@ -301,33 +310,6 @@ impl PlanOutcome {
     pub fn gflops(&self, convention: FlopConvention) -> f64 {
         nbody_core::flops::gflops(self.interactions, convention, self.kernel_s)
     }
-}
-
-/// A force-evaluation strategy on the simulated device.
-pub trait ExecutionPlan {
-    /// Which of the paper's four plans this is.
-    fn kind(&self) -> PlanKind;
-
-    /// Plan name (the kind id unless specialized).
-    fn name(&self) -> &'static str {
-        self.kind().id()
-    }
-
-    /// The tunables this plan was instantiated with — lets a
-    /// [`crate::backend::Backend`] be built from a boxed plan.
-    fn config(&self) -> &PlanConfig;
-
-    /// Evaluates accelerations for `set` on `device`.
-    ///
-    /// Implementations must call [`Device::begin_evaluation`] on entry, so
-    /// the outcome (clocks, launches, peak device bytes) reflects exactly
-    /// one evaluation.
-    fn evaluate(
-        &self,
-        device: &mut Device,
-        set: &ParticleSet,
-        params: &GravityParams,
-    ) -> PlanOutcome;
 }
 
 /// Lanes of one register block of [`lanes_interact_tile_f32`]: their

@@ -8,8 +8,8 @@
 //! splits afterwards. On backends without a simulated clock (host, f32)
 //! those accumulators simply stay zero.
 
-use crate::backend::{Backend, BackendKind, SimBackend};
-use crate::common::{ExecutionPlan, PlanKind, PlanOutcome};
+use crate::backend::{Backend, BackendKind};
+use crate::common::{PlanKind, PlanOutcome};
 use gpu_sim::device::Device;
 use nbody_core::body::ParticleSet;
 use nbody_core::gravity::GravityParams;
@@ -29,14 +29,8 @@ pub struct PlanForceEngine {
 }
 
 impl PlanForceEngine {
-    /// Creates a sim-backed engine from a device, plan, and gravity model —
-    /// the historical constructor, equivalent to wrapping `device` in a
-    /// [`SimBackend`] with the plan's configuration.
-    pub fn new(device: Device, plan: Box<dyn ExecutionPlan>, params: GravityParams) -> Self {
-        Self::with_backend(Box::new(SimBackend::new(device, *plan.config())), plan.kind(), params)
-    }
-
-    /// Creates an engine on an arbitrary backend.
+    /// Creates an engine running `plan` on `backend` (a sim device goes in
+    /// as a [`crate::backend::SimBackend`]).
     pub fn with_backend(backend: Box<dyn Backend>, plan: PlanKind, params: GravityParams) -> Self {
         Self {
             backend,
@@ -129,20 +123,16 @@ impl ForceEngine for PlanForceEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::make_backend;
+    use crate::backend::{default_device, make_backend, SimBackend};
     use crate::common::{PlanConfig, PlanKind};
-    use crate::make_plan;
-    use gpu_sim::prelude::{DeviceSpec, TransferModel};
     use nbody_core::energy::total_energy;
     use nbody_core::integrator::{run, LeapfrogKdk};
     use nbody_core::testutil::random_set;
 
     fn engine(kind: PlanKind) -> PlanForceEngine {
-        let device =
-            Device::with_transfer_model(DeviceSpec::radeon_hd_5850(), TransferModel::pcie2_x16());
-        PlanForceEngine::new(
-            device,
-            make_plan(kind, PlanConfig::default()),
+        PlanForceEngine::with_backend(
+            Box::new(SimBackend::new(default_device(), PlanConfig::default())),
+            kind,
             GravityParams { g: 1.0, softening: 0.05 },
         )
     }

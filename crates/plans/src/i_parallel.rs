@@ -7,9 +7,7 @@
 //! is the plan's weakness: at N = 1024 and p = 256 only 4 blocks exist to
 //! feed 18 compute units.
 
-use crate::common::{
-    download_acc, force_eval_lanes, ExecutionPlan, ForceLane, PlanConfig, PlanKind, PlanOutcome,
-};
+use crate::common::{download_acc, force_eval_lanes, ForceLane, PlanConfig, PlanOutcome};
 use gpu_sim::prelude::*;
 use nbody_core::body::ParticleSet;
 use nbody_core::gravity::GravityParams;
@@ -115,20 +113,6 @@ impl Kernel for IParallelKernel {
     }
 }
 
-/// The i-parallel execution plan.
-#[derive(Debug, Clone, Default)]
-pub struct IParallel {
-    /// Tunables (block size).
-    pub config: PlanConfig,
-}
-
-impl IParallel {
-    /// Creates the plan with the given configuration.
-    pub fn new(config: PlanConfig) -> Self {
-        Self { config }
-    }
-}
-
 /// Packs a particle set into padded float4 data (padding entries are all
 /// zero, so their mass is zero and they exert no force).
 pub(crate) fn packed_padded(set: &ParticleSet, n_padded: usize) -> Vec<f32> {
@@ -137,66 +121,51 @@ pub(crate) fn packed_padded(set: &ParticleSet, n_padded: usize) -> Vec<f32> {
     packed
 }
 
-impl ExecutionPlan for IParallel {
-    fn kind(&self) -> PlanKind {
-        PlanKind::IParallel
-    }
+/// The i-parallel host program: packs the padded bodies, launches
+/// [`IParallelKernel`] with `⌈N/p⌉` blocks and downloads the forces. Reached
+/// through [`crate::evaluate`].
+pub fn evaluate(
+    config: &PlanConfig,
+    device: &mut Device,
+    set: &ParticleSet,
+    params: &GravityParams,
+) -> PlanOutcome {
+    assert!(params.softening > 0.0, "device plans require softening > 0");
+    config.validate(device.spec()).expect("invalid plan config");
+    device.begin_evaluation();
 
-    fn config(&self) -> &PlanConfig {
-        &self.config
-    }
+    let n = set.len();
+    let p = config.block_size;
+    let n_padded = n.div_ceil(p).max(1) * p;
 
-    fn evaluate(
-        &self,
-        device: &mut Device,
-        set: &ParticleSet,
-        params: &GravityParams,
-    ) -> PlanOutcome {
-        assert!(params.softening > 0.0, "device plans require softening > 0");
-        self.config.validate(device.spec()).expect("invalid plan config");
-        device.begin_evaluation();
+    let packed = packed_padded(set, n_padded);
+    device.annotate("i-parallel: upload");
+    let pos_mass = device.alloc_f32(packed.len());
+    crate::recover::upload_f32_with_recovery(device, pos_mass, &packed);
+    let acc_out = device.alloc_f32(n * 4);
 
-        let n = set.len();
-        let p = self.config.block_size;
-        let n_padded = n.div_ceil(p).max(1) * p;
+    let kernel = IParallelKernel {
+        pos_mass,
+        acc_out,
+        n,
+        n_padded,
+        block: p,
+        eps_sq: (params.eps_sq()) as f32,
+    };
+    device.annotate("i-parallel: force-eval");
+    crate::recover::launch_with_recovery(device, &kernel, NdRange { global: n_padded, local: p });
+    device.annotate("i-parallel: download");
+    let acc = download_acc(device, acc_out, n, params.g);
 
-        let packed = packed_padded(set, n_padded);
-        device.annotate("i-parallel: upload");
-        let pos_mass = device.alloc_f32(packed.len());
-        crate::recover::upload_f32_with_recovery(device, pos_mass, &packed);
-        let acc_out = device.alloc_f32(n * 4);
-
-        let kernel = IParallelKernel {
-            pos_mass,
-            acc_out,
-            n,
-            n_padded,
-            block: p,
-            eps_sq: (params.eps_sq()) as f32,
-        };
-        device.annotate("i-parallel: force-eval");
-        crate::recover::launch_with_recovery(
-            device,
-            &kernel,
-            NdRange { global: n_padded, local: p },
-        );
-        device.annotate("i-parallel: download");
-        let acc = download_acc(device, acc_out, n, params.g);
-
-        PlanOutcome {
-            acc,
-            interactions: (n as u64) * (n as u64),
-            host_tree_s: 0.0,
-            host_walk_s: 0.0,
-            host_measured_s: 0.0,
-            kernel_s: device.kernel_seconds(),
-            transfer_s: device.transfer_seconds(),
-            recovery_s: device.stall_seconds(),
-            launches: device.launches().len(),
-            overlap_walk_with_kernel: false,
-            peak_device_bytes: device.debug_pool().peak_bytes(),
-            ..PlanOutcome::empty()
-        }
+    PlanOutcome {
+        acc,
+        interactions: (n as u64) * (n as u64),
+        kernel_s: device.kernel_seconds(),
+        transfer_s: device.transfer_seconds(),
+        recovery_s: device.stall_seconds(),
+        launches: device.launches().len(),
+        peak_device_bytes: device.debug_pool().peak_bytes(),
+        ..PlanOutcome::empty()
     }
 }
 
@@ -216,7 +185,7 @@ mod tests {
         let set = random_set(300, 1);
         let params = GravityParams { g: 1.0, softening: 0.05 };
         let mut dev = device();
-        let outcome = IParallel::default().evaluate(&mut dev, &set, &params);
+        let outcome = evaluate(&PlanConfig::default(), &mut dev, &set, &params);
         let mut exact = vec![Vec3::ZERO; set.len()];
         accelerations_pp(&set, &params, &mut exact);
         let err = max_relative_error(&exact, &outcome.acc);
@@ -229,8 +198,8 @@ mod tests {
         let params = GravityParams { g: 4.0, softening: 0.05 };
         let unit = GravityParams { g: 1.0, softening: 0.05 };
         let mut dev = device();
-        let a4 = IParallel::default().evaluate(&mut dev, &set, &params);
-        let a1 = IParallel::default().evaluate(&mut dev, &set, &unit);
+        let a4 = evaluate(&PlanConfig::default(), &mut dev, &set, &params);
+        let a1 = evaluate(&PlanConfig::default(), &mut dev, &set, &unit);
         for (x, y) in a4.acc.iter().zip(&a1.acc) {
             assert!((*x - *y * 4.0).norm() < 1e-9 * x.norm().max(1.0));
         }
@@ -241,7 +210,7 @@ mod tests {
         let set = random_set(1000, 3);
         let params = GravityParams { g: 1.0, softening: 0.05 };
         let mut dev = device();
-        let outcome = IParallel::default().evaluate(&mut dev, &set, &params);
+        let outcome = evaluate(&PlanConfig::default(), &mut dev, &set, &params);
         assert_eq!(outcome.launches, 1);
         // 1000 bodies, p=256 -> 4 blocks
         assert_eq!(dev.launches()[0].timing.num_groups, 4);
@@ -252,7 +221,7 @@ mod tests {
     fn small_n_underutilizes_device() {
         let params = GravityParams { g: 1.0, softening: 0.05 };
         let mut dev = device();
-        let small = IParallel::default().evaluate(&mut dev, &random_set(512, 4), &params);
+        let small = evaluate(&PlanConfig::default(), &mut dev, &random_set(512, 4), &params);
         // 2 blocks on 18 CUs: utilization must be terrible
         let util = dev.launches()[0].timing.utilization;
         assert!(util < 0.2, "utilization {util}");
@@ -264,8 +233,8 @@ mod tests {
         let params = GravityParams { g: 1.0, softening: 0.05 };
         let conv = nbody_core::flops::FlopConvention::Grape38;
         let mut dev = device();
-        let small = IParallel::default().evaluate(&mut dev, &random_set(512, 5), &params);
-        let large = IParallel::default().evaluate(&mut dev, &random_set(8192, 5), &params);
+        let small = evaluate(&PlanConfig::default(), &mut dev, &random_set(512, 5), &params);
+        let large = evaluate(&PlanConfig::default(), &mut dev, &random_set(8192, 5), &params);
         assert!(
             large.gflops(conv) > 2.0 * small.gflops(conv),
             "large {} vs small {}",
@@ -280,7 +249,7 @@ mod tests {
         let set = random_set(130, 6);
         let params = GravityParams { g: 1.0, softening: 0.05 };
         let mut dev = device();
-        let outcome = IParallel::default().evaluate(&mut dev, &set, &params);
+        let outcome = evaluate(&PlanConfig::default(), &mut dev, &set, &params);
         let mut exact = vec![Vec3::ZERO; set.len()];
         accelerations_pp(&set, &params, &mut exact);
         assert!(max_relative_error(&exact, &outcome.acc) < 1e-3);
@@ -293,7 +262,7 @@ mod tests {
         let set = random_set(16, 7);
         let params = GravityParams { g: 1.0, softening: 0.0 };
         let mut dev = device();
-        IParallel::default().evaluate(&mut dev, &set, &params);
+        evaluate(&PlanConfig::default(), &mut dev, &set, &params);
     }
 
     #[test]
@@ -301,7 +270,7 @@ mod tests {
         let set = random_set(4096, 8);
         let params = GravityParams { g: 1.0, softening: 0.05 };
         let mut dev = device();
-        let outcome = IParallel::default().evaluate(&mut dev, &set, &params);
+        let outcome = evaluate(&PlanConfig::default(), &mut dev, &set, &params);
         assert!(outcome.transfer_s > 0.0);
         assert!(outcome.total_seconds() >= outcome.kernel_seconds() + outcome.transfer_s);
     }

@@ -6,9 +6,7 @@
 //! N, which is exactly when i-parallel starves. The price is a partial-force
 //! buffer of `S × N` float4s and a second reduction kernel.
 
-use crate::common::{
-    download_acc, force_eval_lanes, ExecutionPlan, ForceLane, PlanConfig, PlanKind, PlanOutcome,
-};
+use crate::common::{download_acc, force_eval_lanes, ForceLane, PlanConfig, PlanOutcome};
 use crate::i_parallel::packed_padded;
 use gpu_sim::prelude::*;
 use nbody_core::body::ParticleSet;
@@ -199,87 +197,55 @@ impl Kernel for JReduceKernel {
     }
 }
 
-/// The j-parallel execution plan.
-#[derive(Debug, Clone, Default)]
-pub struct JParallel {
-    /// Tunables (block size, slice count).
-    pub config: PlanConfig,
-}
+/// The j-parallel host program: launches [`JPartialKernel`] over
+/// `⌈N/p⌉ × S` (i-chunk, j-slice) blocks with `S` from
+/// [`PlanConfig::j_slices_for`], then [`JReduceKernel`], and downloads the
+/// forces. Reached through [`crate::evaluate`].
+pub fn evaluate(
+    config: &PlanConfig,
+    device: &mut Device,
+    set: &ParticleSet,
+    params: &GravityParams,
+) -> PlanOutcome {
+    assert!(params.softening > 0.0, "device plans require softening > 0");
+    config.validate(device.spec()).expect("invalid plan config");
+    device.begin_evaluation();
 
-impl JParallel {
-    /// Creates the plan with the given configuration.
-    pub fn new(config: PlanConfig) -> Self {
-        Self { config }
-    }
+    let n = set.len();
+    let p = config.block_size;
+    let n_padded = n.div_ceil(p).max(1) * p;
+    let s_count = config.j_slices_for(n, device.spec());
+    let slice_len = n_padded.div_ceil(s_count);
 
-    /// The slice count this plan will use for `n` bodies on `spec`.
-    pub fn slices_for(&self, n: usize, spec: &DeviceSpec) -> usize {
-        let p = self.config.block_size;
-        let n_padded = n.div_ceil(p).max(1) * p;
-        self.config.j_slices.unwrap_or_else(|| auto_j_slices(n_padded, p, spec))
-    }
-}
+    let packed = packed_padded(set, n_padded);
+    device.annotate("j-parallel: upload");
+    let pos_mass = device.alloc_f32(packed.len());
+    crate::recover::upload_f32_with_recovery(device, pos_mass, &packed);
+    let partial = device.alloc_f32(s_count * n_padded * 4);
+    let acc_out = device.alloc_f32(n * 4);
 
-impl ExecutionPlan for JParallel {
-    fn kind(&self) -> PlanKind {
-        PlanKind::JParallel
-    }
+    let eps_sq = params.eps_sq() as f32;
+    let k1 = JPartialKernel { pos_mass, partial, n_padded, block: p, s_count, slice_len, eps_sq };
+    let groups = (n_padded / p) * s_count;
+    device.annotate("j-parallel: force-eval");
+    crate::recover::launch_with_recovery(device, &k1, NdRange { global: groups * p, local: p });
 
-    fn config(&self) -> &PlanConfig {
-        &self.config
-    }
+    let k2 = JReduceKernel { partial, acc_out, n, n_padded, s_count };
+    device.annotate("j-parallel: reduction");
+    crate::recover::launch_with_recovery(device, &k2, NdRange::round_up(n, p.min(256)));
 
-    fn evaluate(
-        &self,
-        device: &mut Device,
-        set: &ParticleSet,
-        params: &GravityParams,
-    ) -> PlanOutcome {
-        assert!(params.softening > 0.0, "device plans require softening > 0");
-        self.config.validate(device.spec()).expect("invalid plan config");
-        device.begin_evaluation();
+    device.annotate("j-parallel: download");
+    let acc = download_acc(device, acc_out, n, params.g);
 
-        let n = set.len();
-        let p = self.config.block_size;
-        let n_padded = n.div_ceil(p).max(1) * p;
-        let s_count = self.slices_for(n, device.spec());
-        let slice_len = n_padded.div_ceil(s_count);
-
-        let packed = packed_padded(set, n_padded);
-        device.annotate("j-parallel: upload");
-        let pos_mass = device.alloc_f32(packed.len());
-        crate::recover::upload_f32_with_recovery(device, pos_mass, &packed);
-        let partial = device.alloc_f32(s_count * n_padded * 4);
-        let acc_out = device.alloc_f32(n * 4);
-
-        let eps_sq = params.eps_sq() as f32;
-        let k1 =
-            JPartialKernel { pos_mass, partial, n_padded, block: p, s_count, slice_len, eps_sq };
-        let groups = (n_padded / p) * s_count;
-        device.annotate("j-parallel: force-eval");
-        crate::recover::launch_with_recovery(device, &k1, NdRange { global: groups * p, local: p });
-
-        let k2 = JReduceKernel { partial, acc_out, n, n_padded, s_count };
-        device.annotate("j-parallel: reduction");
-        crate::recover::launch_with_recovery(device, &k2, NdRange::round_up(n, p.min(256)));
-
-        device.annotate("j-parallel: download");
-        let acc = download_acc(device, acc_out, n, params.g);
-
-        PlanOutcome {
-            acc,
-            interactions: (n as u64) * (n as u64),
-            host_tree_s: 0.0,
-            host_walk_s: 0.0,
-            host_measured_s: 0.0,
-            kernel_s: device.kernel_seconds(),
-            transfer_s: device.transfer_seconds(),
-            recovery_s: device.stall_seconds(),
-            launches: device.launches().len(),
-            overlap_walk_with_kernel: false,
-            peak_device_bytes: device.debug_pool().peak_bytes(),
-            ..PlanOutcome::empty()
-        }
+    PlanOutcome {
+        acc,
+        interactions: (n as u64) * (n as u64),
+        kernel_s: device.kernel_seconds(),
+        transfer_s: device.transfer_seconds(),
+        recovery_s: device.stall_seconds(),
+        launches: device.launches().len(),
+        peak_device_bytes: device.debug_pool().peak_bytes(),
+        ..PlanOutcome::empty()
     }
 }
 
@@ -303,7 +269,7 @@ mod tests {
     fn matches_cpu_reference() {
         let set = random_set(500, 1);
         let mut dev = device();
-        let outcome = JParallel::default().evaluate(&mut dev, &set, &params());
+        let outcome = evaluate(&PlanConfig::default(), &mut dev, &set, &params());
         let mut exact = vec![Vec3::ZERO; set.len()];
         accelerations_pp(&set, &params(), &mut exact);
         let err = max_relative_error(&exact, &outcome.acc);
@@ -312,11 +278,10 @@ mod tests {
 
     #[test]
     fn matches_i_parallel_results() {
-        use crate::i_parallel::IParallel;
         let set = random_set(700, 2);
         let mut dev = device();
-        let ji = JParallel::default().evaluate(&mut dev, &set, &params());
-        let ii = IParallel::default().evaluate(&mut dev, &set, &params());
+        let ji = evaluate(&PlanConfig::default(), &mut dev, &set, &params());
+        let ii = crate::i_parallel::evaluate(&PlanConfig::default(), &mut dev, &set, &params());
         let err = max_relative_error(&ii.acc, &ji.acc);
         assert!(err < 1e-4, "i vs j mismatch {err}");
     }
@@ -336,7 +301,7 @@ mod tests {
     fn two_kernels_launched() {
         let set = random_set(512, 3);
         let mut dev = device();
-        let outcome = JParallel::default().evaluate(&mut dev, &set, &params());
+        let outcome = evaluate(&PlanConfig::default(), &mut dev, &set, &params());
         assert_eq!(outcome.launches, 2);
         assert_eq!(dev.launches()[0].kernel, "j-parallel/partial");
         assert_eq!(dev.launches()[1].kernel, "j-parallel/reduce");
@@ -344,11 +309,10 @@ mod tests {
 
     #[test]
     fn beats_i_parallel_at_small_n() {
-        use crate::i_parallel::IParallel;
         let set = random_set(1024, 4);
         let mut dev = device();
-        let j = JParallel::default().evaluate(&mut dev, &set, &params());
-        let i = IParallel::default().evaluate(&mut dev, &set, &params());
+        let j = evaluate(&PlanConfig::default(), &mut dev, &set, &params());
+        let i = crate::i_parallel::evaluate(&PlanConfig::default(), &mut dev, &set, &params());
         assert!(
             j.kernel_s < i.kernel_s,
             "j-parallel {} should beat i-parallel {} at N=1024",
@@ -361,11 +325,10 @@ mod tests {
 
     #[test]
     fn converges_to_i_parallel_at_large_n() {
-        use crate::i_parallel::IParallel;
         let set = random_set(16384, 5);
         let mut dev = device();
-        let j = JParallel::default().evaluate(&mut dev, &set, &params());
-        let i = IParallel::default().evaluate(&mut dev, &set, &params());
+        let j = evaluate(&PlanConfig::default(), &mut dev, &set, &params());
+        let i = crate::i_parallel::evaluate(&PlanConfig::default(), &mut dev, &set, &params());
         let ratio = j.kernel_s / i.kernel_s;
         assert!(ratio > 0.8 && ratio < 1.3, "at large N the plans should converge, ratio {ratio}");
     }
@@ -373,13 +336,12 @@ mod tests {
     #[test]
     fn explicit_slice_count_honoured() {
         let cfg = PlanConfig { j_slices: Some(7), ..Default::default() };
-        let plan = JParallel::new(cfg);
         let set = random_set(512, 6);
         let mut dev = device();
-        let _ = plan.evaluate(&mut dev, &set, &params());
+        let _ = evaluate(&cfg, &mut dev, &set, &params());
         // 512 bodies / 256 block = 2 chunks × 7 slices = 14 groups
         assert_eq!(dev.launches()[0].timing.num_groups, 14);
-        assert_eq!(plan.slices_for(512, dev.spec()), 7);
+        assert_eq!(cfg.j_slices_for(512, dev.spec()), 7);
     }
 
     #[test]

@@ -20,11 +20,9 @@
 //! runs them is [`crate::tree_pipeline::evaluate_tree_plan`], shared with
 //! w-parallel.
 
-use crate::common::{force_eval_lanes, ExecutionPlan, PlanConfig, PlanKind, PlanOutcome};
+use crate::common::{force_eval_lanes, PlanConfig};
 use crate::w_parallel::{WItemRegs, NO_TARGET};
 use gpu_sim::prelude::*;
-use nbody_core::body::ParticleSet;
-use nbody_core::gravity::GravityParams;
 
 /// One `(walk, j-slice)` block of the partial kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -240,53 +238,13 @@ impl Kernel for JwReduceKernel {
     }
 }
 
-/// The jw-parallel execution plan.
-#[derive(Debug, Clone, Default)]
-pub struct JwParallel {
-    /// Tunables (walk size, θ, slice length).
-    pub config: PlanConfig,
-}
-
-impl JwParallel {
-    /// Creates the plan with the given configuration.
-    pub fn new(config: PlanConfig) -> Self {
-        Self { config }
-    }
-}
-
-impl ExecutionPlan for JwParallel {
-    fn kind(&self) -> PlanKind {
-        PlanKind::JwParallel
-    }
-
-    fn config(&self) -> &PlanConfig {
-        &self.config
-    }
-
-    /// Runs the one tree-plan device path,
-    /// [`crate::tree_pipeline::evaluate_tree_plan`].
-    fn evaluate(
-        &self,
-        device: &mut Device,
-        set: &ParticleSet,
-        params: &GravityParams,
-    ) -> PlanOutcome {
-        crate::tree_pipeline::evaluate_tree_plan(
-            PlanKind::JwParallel,
-            &self.config,
-            device,
-            set,
-            params,
-        )
-        .outcome
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::w_parallel::WParallel;
-    use nbody_core::gravity::{accelerations_pp, max_relative_error};
+    use crate::common::PlanKind;
+    use crate::common::PlanOutcome;
+    use nbody_core::body::ParticleSet;
+    use nbody_core::gravity::{accelerations_pp, max_relative_error, GravityParams};
     use nbody_core::testutil::random_set;
     use nbody_core::vec3::Vec3;
 
@@ -298,11 +256,16 @@ mod tests {
         GravityParams { g: 1.0, softening: 0.05 }
     }
 
+    /// `kind` with the default configuration, through [`crate::evaluate`].
+    fn evaluate(kind: PlanKind, dev: &mut Device, set: &ParticleSet) -> PlanOutcome {
+        crate::evaluate(kind, &PlanConfig::default(), dev, set, &params())
+    }
+
     #[test]
     fn matches_cpu_reference_within_bh_error() {
         let set = random_set(900, 1);
         let mut dev = device();
-        let outcome = JwParallel::default().evaluate(&mut dev, &set, &params());
+        let outcome = evaluate(PlanKind::JwParallel, &mut dev, &set);
         let mut exact = vec![Vec3::ZERO; set.len()];
         accelerations_pp(&set, &params(), &mut exact);
         let err = max_relative_error(&exact, &outcome.acc);
@@ -314,8 +277,8 @@ mod tests {
         // same walks, same θ: jw must agree with w to f32 reduction noise
         let set = random_set(600, 2);
         let mut dev = device();
-        let w = WParallel::default().evaluate(&mut dev, &set, &params());
-        let jw = JwParallel::default().evaluate(&mut dev, &set, &params());
+        let w = evaluate(PlanKind::WParallel, &mut dev, &set);
+        let jw = evaluate(PlanKind::JwParallel, &mut dev, &set);
         let err = max_relative_error(&w.acc, &jw.acc);
         assert!(err < 1e-5, "w vs jw mismatch {err}");
         assert_eq!(w.interactions, jw.interactions);
@@ -350,9 +313,9 @@ mod tests {
     fn more_blocks_than_w_parallel_at_small_n() {
         let set = random_set(1024, 3);
         let mut dev = device();
-        let _ = WParallel::default().evaluate(&mut dev, &set, &params());
+        let _ = evaluate(PlanKind::WParallel, &mut dev, &set);
         let w_groups = dev.launches()[0].timing.num_groups;
-        let _ = JwParallel::default().evaluate(&mut dev, &set, &params());
+        let _ = evaluate(PlanKind::JwParallel, &mut dev, &set);
         let jw_groups = dev.launches()[0].timing.num_groups;
         assert!(jw_groups > 2 * w_groups, "jw should multiply blocks: {jw_groups} vs {w_groups}");
     }
@@ -361,8 +324,8 @@ mod tests {
     fn faster_kernel_than_w_parallel_at_small_n() {
         let set = random_set(1024, 4);
         let mut dev = device();
-        let w = WParallel::default().evaluate(&mut dev, &set, &params());
-        let jw = JwParallel::default().evaluate(&mut dev, &set, &params());
+        let w = evaluate(PlanKind::WParallel, &mut dev, &set);
+        let jw = evaluate(PlanKind::JwParallel, &mut dev, &set);
         assert!(
             jw.kernel_s < w.kernel_s,
             "jw kernel {} should beat w kernel {} at N=1024",
@@ -386,7 +349,7 @@ mod tests {
     fn two_kernels_launched() {
         let set = random_set(256, 5);
         let mut dev = device();
-        let outcome = JwParallel::default().evaluate(&mut dev, &set, &params());
+        let outcome = evaluate(PlanKind::JwParallel, &mut dev, &set);
         assert_eq!(outcome.launches, 2);
         assert_eq!(dev.launches()[0].kernel, "jw-parallel/partial");
         assert_eq!(dev.launches()[1].kernel, "jw-parallel/reduce");
@@ -398,7 +361,7 @@ mod tests {
         let cfg = PlanConfig { jw_slice_len: Some(32), walk_size: 64, ..Default::default() };
         let set = random_set(512, 6);
         let mut dev = device();
-        let _ = JwParallel::new(cfg).evaluate(&mut dev, &set, &params());
+        let _ = crate::evaluate(PlanKind::JwParallel, &cfg, &mut dev, &set, &params());
         // every partial block processes at most 32 entries: #groups >= total/32
         let groups = dev.launches()[0].timing.num_groups;
         assert!(groups >= 512 / 64, "groups {groups}");

@@ -1247,7 +1247,6 @@ fn device_tree_front(config: &PlanConfig, device: &mut Device, set: &ParticleSet
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::ExecutionPlan;
     use nbody_core::testutil::random_set;
     use ptpm::model::forecast_pipeline;
 
@@ -1293,7 +1292,8 @@ mod tests {
         let set = random_set(1500, 6);
         let p = params();
         let mut dev = device();
-        let host_tree = crate::w_parallel::WParallel::default().evaluate(&mut dev, &set, &p);
+        let host_tree =
+            crate::evaluate(PlanKind::WParallel, &PlanConfig::default(), &mut dev, &set, &p);
         let config = PlanConfig { device_tree: true, ..Default::default() };
         let run = evaluate_tree_plan(PlanKind::WParallel, &config, &mut dev, &set, &p);
         assert_eq!(run.outcome.acc, host_tree.acc, "device-tree W forces differ");
@@ -1341,15 +1341,15 @@ mod tests {
 
     #[test]
     fn plan_evaluate_sharded_matches_unsharded() {
-        // WParallel::evaluate runs the shard loop; a shard count only moves
+        // `plans::evaluate` runs the shard loop; a shard count only moves
         // where the lists are cut
         let set = random_set(900, 9);
         let p = params();
         let mut dev = device();
-        let unsharded = crate::w_parallel::WParallel::default().evaluate(&mut dev, &set, &p);
-        let sharded =
-            crate::w_parallel::WParallel::new(PlanConfig { shards: Some(3), ..Default::default() })
-                .evaluate(&mut dev, &set, &p);
+        let w = PlanKind::WParallel;
+        let unsharded = crate::evaluate(w, &PlanConfig::default(), &mut dev, &set, &p);
+        let sharded_config = PlanConfig { shards: Some(3), ..Default::default() };
+        let sharded = crate::evaluate(w, &sharded_config, &mut dev, &set, &p);
         assert_eq!(sharded.acc, unsharded.acc);
         assert!(sharded.shards_used > 1);
     }

@@ -6,7 +6,6 @@
 //! tests perform into a reusable API with explicit error budgets.
 
 use crate::common::{PlanConfig, PlanKind, PlanOutcome};
-use crate::make_plan;
 use gpu_sim::prelude::{Device, DeviceSpec, TransferModel};
 use nbody_core::body::ParticleSet;
 use nbody_core::flops::FlopConvention;
@@ -85,8 +84,7 @@ pub fn validate_plan(
 
     let mut device = Device::with_transfer_model(spec.clone(), TransferModel::pcie2_x16());
     device.set_race_checking(true);
-    let plan = make_plan(kind, config);
-    let outcome: PlanOutcome = plan.evaluate(&mut device, set, params);
+    let outcome: PlanOutcome = crate::evaluate(kind, &config, &mut device, set, params);
 
     let max_rel_error = max_relative_error(&exact, &outcome.acc);
     let rms_rel_error = {

@@ -15,12 +15,9 @@
 //! This module holds the packing and the walk kernel; the host program that
 //! runs them is [`crate::tree_pipeline::evaluate_tree_plan`].
 
-use crate::common::{
-    force_eval_lanes, ExecutionPlan, ForceLane, PlanConfig, PlanKind, PlanOutcome,
-};
+use crate::common::{force_eval_lanes, ForceLane};
 use gpu_sim::prelude::*;
 use nbody_core::body::ParticleSet;
-use nbody_core::gravity::GravityParams;
 use treecode::interaction_list::WalkSet;
 use treecode::tree::Octree;
 
@@ -230,52 +227,13 @@ impl Kernel for WWalkKernel {
     }
 }
 
-/// The w-parallel execution plan.
-#[derive(Debug, Clone, Default)]
-pub struct WParallel {
-    /// Tunables (walk size, θ, leaf capacity).
-    pub config: PlanConfig,
-}
-
-impl WParallel {
-    /// Creates the plan with the given configuration.
-    pub fn new(config: PlanConfig) -> Self {
-        Self { config }
-    }
-}
-
-impl ExecutionPlan for WParallel {
-    fn kind(&self) -> PlanKind {
-        PlanKind::WParallel
-    }
-
-    fn config(&self) -> &PlanConfig {
-        &self.config
-    }
-
-    /// Runs the one tree-plan device path,
-    /// [`crate::tree_pipeline::evaluate_tree_plan`].
-    fn evaluate(
-        &self,
-        device: &mut Device,
-        set: &ParticleSet,
-        params: &GravityParams,
-    ) -> PlanOutcome {
-        crate::tree_pipeline::evaluate_tree_plan(
-            PlanKind::WParallel,
-            &self.config,
-            device,
-            set,
-            params,
-        )
-        .outcome
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nbody_core::gravity::{accelerations_pp, max_relative_error};
+    use crate::common::PlanOutcome;
+    use crate::common::{PlanConfig, PlanKind};
+    use nbody_core::body::ParticleSet;
+    use nbody_core::gravity::{accelerations_pp, max_relative_error, GravityParams};
     use nbody_core::testutil::random_set;
     use nbody_core::vec3::Vec3;
     use treecode::interaction_list::build_walks;
@@ -290,11 +248,16 @@ mod tests {
         GravityParams { g: 1.0, softening: 0.05 }
     }
 
+    /// `kind` with the default configuration, through [`crate::evaluate`].
+    fn evaluate(kind: PlanKind, dev: &mut Device, set: &ParticleSet) -> PlanOutcome {
+        crate::evaluate(kind, &PlanConfig::default(), dev, set, &params())
+    }
+
     #[test]
     fn matches_cpu_reference_within_bh_error() {
         let set = random_set(800, 1);
         let mut dev = device();
-        let outcome = WParallel::default().evaluate(&mut dev, &set, &params());
+        let outcome = evaluate(PlanKind::WParallel, &mut dev, &set);
         let mut exact = vec![Vec3::ZERO; set.len()];
         accelerations_pp(&set, &params(), &mut exact);
         let err = max_relative_error(&exact, &outcome.acc);
@@ -313,7 +276,7 @@ mod tests {
         treecode::interaction_list::evaluate_walks_cpu(&walks, &tree, &set, &p, &mut cpu);
 
         let mut dev = device();
-        let outcome = WParallel::new(cfg).evaluate(&mut dev, &set, &p);
+        let outcome = crate::evaluate(PlanKind::WParallel, &cfg, &mut dev, &set, &p);
         let err = max_relative_error(&cpu, &outcome.acc);
         assert!(err < 1e-4, "device vs CPU walks {err}");
     }
@@ -324,7 +287,7 @@ mod tests {
         // walk size (256 by default)
         let set = random_set(8192, 3);
         let mut dev = device();
-        let outcome = WParallel::default().evaluate(&mut dev, &set, &params());
+        let outcome = evaluate(PlanKind::WParallel, &mut dev, &set);
         assert!(outcome.interactions < 8192 * 8192 / 2, "{}", outcome.interactions);
         assert!(outcome.interactions > 0);
     }
@@ -333,7 +296,7 @@ mod tests {
     fn host_times_recorded_and_overlapped() {
         let set = random_set(1024, 4);
         let mut dev = device();
-        let outcome = WParallel::default().evaluate(&mut dev, &set, &params());
+        let outcome = evaluate(PlanKind::WParallel, &mut dev, &set);
         assert!(outcome.host_tree_s > 0.0);
         assert!(outcome.host_walk_s > 0.0);
         assert!(outcome.overlap_walk_with_kernel);
@@ -348,7 +311,7 @@ mod tests {
         let set = random_set(640, 5);
         let mut dev = device();
         let cfg = PlanConfig { walk_size: 64, ..Default::default() };
-        let _ = WParallel::new(cfg).evaluate(&mut dev, &set, &params());
+        let _ = crate::evaluate(PlanKind::WParallel, &cfg, &mut dev, &set, &params());
         assert_eq!(dev.launches()[0].timing.num_groups, 10); // 640/64
     }
 

@@ -121,7 +121,7 @@ pub fn morton_order(set: &ParticleSet) -> Vec<u32> {
 ///
 /// Bodies barely move between integrator steps, so keying the *previous*
 /// order leaves a near-sorted sequence — a handful of long ascending runs.
-/// An adaptive natural merge sort ([`natural_merge_sort`]) then costs
+/// An adaptive natural merge sort (`natural_merge_sort`) then costs
 /// `O(n log r)` for `r` runs (one verification pass when the order is still
 /// sorted) instead of a full `O(n log n)` sort, and no heap allocation once
 /// the buffers are warm.

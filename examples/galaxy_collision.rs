@@ -9,7 +9,6 @@
 
 use gpu_sim::prelude::{Device, DeviceSpec, TransferModel};
 use nbody_core::prelude::*;
-use plans::make_plan;
 use plans::prelude::*;
 use workloads::prelude::{galaxy_collision, CollisionParams};
 
@@ -24,9 +23,9 @@ fn main() {
 
     let device =
         Device::with_transfer_model(DeviceSpec::radeon_hd_5850(), TransferModel::pcie2_x16());
-    let mut engine = PlanForceEngine::new(
-        device,
-        make_plan(PlanKind::JwParallel, PlanConfig::default()),
+    let mut engine = PlanForceEngine::with_backend(
+        Box::new(SimBackend::new(device, PlanConfig::default())),
+        PlanKind::JwParallel,
         params,
     );
 

@@ -8,7 +8,6 @@
 
 use gpu_sim::prelude::{Device, DeviceSpec, TransferModel};
 use nbody_core::prelude::*;
-use plans::make_plan;
 use plans::prelude::*;
 use ptpm::prelude::*;
 use workloads::prelude::{plummer, PlummerParams};
@@ -27,8 +26,7 @@ fn main() {
     let mut outcomes = Vec::new();
     for kind in PlanKind::all() {
         let mut device = Device::with_transfer_model(spec.clone(), TransferModel::pcie2_x16());
-        let plan = make_plan(kind, PlanConfig::default());
-        let o = plan.evaluate(&mut device, &set, &params);
+        let o = plans::evaluate(kind, &PlanConfig::default(), &mut device, &set, &params);
         println!(
             "{:<12} {:>9.3} ms {:>9.3} ms {:>12} {:>12.0} {:>10}",
             kind.id(),

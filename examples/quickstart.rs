@@ -30,7 +30,8 @@ fn main() {
     // 3. the paper's jw-parallel plan on the simulated GPU
     let mut device =
         Device::with_transfer_model(DeviceSpec::radeon_hd_5850(), TransferModel::pcie2_x16());
-    let outcome = JwParallel::default().evaluate(&mut device, &set, &params);
+    let outcome =
+        plans::evaluate(PlanKind::JwParallel, &PlanConfig::default(), &mut device, &set, &params);
     let gpu_err = nbody_core::gravity::max_relative_error(&pp_acc, &outcome.acc);
     println!("jw-parallel on {}:", device.spec().name);
     println!("  max relative error vs direct sum  {gpu_err:.2e}");

@@ -3,7 +3,6 @@
 
 use gpu_sim::prelude::{Device, DeviceSpec, TransferModel};
 use nbody_core::prelude::*;
-use plans::make_plan;
 use plans::prelude::*;
 use workloads::prelude::*;
 use workloads::spec::{WorkloadKind, WorkloadSpec};
@@ -34,8 +33,7 @@ fn all_plans_match_reference_on_all_workloads() {
         let mut exact = vec![Vec3::ZERO; set.len()];
         accelerations_pp(&set, &p, &mut exact);
         for kind in PlanKind::all() {
-            let plan = make_plan(kind, PlanConfig::default());
-            let outcome = plan.evaluate(&mut dev, &set, &p);
+            let outcome = plans::evaluate(kind, &PlanConfig::default(), &mut dev, &set, &p);
             let err = nbody_core::gravity::max_relative_error(&exact, &outcome.acc);
             assert!(err < error_budget(kind), "{} on {}: error {err}", kind.id(), kind_w.id());
         }
@@ -47,8 +45,8 @@ fn pp_plans_agree_with_each_other_tightly() {
     let mut dev = device();
     let p = params();
     let set = plummer(1500, PlummerParams::default(), 9);
-    let i = IParallel::default().evaluate(&mut dev, &set, &p);
-    let j = JParallel::default().evaluate(&mut dev, &set, &p);
+    let i = plans::evaluate(PlanKind::IParallel, &PlanConfig::default(), &mut dev, &set, &p);
+    let j = plans::evaluate(PlanKind::JParallel, &PlanConfig::default(), &mut dev, &set, &p);
     let err = nbody_core::gravity::max_relative_error(&i.acc, &j.acc);
     assert!(err < 1e-4, "i vs j: {err}");
 }
@@ -58,8 +56,8 @@ fn tree_plans_agree_with_each_other_tightly() {
     let mut dev = device();
     let p = params();
     let set = plummer(1500, PlummerParams::default(), 10);
-    let w = WParallel::default().evaluate(&mut dev, &set, &p);
-    let jw = JwParallel::default().evaluate(&mut dev, &set, &p);
+    let w = plans::evaluate(PlanKind::WParallel, &PlanConfig::default(), &mut dev, &set, &p);
+    let jw = plans::evaluate(PlanKind::JwParallel, &PlanConfig::default(), &mut dev, &set, &p);
     let err = nbody_core::gravity::max_relative_error(&w.acc, &jw.acc);
     assert!(err < 1e-5, "w vs jw: {err}");
     assert_eq!(w.interactions, jw.interactions);
@@ -75,7 +73,7 @@ fn tightening_theta_tightens_device_results() {
 
     let run_theta = |dev: &mut Device, theta: f64| {
         let cfg = PlanConfig { theta, ..Default::default() };
-        let o = JwParallel::new(cfg).evaluate(dev, &set, &p);
+        let o = plans::evaluate(PlanKind::JwParallel, &cfg, dev, &set, &p);
         nbody_core::gravity::max_relative_error(&exact, &o.acc)
     };
     let loose = run_theta(&mut dev, 0.9);
@@ -92,7 +90,7 @@ fn varying_block_size_does_not_change_physics() {
     let mut reference: Option<Vec<Vec3>> = None;
     for block in [64, 128, 256] {
         let cfg = PlanConfig { block_size: block, ..Default::default() };
-        let o = IParallel::new(cfg).evaluate(&mut dev, &set, &p);
+        let o = plans::evaluate(PlanKind::IParallel, &cfg, &mut dev, &set, &p);
         if let Some(ref r) = reference {
             let err = nbody_core::gravity::max_relative_error(r, &o.acc);
             assert!(err < 1e-5, "block {block}: {err}");
@@ -111,7 +109,7 @@ fn varying_walk_size_does_not_change_physics_beyond_mac() {
     accelerations_pp(&set, &p, &mut exact);
     for ws in [64, 128, 256] {
         let cfg = PlanConfig { walk_size: ws, ..Default::default() };
-        let o = JwParallel::new(cfg).evaluate(&mut dev, &set, &p);
+        let o = plans::evaluate(PlanKind::JwParallel, &cfg, &mut dev, &set, &p);
         let err = nbody_core::gravity::max_relative_error(&exact, &o.acc);
         assert!(err < 0.02, "walk size {ws}: {err}");
     }

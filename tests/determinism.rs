@@ -4,7 +4,6 @@
 
 use gpu_sim::prelude::{Device, DeviceSpec, TransferModel};
 use nbody_core::prelude::*;
-use plans::make_plan;
 use plans::prelude::*;
 use workloads::prelude::{plummer, PlummerParams};
 
@@ -12,8 +11,13 @@ fn evaluate(kind: PlanKind, n: usize, seed: u64) -> PlanOutcome {
     let mut dev =
         Device::with_transfer_model(DeviceSpec::radeon_hd_5850(), TransferModel::pcie2_x16());
     let set = plummer(n, PlummerParams::default(), seed);
-    let plan = make_plan(kind, PlanConfig::default());
-    plan.evaluate(&mut dev, &set, &GravityParams { g: 1.0, softening: 0.05 })
+    plans::evaluate(
+        kind,
+        &PlanConfig::default(),
+        &mut dev,
+        &set,
+        &GravityParams { g: 1.0, softening: 0.05 },
+    )
 }
 
 #[test]
@@ -55,8 +59,13 @@ fn fault_schedule_and_recovery_are_seed_deterministic() {
             Device::with_transfer_model(DeviceSpec::radeon_hd_5850(), TransferModel::pcie2_x16());
         dev.set_fault_plan(FaultPlan::new(31, FaultConfig::transient(0.2)));
         let set = plummer(800, PlummerParams::default(), 21);
-        let plan = make_plan(kind, PlanConfig::default());
-        let outcome = plan.evaluate(&mut dev, &set, &GravityParams { g: 1.0, softening: 0.05 });
+        let outcome = plans::evaluate(
+            kind,
+            &PlanConfig::default(),
+            &mut dev,
+            &set,
+            &GravityParams { g: 1.0, softening: 0.05 },
+        );
         let counts = dev.fault_plan().unwrap().counts();
         (outcome, counts)
     };

@@ -4,16 +4,15 @@
 
 use gpu_sim::prelude::{Device, DeviceSpec, TransferModel};
 use nbody_core::prelude::*;
-use plans::make_plan;
 use plans::prelude::*;
 use workloads::prelude::*;
 
 fn gpu_engine(kind: PlanKind) -> PlanForceEngine {
     let device =
         Device::with_transfer_model(DeviceSpec::radeon_hd_5850(), TransferModel::pcie2_x16());
-    PlanForceEngine::new(
-        device,
-        make_plan(kind, PlanConfig::default()),
+    PlanForceEngine::with_backend(
+        Box::new(SimBackend::new(device, PlanConfig::default())),
+        kind,
         GravityParams { g: 1.0, softening: 0.05 },
     )
 }

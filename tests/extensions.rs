@@ -5,7 +5,6 @@
 
 use gpu_sim::prelude::{Device, DeviceSpec, TransferModel};
 use nbody_core::prelude::*;
-use plans::make_plan;
 use plans::prelude::*;
 use treecode::prelude::*;
 use workloads::prelude::*;
@@ -18,9 +17,9 @@ fn params() -> GravityParams {
 fn simulation_driver_on_simulated_gpu_records_physics() {
     let device =
         Device::with_transfer_model(DeviceSpec::radeon_hd_5850(), TransferModel::pcie2_x16());
-    let engine = PlanForceEngine::new(
-        device,
-        make_plan(PlanKind::JwParallel, PlanConfig::default()),
+    let engine = PlanForceEngine::with_backend(
+        Box::new(SimBackend::new(device, PlanConfig::default())),
+        PlanKind::JwParallel,
         params(),
     );
     let mut set = plummer(256, PlummerParams::default(), 41);
@@ -58,7 +57,8 @@ fn tuned_jw_config_preserves_physics() {
     let mut exact = vec![Vec3::ZERO; set.len()];
     accelerations_pp(&set, &params(), &mut exact);
     let mut dev = Device::with_transfer_model(spec, TransferModel::pcie2_x16());
-    let outcome = JwParallel::new(best.candidate.config).evaluate(&mut dev, &set, &params());
+    let outcome =
+        plans::evaluate(PlanKind::JwParallel, &best.candidate.config, &mut dev, &set, &params());
     let err = nbody_core::gravity::max_relative_error(&exact, &outcome.acc);
     assert!(err < 0.02, "tuned config error {err}");
     assert!(outcome.kernel_s <= best.seconds * 1.0001);

@@ -10,7 +10,6 @@ mod common;
 
 use gpu_sim::prelude::{Device, DeviceSpec, FaultConfig, FaultPlan, TransferModel};
 use nbody_core::prelude::*;
-use plans::make_plan;
 use plans::prelude::*;
 use workloads::prelude::{plummer, PlummerParams};
 
@@ -26,13 +25,13 @@ fn params() -> GravityParams {
 fn every_plan_recovers_transient_faults_bitexactly() {
     let set = plummer(700, PlummerParams::default(), 17);
     for kind in PlanKind::all() {
-        let plan = make_plan(kind, PlanConfig::default());
         let mut clean_dev = device();
-        let clean = plan.evaluate(&mut clean_dev, &set, &params());
+        let clean = plans::evaluate(kind, &PlanConfig::default(), &mut clean_dev, &set, &params());
 
         let mut faulty_dev = device();
         faulty_dev.set_fault_plan(FaultPlan::new(19, FaultConfig::transient(0.25)));
-        let faulty = plan.evaluate(&mut faulty_dev, &set, &params());
+        let faulty =
+            plans::evaluate(kind, &PlanConfig::default(), &mut faulty_dev, &set, &params());
 
         assert_eq!(clean.acc, faulty.acc, "{}: recovered forces differ", kind.id());
         assert_eq!(clean.interactions, faulty.interactions);
@@ -56,8 +55,8 @@ fn fault_overhead_is_visible_in_the_execution_trace() {
     dev.set_fault_plan(FaultPlan::new(19, FaultConfig::transient(0.25)));
     let sink = MemoryTraceSink::new();
     dev.set_trace_sink(Box::new(sink.clone()));
-    let plan = make_plan(PlanKind::JwParallel, PlanConfig::default());
-    let _ = plan.evaluate(&mut dev, &set, &params());
+    let _ =
+        plans::evaluate(PlanKind::JwParallel, &PlanConfig::default(), &mut dev, &set, &params());
     let trace = sink.snapshot();
     assert!(!trace.faults.is_empty(), "injected faults must be recorded as trace events");
     for (i, ft) in trace.faults.iter().enumerate() {
@@ -75,10 +74,9 @@ fn fault_recovery_is_thread_count_invariant() {
     // simulated recovery overhead must be identical at every thread count.
     let set = plummer(500, PlummerParams::default(), 37);
     let faulty_eval = |kind: PlanKind, seed: u64| {
-        let plan = make_plan(kind, PlanConfig::default());
         let mut dev = device();
         dev.set_fault_plan(FaultPlan::new(seed, FaultConfig::transient(0.25)));
-        plan.evaluate(&mut dev, &set, &params())
+        plans::evaluate(kind, &PlanConfig::default(), &mut dev, &set, &params())
     };
     for seed in [3u64, 19, 101] {
         for kind in PlanKind::all() {
@@ -101,9 +99,9 @@ fn fault_recovery_is_thread_count_invariant() {
 
 #[test]
 fn checkpoint_restart_reproduces_the_fault_free_trajectory() {
-    let cfg = harness::faults::FaultRun::smoke(13);
+    let spec = harness::faults::smoke(13);
     let dir = common::ScratchDir::new("fault-recovery");
-    let report = harness::error::or_exit(harness::faults::demo(&cfg, &dir));
+    let report = harness::error::or_exit(harness::faults::demo(&spec, &dir));
     assert!(report.ends_with("FAULTS OK\n"), "{report}");
 }
 
@@ -114,8 +112,7 @@ fn unrecoverable_device_loss_panics_with_context() {
         let mut dev = device();
         // certain loss: the very first operation fails permanently
         dev.set_fault_plan(FaultPlan::new(1, FaultConfig::default().with_device_loss(1.0)));
-        let plan = make_plan(PlanKind::IParallel, PlanConfig::default());
-        plan.evaluate(&mut dev, &set, &params())
+        plans::evaluate(PlanKind::IParallel, &PlanConfig::default(), &mut dev, &set, &params())
     });
     let err = result.expect_err("a lost single device cannot complete");
     let msg = err

@@ -14,7 +14,6 @@
 
 use gpu_sim::prelude::{Device, DeviceSpec, TransferModel};
 use nbody_core::prelude::*;
-use plans::make_plan;
 use plans::prelude::*;
 use treecode::prelude::*;
 use workloads::prelude::{plummer, PlummerParams};
@@ -49,12 +48,11 @@ fn assert_outcomes_identical(a: &PlanOutcome, b: &PlanOutcome, what: &str) {
 fn every_plan_is_bit_exact_across_thread_counts() {
     let set = plummer(700, PlummerParams::default(), 41);
     for kind in PlanKind::all() {
-        let plan = make_plan(kind, PlanConfig::default());
         par::set_threads(THREAD_MATRIX[0]);
-        let base = plan.evaluate(&mut device(), &set, &params());
+        let base = plans::evaluate(kind, &PlanConfig::default(), &mut device(), &set, &params());
         for &t in &THREAD_MATRIX[1..] {
             par::set_threads(t);
-            let o = plan.evaluate(&mut device(), &set, &params());
+            let o = plans::evaluate(kind, &PlanConfig::default(), &mut device(), &set, &params());
             assert_outcomes_identical(&base, &o, &format!("{} @ {t} threads", kind.id()));
         }
     }
@@ -97,9 +95,9 @@ fn treecode_pipeline_is_bit_exact_across_thread_counts() {
 fn integrated_trajectory_and_energies_are_bit_exact_across_thread_counts() {
     let run = |t: usize| {
         par::set_threads(t);
-        let engine = PlanForceEngine::new(
-            device(),
-            make_plan(PlanKind::JwParallel, PlanConfig::default()),
+        let engine = PlanForceEngine::with_backend(
+            Box::new(SimBackend::new(device(), PlanConfig::default())),
+            PlanKind::JwParallel,
             params(),
         );
         let set = plummer(300, PlummerParams::default(), 53);

@@ -193,7 +193,8 @@ fn i_parallel_matches_reference_for_arbitrary_clouds() {
         accelerations_pp(&set, &params, &mut exact);
         let mut dev =
             Device::with_transfer_model(DeviceSpec::radeon_hd_5850(), TransferModel::free());
-        let o = IParallel::default().evaluate(&mut dev, &set, &params);
+        let o =
+            plans::evaluate(PlanKind::IParallel, &PlanConfig::default(), &mut dev, &set, &params);
         let err = nbody_core::gravity::max_relative_error(&exact, &o.acc);
         assert!(err < 2e-3, "error {err}");
     }
@@ -212,7 +213,7 @@ fn traces_are_well_formed_for_arbitrary_clouds() {
         let sink = MemoryTraceSink::new();
         dev.set_trace_sink(Box::new(sink.clone()));
         let kind = PlanKind::all()[case % 4];
-        plans::make_plan(kind, PlanConfig::default()).evaluate(&mut dev, &set, &params);
+        plans::evaluate(kind, &PlanConfig::default(), &mut dev, &set, &params);
         let trace = sink.snapshot();
 
         assert_eq!(trace.compute_units, cus);
@@ -350,7 +351,8 @@ fn jw_parallel_matches_reference_for_arbitrary_clouds() {
         accelerations_pp(&set, &params, &mut exact);
         let mut dev =
             Device::with_transfer_model(DeviceSpec::radeon_hd_5850(), TransferModel::free());
-        let o = JwParallel::default().evaluate(&mut dev, &set, &params);
+        let o =
+            plans::evaluate(PlanKind::JwParallel, &PlanConfig::default(), &mut dev, &set, &params);
         let err = nbody_core::gravity::max_relative_error(&exact, &o.acc);
         assert!(err < 0.05, "error {err}");
     }

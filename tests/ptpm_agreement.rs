@@ -26,7 +26,9 @@ fn i_parallel_forecast_matches_simulator_within_20_percent() {
     for n in [1024_usize, 4096, 8192] {
         let set = plummer(n, PlummerParams::default(), 1);
         let mut dev = device();
-        let measured = IParallel::default().evaluate(&mut dev, &set, &p).kernel_s;
+        let measured =
+            plans::evaluate(PlanKind::IParallel, &PlanConfig::default(), &mut dev, &set, &p)
+                .kernel_s;
         let forecast = forecast_i_parallel(n, 256, &spec).seconds;
         let ratio = forecast / measured;
         assert!(
@@ -43,10 +45,12 @@ fn forecast_ranks_i_vs_j_like_the_simulator() {
     for n in [512_usize, 1024, 4096] {
         let set = plummer(n, PlummerParams::default(), 2);
         let mut dev = device();
-        let i_sim = IParallel::default().evaluate(&mut dev, &set, &p).kernel_s;
-        let j_plan = JParallel::default();
-        let slices = j_plan.slices_for(n, &spec);
-        let j_sim = j_plan.evaluate(&mut dev, &set, &p).kernel_s;
+        let i_sim =
+            plans::evaluate(PlanKind::IParallel, &PlanConfig::default(), &mut dev, &set, &p)
+                .kernel_s;
+        let config = PlanConfig::default();
+        let slices = config.j_slices_for(n, &spec);
+        let j_sim = plans::evaluate(PlanKind::JParallel, &config, &mut dev, &set, &p).kernel_s;
 
         let i_fc = forecast_i_parallel(n, 256, &spec).seconds;
         let j_fc = forecast_j_parallel(n, 256, slices, &spec).seconds;
@@ -78,8 +82,8 @@ fn forecast_ranks_w_vs_jw_like_the_simulator() {
         let jw_fc = forecast_jw_parallel(&lens, cfg.walk_size, slice, &spec).seconds;
 
         let mut dev = device();
-        let w_sim = WParallel::new(cfg).evaluate(&mut dev, &set, &p).kernel_s;
-        let jw_sim = JwParallel::new(cfg).evaluate(&mut dev, &set, &p).kernel_s;
+        let w_sim = plans::evaluate(PlanKind::WParallel, &cfg, &mut dev, &set, &p).kernel_s;
+        let jw_sim = plans::evaluate(PlanKind::JwParallel, &cfg, &mut dev, &set, &p).kernel_s;
 
         assert!(
             jw_fc <= w_fc && jw_sim <= w_sim,
@@ -103,8 +107,10 @@ fn grid_utilization_explains_gflops_ordering() {
     assert!(j_fc.space_utilization > i_fc.space_utilization);
 
     let conv = FlopConvention::Grape38;
-    let i_g = IParallel::default().evaluate(&mut dev, &set, &p).gflops(conv);
-    let j_g = JParallel::default().evaluate(&mut dev, &set, &p).gflops(conv);
+    let i_g = plans::evaluate(PlanKind::IParallel, &PlanConfig::default(), &mut dev, &set, &p)
+        .gflops(conv);
+    let j_g = plans::evaluate(PlanKind::JParallel, &PlanConfig::default(), &mut dev, &set, &p)
+        .gflops(conv);
     assert!(j_g > i_g, "j {j_g} vs i {i_g}");
 }
 
@@ -127,13 +133,13 @@ fn forecast_grids_agree_with_observed_schedules_for_all_plans() {
         let lens: Vec<usize> = walks.groups.iter().map(|g| g.list_len()).collect();
         let total: usize = lens.iter().sum();
         let slice = cfg.jw_slice_len_for(total, &spec);
-        let slices = JParallel::new(cfg).slices_for(n, &spec);
+        let slices = cfg.j_slices_for(n, &spec);
 
         for kind in PlanKind::all() {
             let mut dev = device();
             let sink = MemoryTraceSink::new();
             dev.set_trace_sink(Box::new(sink.clone()));
-            plans::make_plan(kind, cfg).evaluate(&mut dev, &set, &p);
+            plans::evaluate(kind, &cfg, &mut dev, &set, &p);
             let trace = sink.snapshot();
             // the force kernel is always the plan's first launch
             let force = &trace.launches[0];

@@ -4,7 +4,6 @@
 
 use gpu_sim::prelude::*;
 use nbody_core::prelude::*;
-use plans::make_plan;
 use plans::prelude::*;
 use workloads::prelude::{plummer, PlummerParams};
 
@@ -16,8 +15,7 @@ fn all_plan_kernels_are_race_free() {
     let set = plummer(700, PlummerParams::default(), 3); // not a block multiple
     let params = GravityParams { g: 1.0, softening: 0.05 };
     for kind in PlanKind::all() {
-        let plan = make_plan(kind, PlanConfig::default());
-        let _ = plan.evaluate(&mut dev, &set, &params);
+        let _ = plans::evaluate(kind, &PlanConfig::default(), &mut dev, &set, &params);
         assert!(
             dev.races().is_empty(),
             "{}: {} race(s), first: {}",
@@ -116,9 +114,9 @@ fn checked_and_unchecked_execution_produce_identical_results() {
     let mut checked =
         Device::with_transfer_model(DeviceSpec::radeon_hd_5850(), TransferModel::free());
     checked.set_race_checking(true);
-    let plan = JwParallel::default();
-    let a = plan.evaluate(&mut fast, &set, &params);
-    let b = plan.evaluate(&mut checked, &set, &params);
+    let (kind, config) = (PlanKind::JwParallel, PlanConfig::default());
+    let a = plans::evaluate(kind, &config, &mut fast, &set, &params);
+    let b = plans::evaluate(kind, &config, &mut checked, &set, &params);
     assert_eq!(a.acc, b.acc);
     assert_eq!(a.kernel_s, b.kernel_s);
 }

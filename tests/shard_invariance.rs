@@ -11,7 +11,6 @@ use nbody_core::body::ParticleSet;
 use nbody_core::energy::total_energy;
 use nbody_core::gravity::GravityParams;
 use nbody_core::vec3::Vec3;
-use plans::make_plan;
 use plans::prelude::{
     build_tree_on_device, default_device, evaluate_tree_plan, make_backend, predict_pipeline_shape,
     BackendKind, PlanConfig, PlanKind, PlanOutcome,
@@ -105,7 +104,7 @@ fn traced_run(
     }
     let sink = MemoryTraceSink::new();
     device.set_trace_sink(Box::new(sink.clone()));
-    let outcome = make_plan(plan, config).evaluate(&mut device, bodies, &params());
+    let outcome = plans::evaluate(plan, &config, &mut device, bodies, &params());
     (outcome, sink.take())
 }
 
