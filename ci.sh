@@ -51,6 +51,13 @@ echo "==> fault-injection smoke test"
 cargo run --release -p harness --bin faults -- --seed 7 --dir "$out/faults" | tee "$out/faults.log"
 grep -q 'FAULTS OK' "$out/faults.log" || { echo "FAIL: fault recovery smoke did not pass"; exit 1; }
 
+echo "==> quickstart example run (evolves on the host w-parallel engine)"
+# clippy only compiles the examples; run one so its engine wiring is
+# exercised end to end, and require the final energy-drift line
+cargo run --release --example quickstart | tee "$out/quickstart.log"
+tail -n 1 "$out/quickstart.log" | grep -Eq 'relative energy drift [0-9.]+e-[0-9]+$' || {
+    echo "FAIL: quickstart did not end with its relative energy drift line"; exit 1; }
+
 echo "==> threaded repro smoke test (--threads 4, small N)"
 cargo run --release -p harness --bin repro-all -- --quick --max-n 1024 --threads 4 \
     > "$out/repro-threaded.log"

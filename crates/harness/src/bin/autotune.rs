@@ -78,7 +78,10 @@ fn main() {
     let workload = WorkloadSpec { kind, n, seed };
     let device = gpu_sim::prelude::DeviceSpec::radeon_hd_5850();
     println!("workload: {}", workload.label());
-    println!("db key:   {}", db_key(&workload, &device, backend, objective));
+    match db_key(&workload, &device, backend, objective) {
+        Ok(key) => println!("db key:   {key}"),
+        Err(e) => println!("db key:   unavailable ({e})"),
+    }
 
     // evidence: the PTPM forecast ranking over the expressible grid
     let base = PlanConfig::default();

@@ -6,8 +6,10 @@
 //! ```
 //!
 //! Runs a jw-parallel simulation under deterministic injected faults,
-//! crashes it half-way, resumes from the newest checkpoint, and verifies
-//! the completed trajectory is bit-exact against a fault-free reference.
+//! crashes it half-way (or at the first checkpoint, if that comes later),
+//! resumes from the newest checkpoint, and verifies the completed
+//! trajectory is bit-exact against a fault-free reference. A cadence that
+//! lands no checkpoint before the last step is refused.
 //! Prints `FAULTS OK` and exits 0 on success; any I/O failure, unusable
 //! checkpoint, or divergence exits 1 with a typed error.
 

@@ -8,7 +8,7 @@
 //! modern core and the paper runs 100 steps).
 
 use nbody_core::body::ParticleSet;
-use nbody_core::gravity::{pair_acceleration, GravityParams};
+use nbody_core::gravity::{accelerations_pp_rows, GravityParams};
 use nbody_core::vec3::Vec3;
 use std::time::Instant;
 use treecode::mac::OpeningAngle;
@@ -29,30 +29,6 @@ pub struct CpuTiming {
     pub pp_extrapolated: bool,
 }
 
-/// Scalar PP over a row range `[row_start, row_end)`; the building block of
-/// the sampled measurement.
-pub fn pp_rows(
-    set: &ParticleSet,
-    params: &GravityParams,
-    row_start: usize,
-    row_end: usize,
-    acc: &mut [Vec3],
-) {
-    let pos = set.pos();
-    let mass = set.mass();
-    let eps_sq = params.eps_sq();
-    for i in row_start..row_end {
-        let xi = pos[i];
-        let mut a = Vec3::ZERO;
-        for j in 0..pos.len() {
-            if j != i {
-                a += pair_acceleration(xi, pos[j], mass[j], eps_sq);
-            }
-        }
-        acc[i - row_start] = a * params.g;
-    }
-}
-
 /// Measures per-evaluation CPU cost for both reference algorithms on `set`.
 pub fn measure_cpu(set: &ParticleSet, params: &GravityParams, theta: f64) -> CpuTiming {
     let n = set.len();
@@ -61,7 +37,7 @@ pub fn measure_cpu(set: &ParticleSet, params: &GravityParams, theta: f64) -> Cpu
     let rows = n.min(PP_SAMPLE_ROWS);
     let mut acc = vec![Vec3::ZERO; rows];
     let t0 = Instant::now();
-    pp_rows(set, params, 0, rows, &mut acc);
+    accelerations_pp_rows(set, params, 0..rows, &mut acc);
     let sample = t0.elapsed().as_secs_f64();
     // keep the result alive so the measurement cannot be optimized out
     assert!(acc.iter().all(|a| a.is_finite()));
@@ -82,21 +58,7 @@ pub fn measure_cpu(set: &ParticleSet, params: &GravityParams, theta: f64) -> Cpu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nbody_core::gravity::accelerations_pp;
     use nbody_core::testutil::random_set;
-
-    #[test]
-    fn pp_rows_matches_reference() {
-        let set = random_set(100, 1);
-        let params = GravityParams::default();
-        let mut full = vec![Vec3::ZERO; 100];
-        accelerations_pp(&set, &params, &mut full);
-        let mut rows = vec![Vec3::ZERO; 30];
-        pp_rows(&set, &params, 20, 50, &mut rows);
-        for (k, a) in rows.iter().enumerate() {
-            assert_eq!(*a, full[20 + k]);
-        }
-    }
 
     #[test]
     fn small_n_measured_exactly() {

@@ -40,6 +40,14 @@ pub enum HarnessError {
     },
     /// A fault-tolerance invariant did not hold (recovered run diverged).
     Verification(String),
+    /// The crash/resume demo cannot run: with this cadence no checkpoint
+    /// lands before the run ends, so there is nothing to resume from.
+    NoCheckpointBeforeEnd {
+        /// Steps in the run.
+        steps: usize,
+        /// The checkpoint cadence, in steps.
+        checkpoint_every: usize,
+    },
 }
 
 impl HarnessError {
@@ -70,6 +78,11 @@ impl std::fmt::Display for HarnessError {
             HarnessError::Verification(msg) => {
                 write!(f, "fault-tolerance verification failed: {msg}")
             }
+            HarnessError::NoCheckpointBeforeEnd { steps, checkpoint_every } => write!(
+                f,
+                "checkpoint every {checkpoint_every} steps lands none before the end of a \
+                 {steps}-step run: nothing to resume from"
+            ),
         }
     }
 }
@@ -80,7 +93,9 @@ impl std::error::Error for HarnessError {
             HarnessError::Io { source, .. } => Some(source),
             HarnessError::Snapshot { source, .. } => Some(source),
             HarnessError::Json { source, .. } => Some(source),
-            HarnessError::BadFlag { .. } | HarnessError::Verification(_) => None,
+            HarnessError::BadFlag { .. }
+            | HarnessError::Verification(_)
+            | HarnessError::NoCheckpointBeforeEnd { .. } => None,
         }
     }
 }

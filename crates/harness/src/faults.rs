@@ -60,17 +60,30 @@ fn harness_error(err: jobs::JobError) -> HarnessError {
 }
 
 /// The full demonstration the `faults` binary and CI smoke run: an attempt
-/// of `spec` that crashes half-way, a resumed attempt that completes it,
-/// and a bit-exact check of the result against the fault-free reference.
-/// Returns the human-readable report; ends with `FAULTS OK` only if every
-/// invariant held.
+/// of `spec` that crashes half-way (or at the first checkpoint, if that
+/// comes later), a resumed attempt that completes it, and a bit-exact check
+/// of the result against the fault-free reference. Returns the
+/// human-readable report; ends with `FAULTS OK` only if every invariant
+/// held.
+///
+/// A cadence that lands no checkpoint before the last step
+/// (`checkpoint_every >= steps`, or zero) is refused with
+/// [`HarnessError::NoCheckpointBeforeEnd`] before anything runs.
 pub fn demo(spec: &JobSpec, dir: &Path) -> Result<String, HarnessError> {
+    if spec.checkpoint_every == 0 || spec.checkpoint_every >= spec.steps {
+        return Err(HarnessError::NoCheckpointBeforeEnd {
+            steps: spec.steps,
+            checkpoint_every: spec.checkpoint_every,
+        });
+    }
     // fresh checkpoint directory so stale state can't mask a failure
     if dir.exists() {
         std::fs::remove_dir_all(dir).map_err(|e| HarnessError::io(dir.display().to_string(), e))?;
     }
     let mut out = String::new();
-    let crash = RunOptions { crash_after: Some(spec.steps / 2), ..Default::default() };
+    // crash no earlier than the first checkpoint, so the resume has one
+    let crash_at = (spec.steps / 2).max(spec.checkpoint_every);
+    let crash = RunOptions { crash_after: Some(crash_at), ..Default::default() };
     match run_job(spec, dir, &crash).map_err(harness_error)? {
         RunStatus::Crashed { at_step } => {
             out.push_str(&format!("crashed run : at step {at_step} of {}\n", spec.steps));
@@ -141,6 +154,38 @@ mod tests {
         let text = demo(&smoke(5), &dir).unwrap();
         assert!(text.ends_with("FAULTS OK\n"), "{text}");
         assert!(text.contains("bit-exact"));
+    }
+
+    #[test]
+    fn crash_waits_for_the_first_checkpoint() {
+        // half-way (step 3) precedes the first checkpoint (step 4)
+        let spec = JobSpec { steps: 6, checkpoint_every: 4, ..smoke(7) };
+        let dir = ScratchDir::new("faults-late-checkpoint");
+        let text = demo(&spec, &dir).unwrap();
+        assert!(text.ends_with("FAULTS OK\n"), "{text}");
+        assert!(text.contains("resumed run : from step 4,"), "{text}");
+    }
+
+    #[test]
+    fn cadence_without_an_early_checkpoint_is_refused() {
+        // a zero cadence would divide by zero in the runner's cadence check
+        for every in [4, 0] {
+            let spec = JobSpec { steps: 4, checkpoint_every: every, ..smoke(7) };
+            let dir = ScratchDir::new("faults-no-checkpoint");
+            let err = demo(&spec, &dir).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    HarnessError::NoCheckpointBeforeEnd { steps: 4, checkpoint_every }
+                        if checkpoint_every == every
+                ),
+                "{err}"
+            );
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("every {every} steps")), "{msg}");
+            assert!(msg.contains("4-step run"), "{msg}");
+            assert_eq!(std::fs::read_dir(&*dir).unwrap().count(), 0, "nothing ran");
+        }
     }
 
     #[test]

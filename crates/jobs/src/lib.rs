@@ -43,6 +43,7 @@
 //! and graceful SIGTERM drain.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod artifact;
 pub mod cache;

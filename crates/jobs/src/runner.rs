@@ -232,7 +232,9 @@ pub fn run_job(spec: &JobSpec, dir: &Path, opts: &RunOptions) -> Result<RunStatu
     }
 
     let final_snapshot = Snapshot::new(spec.label(), spec.steps as f64 * spec.dt, set);
-    let result_checksum = final_snapshot.checksum.expect("fresh snapshots carry a checksum");
+    let Some(result_checksum) = final_snapshot.checksum else {
+        return Err(JobError::Verification("final snapshot carries no checksum".into()));
+    };
     let fault_total =
         eng.device().and_then(|d| d.fault_plan()).map(|p| p.counts().total() as u64).unwrap_or(0);
     Ok(RunStatus::Complete(Box::new(JobResult {

@@ -123,7 +123,10 @@ impl TuningDb {
                     .map_err(|e| JobError::io(parent.display().to_string(), e))?;
             }
         }
-        let json = serde_json::to_string(self).expect("tuning db serializes");
+        let json = serde_json::to_string(self).map_err(|e| JobError::Parse {
+            path: path.display().to_string(),
+            msg: format!("tuning db serialize: {e}"),
+        })?;
         fs.write_atomic(path, json.as_bytes())
             .map_err(|e| JobError::io(path.display().to_string(), e))
     }
@@ -144,16 +147,19 @@ impl TuningDb {
 /// FNV-1a hash of the device spec's canonical JSON, 16 hex digits — the
 /// DB key component that keeps winners from one simulated device from
 /// being served on another.
-pub fn device_spec_hash(spec: &DeviceSpec) -> String {
+pub fn device_spec_hash(spec: &DeviceSpec) -> Result<String, JobError> {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let json = serde_json::to_string(spec).expect("device spec serializes");
+    let json = serde_json::to_string(spec).map_err(|e| JobError::Parse {
+        path: format!("device spec {}", spec.name),
+        msg: format!("serialize: {e}"),
+    })?;
     let mut hash = OFFSET;
     for &b in json.as_bytes() {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(PRIME);
     }
-    format!("{hash:016x}")
+    Ok(format!("{hash:016x}"))
 }
 
 fn objective_id(objective: TuneObjective) -> &'static str {
@@ -171,15 +177,15 @@ pub fn db_key(
     device: &DeviceSpec,
     backend: BackendKind,
     objective: TuneObjective,
-) -> String {
-    format!(
+) -> Result<String, JobError> {
+    Ok(format!(
         "{}/n{}/{}/{}/{}",
         workload.kind.id(),
         workload.n.next_power_of_two(),
-        device_spec_hash(device),
+        device_spec_hash(device)?,
         backend.resolve().id(),
         objective_id(objective)
-    )
+    ))
 }
 
 /// Which stage of the resolution chain produced the plan.
@@ -272,13 +278,16 @@ pub fn resolve_plan(
     top_k: usize,
 ) -> Resolution {
     let device = DeviceSpec::radeon_hd_5850();
-    let key = db_key(workload, &device, backend, objective);
     let (mut db, mut db_error) = match TuningDb::load(db_path) {
         Ok(Some(db)) => (db, None),
         Ok(None) => (TuningDb::default(), None),
         Err(e) => (TuningDb::default(), Some(e.to_string())),
     };
-    if let Some(entry) = db.get(&key) {
+    // a key that cannot be formed routes around the DB like a corrupt file
+    let key = db_key(workload, &device, backend, objective)
+        .map_err(|e| note_db_error(&mut db_error, e.to_string()))
+        .ok();
+    if let Some(entry) = key.as_deref().and_then(|k| db.get(k)) {
         // an unknown plan id means a foreign or future entry: treat as a
         // miss and heal it below rather than guessing
         if let Some(kind) = PlanKind::parse(&entry.plan) {
@@ -303,34 +312,39 @@ pub fn resolve_plan(
     } else {
         let shortlist = prune(&forecasts, top_k);
         let measured = measure(&shortlist, &device, &set, &params, objective);
-        let best_point = measured
-            .iter()
-            .min_by(|a, b| a.seconds.partial_cmp(&b.seconds).unwrap())
-            .expect("non-empty shortlist");
-        let f = forecasts
-            .iter()
-            .find(|p| p.candidate == best_point.candidate)
-            .expect("shortlist is a subset of the forecast grid")
-            .forecast_s;
-        (best_point.candidate, PlanSource::Measured, f, Some(best_point.seconds))
+        // the shortlist is drawn from the forecast grid; should nothing come
+        // back measured, the forecast winner stands
+        let fastest = measured.iter().min_by(|a, b| a.seconds.total_cmp(&b.seconds));
+        match fastest.and_then(|m| {
+            forecasts.iter().find(|p| p.candidate == m.candidate).map(|f| (m, f.forecast_s))
+        }) {
+            Some((m, f)) => (m.candidate, PlanSource::Measured, f, Some(m.seconds)),
+            None => (best.candidate, PlanSource::Forecast, best.forecast_s, None),
+        }
     };
 
-    db.put(TuningEntry {
-        key,
-        plan: winner.kind.id().to_string(),
-        config: winner.config,
-        source: source.id().to_string(),
-        forecast_s,
-        measured_s,
-    });
-    if let Err(e) = db.store(fs, db_path) {
-        let msg = format!("tuning db store failed: {e}");
-        db_error = Some(match db_error {
-            Some(prev) => format!("{prev}; {msg}"),
-            None => msg,
+    if let Some(key) = key {
+        db.put(TuningEntry {
+            key,
+            plan: winner.kind.id().to_string(),
+            config: winner.config,
+            source: source.id().to_string(),
+            forecast_s,
+            measured_s,
         });
+        if let Err(e) = db.store(fs, db_path) {
+            note_db_error(&mut db_error, format!("tuning db store failed: {e}"));
+        }
     }
     Resolution { kind: winner.kind, config: winner.config, source, db_error }
+}
+
+/// Appends `msg` to the DB problems a resolution routed around.
+fn note_db_error(db_error: &mut Option<String>, msg: String) {
+    *db_error = Some(match db_error.take() {
+        Some(prev) => format!("{prev}; {msg}"),
+        None => msg,
+    });
 }
 
 #[cfg(test)]
@@ -405,7 +419,7 @@ mod tests {
     fn db_key_buckets_n_and_separates_tiers() {
         let device = DeviceSpec::radeon_hd_5850();
         let w = |n| WorkloadSpec::plummer(n, 1);
-        let k = |n, b, o| db_key(&w(n), &device, b, o);
+        let k = |n, b, o| db_key(&w(n), &device, b, o).unwrap();
         // one bucket per power-of-two range
         assert_eq!(
             k(600, BackendKind::Sim, TuneObjective::TotalTime),
@@ -436,7 +450,8 @@ mod tests {
                 &DeviceSpec::radeon_hd_5870(),
                 BackendKind::Sim,
                 TuneObjective::TotalTime
-            ),
+            )
+            .unwrap(),
             k(512, BackendKind::Sim, TuneObjective::TotalTime)
         );
     }
@@ -526,7 +541,7 @@ mod tests {
             DEFAULT_SHORTLIST,
         );
         assert!(result.winner_reproducible);
-        let key = db_key(&workload, &device, BackendKind::Sim, TuneObjective::TotalTime);
+        let key = db_key(&workload, &device, BackendKind::Sim, TuneObjective::TotalTime).unwrap();
         let mut db = TuningDb::default();
         db.put(TuningEntry {
             key,

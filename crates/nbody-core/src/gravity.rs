@@ -7,19 +7,19 @@
 //! ```
 //!
 //! with Plummer softening `ε` to regularize close encounters, exactly as the
-//! GPU kernels in Nyland et al. (GPU Gems 3) and in the paper do. All
-//! reference implementations are `O(N²)`:
+//! GPU kernels in Nyland et al. (GPU Gems 3) and in the paper do.
 //!
-//! * [`accelerations_pp`] — the scalar reference every other method is
-//!   validated against (fixed summation order, deterministic);
-//! * [`accelerations_pp_symmetric`] — Newton's-third-law variant doing each
-//!   pair once (different rounding, same physics);
-//! * [`accelerations_pp_parallel`] — multithreaded over chunks of `i`, used
-//!   to keep large validation runs fast on the host.
+//! [`accelerations_pp`] is the scalar `O(N²)` reference every other method
+//! is validated against (fixed `j`-ascending summation order,
+//! deterministic); [`accelerations_pp_rows`] is its row loop over a row
+//! range, which Table 1's sampled CPU column times. The production host PP
+//! kernel is the tiled SoA sweep in [`crate::soa`], bit-identical to this
+//! reference.
 
 use crate::body::ParticleSet;
 use crate::vec3::Vec3;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Physical and numerical constants of a gravity model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -79,11 +79,26 @@ pub fn pair_potential(xi: Vec3, xj: Vec3, mi: f64, mj: f64, eps_sq: f64) -> f64 
 /// # Panics
 /// Panics if `acc.len() != set.len()`.
 pub fn accelerations_pp(set: &ParticleSet, params: &GravityParams, acc: &mut [Vec3]) {
-    assert_eq!(acc.len(), set.len(), "acceleration buffer length mismatch");
+    accelerations_pp_rows(set, params, 0..set.len(), acc);
+}
+
+/// The reference row loop of [`accelerations_pp`] over `rows` only:
+/// `out[k]` is the acceleration of body `rows.start + k`, bit-identical to
+/// the full evaluation's entry.
+///
+/// # Panics
+/// Panics if `out.len() != rows.len()` or `rows` exceeds the set.
+pub fn accelerations_pp_rows(
+    set: &ParticleSet,
+    params: &GravityParams,
+    rows: Range<usize>,
+    out: &mut [Vec3],
+) {
+    assert_eq!(out.len(), rows.len(), "output buffer length mismatch");
     let pos = set.pos();
     let mass = set.mass();
     let eps_sq = params.eps_sq();
-    for (i, ai) in acc.iter_mut().enumerate() {
+    for (i, ai) in rows.zip(out.iter_mut()) {
         let xi = pos[i];
         let mut a = Vec3::ZERO;
         for j in 0..pos.len() {
@@ -93,64 +108,6 @@ pub fn accelerations_pp(set: &ParticleSet, params: &GravityParams, acc: &mut [Ve
         }
         *ai = a * params.g;
     }
-}
-
-/// PP with Newton's third law: each unordered pair is evaluated once and
-/// applied with opposite signs. Half the interactions of
-/// [`accelerations_pp`]; rounding differs but physics agrees to fp tolerance.
-pub fn accelerations_pp_symmetric(set: &ParticleSet, params: &GravityParams, acc: &mut [Vec3]) {
-    assert_eq!(acc.len(), set.len(), "acceleration buffer length mismatch");
-    let pos = set.pos();
-    let mass = set.mass();
-    let eps_sq = params.eps_sq();
-    acc.iter_mut().for_each(|a| *a = Vec3::ZERO);
-    for i in 0..pos.len() {
-        for j in (i + 1)..pos.len() {
-            let d = pos[j] - pos[i];
-            let r2 = d.norm_sq() + eps_sq;
-            let inv_r = 1.0 / r2.sqrt();
-            let inv_r3 = inv_r * inv_r * inv_r;
-            // acceleration on i from j and vice versa
-            acc[i] += d * (mass[j] * inv_r3);
-            acc[j] -= d * (mass[i] * inv_r3);
-        }
-    }
-    for a in acc.iter_mut() {
-        *a *= params.g;
-    }
-}
-
-/// Multithreaded PP over row chunks (`par`'s fixed chunking on scoped
-/// threads). Identical summation order per row as [`accelerations_pp`], so
-/// results match it bit-for-bit at any thread count. Pass `par::threads()`
-/// to follow the workspace-wide `--threads` setting.
-///
-/// Since PR 5 the rows run through the cache-blocked SoA tile kernel
-/// ([`crate::soa::pp_rows_tiled`]), which preserves the per-row summation
-/// order exactly — this helper packs a fresh SoA copy per call; use
-/// [`crate::soa::SoaPp`] to amortize the packing across steps.
-pub fn accelerations_pp_parallel(
-    set: &ParticleSet,
-    params: &GravityParams,
-    acc: &mut [Vec3],
-    threads: usize,
-) {
-    assert_eq!(acc.len(), set.len(), "acceleration buffer length mismatch");
-    let n = set.len();
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n < 64 {
-        accelerations_pp(set, params, acc);
-        return;
-    }
-    let mut soa = crate::soa::SoaBodies::new();
-    soa.fill_from(set);
-    crate::soa::accelerations_pp_tiled_parallel(
-        soa.view(),
-        params,
-        crate::soa::tile(),
-        threads,
-        acc,
-    );
 }
 
 /// Total potential energy, `O(N²)` over unordered pairs.
@@ -228,34 +185,14 @@ mod tests {
     }
 
     #[test]
-    fn symmetric_matches_reference() {
-        let set = crate::testutil::random_set(64, 42);
+    fn pp_rows_matches_reference() {
+        let set = crate::testutil::random_set(100, 1);
         let params = GravityParams::default();
-        let mut a = vec![Vec3::ZERO; set.len()];
-        let mut b = vec![Vec3::ZERO; set.len()];
-        accelerations_pp(&set, &params, &mut a);
-        accelerations_pp_symmetric(&set, &params, &mut b);
-        assert!(max_relative_error(&a, &b) < 1e-12);
-    }
-
-    #[test]
-    fn parallel_matches_reference_bitwise() {
-        let set = crate::testutil::random_set(200, 7);
-        let params = GravityParams::default();
-        let mut a = vec![Vec3::ZERO; set.len()];
-        let mut b = vec![Vec3::ZERO; set.len()];
-        accelerations_pp(&set, &params, &mut a);
-        accelerations_pp_parallel(&set, &params, &mut b, 4);
-        assert_eq!(a, b, "row-wise parallel PP must be bitwise identical");
-    }
-
-    #[test]
-    fn parallel_small_n_falls_back() {
-        let set = two_body_set();
-        let params = GravityParams::default();
-        let mut a = vec![Vec3::ZERO; 2];
-        accelerations_pp_parallel(&set, &params, &mut a, 8);
-        assert!(a[0].norm() > 0.0);
+        let mut full = vec![Vec3::ZERO; 100];
+        accelerations_pp(&set, &params, &mut full);
+        let mut rows = vec![Vec3::ZERO; 30];
+        accelerations_pp_rows(&set, &params, 20..50, &mut rows);
+        assert_eq!(rows[..], full[20..50]);
     }
 
     #[test]

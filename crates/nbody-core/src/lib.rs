@@ -36,7 +36,6 @@ pub mod flops;
 pub mod gravity;
 pub mod hermite;
 pub mod integrator;
-pub mod simulation;
 pub mod soa;
 pub mod testutil;
 pub mod units;
@@ -47,17 +46,13 @@ pub mod prelude {
     pub use crate::body::{Body, ParticleSet};
     pub use crate::energy::{total_energy, Diagnostics};
     pub use crate::flops::{FlopConvention, Throughput};
-    pub use crate::gravity::{
-        accelerations_pp, accelerations_pp_parallel, accelerations_pp_symmetric, GravityParams,
-    };
+    pub use crate::gravity::{accelerations_pp, accelerations_pp_rows, GravityParams};
     pub use crate::hermite::{accelerations_and_jerks_pp, Hermite4};
     pub use crate::integrator::{
         prime, run, DirectPp, ForceEngine, Integrator, LeapfrogDkd, LeapfrogKdk, SymplecticEuler,
     };
-    pub use crate::simulation::{Sample, Simulation};
     pub use crate::soa::{
-        accelerations_pp_tiled, accelerations_pp_tiled_parallel, accelerations_pp_tiled_with,
-        SoaBodies, SoaPp, SoaView,
+        accelerations_pp_tiled_parallel, accelerations_pp_tiled_with, SoaBodies, SoaView,
     };
     pub use crate::units::{to_standard_units, UnitsTransform};
     pub use crate::vec3::{Vec3, Vec3f};

@@ -23,23 +23,17 @@
 //! accumulator lanes — so the sqrt/div pipeline vectorizes while each row's
 //! chain stays sequential.
 //!
-//! The tile size is a pure performance knob resolved by [`tile`]: an
-//! explicit [`set_tile`], else the `NBODY_TILE` environment variable, else a
-//! small one-time auto-probe ([`auto_probe_tile`]) that times the candidates
-//! on a synthetic workload.
+//! The tile size is a pure performance knob passed in by the caller; the
+//! host backend (`plans::backend::HostBackend`) takes it from its plan
+//! config's `block_size`.
 
 use crate::body::ParticleSet;
 use crate::gravity::GravityParams;
-use crate::integrator::ForceEngine;
 use crate::vec3::Vec3;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Largest permitted tile (bounds the stack accumulators of the kernel).
 pub const MAX_TILE: usize = 512;
-
-/// Tile sizes tried by [`auto_probe_tile`] (all within [`MAX_TILE`]).
-pub const TILE_CANDIDATES: [usize; 5] = [16, 32, 64, 128, 256];
 
 /// Packed struct-of-arrays body storage: flat `x/y/z/mass` lanes.
 ///
@@ -129,70 +123,6 @@ impl<'a> SoaView<'a> {
     pub fn is_empty(&self) -> bool {
         self.xs.is_empty()
     }
-}
-
-/// 0 = not yet resolved; anything else is the configured tile size.
-static TILE: AtomicUsize = AtomicUsize::new(0);
-
-/// Pins the process-wide tile size used by [`tile`].
-///
-/// # Panics
-/// Panics unless `1 <= t <= MAX_TILE`.
-pub fn set_tile(t: usize) {
-    assert!((1..=MAX_TILE).contains(&t), "tile size must be in 1..={MAX_TILE}, got {t}");
-    TILE.store(t, Ordering::Relaxed);
-}
-
-/// The tile size in effect: the last [`set_tile`] value, else `NBODY_TILE`,
-/// else the result of a one-time [`auto_probe_tile`]. Never affects results,
-/// only wall-clock.
-pub fn tile() -> usize {
-    let t = TILE.load(Ordering::Relaxed);
-    if t != 0 {
-        return t;
-    }
-    let resolved = resolve_tile();
-    // first caller wins; any later set_tile still overrides
-    let _ = TILE.compare_exchange(0, resolved, Ordering::Relaxed, Ordering::Relaxed);
-    TILE.load(Ordering::Relaxed)
-}
-
-fn resolve_tile() -> usize {
-    if let Ok(v) = std::env::var("NBODY_TILE") {
-        if let Ok(t) = v.trim().parse::<usize>() {
-            if (1..=MAX_TILE).contains(&t) {
-                return t;
-            }
-        }
-    }
-    auto_probe_tile()
-}
-
-/// Times each [`TILE_CANDIDATES`] entry on a small synthetic workload and
-/// returns the fastest. Runs in a few milliseconds; called at most once per
-/// process by [`tile`]. Deterministic in *results* (tile size never changes
-/// forces) though the winning size depends on the machine.
-pub fn auto_probe_tile() -> usize {
-    let set = crate::testutil::random_set(1024, 0x5eed);
-    let mut soa = SoaBodies::new();
-    soa.fill_from(&set);
-    let params = GravityParams::default();
-    let mut acc = vec![Vec3::ZERO; set.len()];
-    let mut best = (f64::INFINITY, TILE_CANDIDATES[0]);
-    for &t in &TILE_CANDIDATES {
-        // one warmup, then best-of-two timed evals
-        pp_rows_tiled(soa.view(), 0..set.len(), &params, t, &mut acc);
-        let mut fastest = f64::INFINITY;
-        for _ in 0..2 {
-            let start = std::time::Instant::now();
-            pp_rows_tiled(soa.view(), 0..set.len(), &params, t, &mut acc);
-            fastest = fastest.min(start.elapsed().as_secs_f64());
-        }
-        if fastest < best.0 {
-            best = (fastest, t);
-        }
-    }
-    best.1
 }
 
 /// Accumulates the contributions of sources `0..n` (skipping `j == i`) onto
@@ -390,14 +320,6 @@ pub fn pp_rows_tiled(
     }
 }
 
-/// Tiled PP over all rows with the globally resolved [`tile`] size.
-///
-/// # Panics
-/// Panics if `acc.len() != view.len()`.
-pub fn accelerations_pp_tiled(view: SoaView<'_>, params: &GravityParams, acc: &mut [Vec3]) {
-    accelerations_pp_tiled_with(view, params, tile(), acc)
-}
-
 /// Tiled PP over all rows with an explicit tile size.
 pub fn accelerations_pp_tiled_with(
     view: SoaView<'_>,
@@ -409,10 +331,10 @@ pub fn accelerations_pp_tiled_with(
     pp_rows_tiled(view, 0..view.len(), params, tile, acc);
 }
 
-/// Multithreaded tiled PP over row chunks (same fixed chunking as
-/// [`crate::gravity::accelerations_pp_parallel`]). Per-row summation order
-/// is unchanged, so results are bit-identical to the serial tiled kernel —
-/// and hence to the scalar reference — at any thread count.
+/// Multithreaded tiled PP over `par`'s fixed row chunks on scoped threads.
+/// Per-row summation order is unchanged, so results are bit-identical to
+/// the serial tiled kernel — and hence to the scalar reference — at any
+/// thread count.
 pub fn accelerations_pp_tiled_parallel(
     view: SoaView<'_>,
     params: &GravityParams,
@@ -436,44 +358,6 @@ pub fn accelerations_pp_tiled_parallel(
             scope.spawn(move || pp_rows_tiled(view, range, params, tile, rows));
         }
     });
-}
-
-/// Zero-allocation direct-PP force engine on the tiled SoA kernel.
-///
-/// Owns its packed [`SoaBodies`]; every evaluation repacks into the same
-/// buffers and runs the tiled kernel serially or chunked over
-/// [`par::threads`]. Results are bit-identical to [`crate::integrator::DirectPp`]
-/// at every thread count and tile size; after the first evaluation,
-/// steady-state evaluations perform no heap allocation at `threads == 1`.
-#[derive(Debug, Clone)]
-pub struct SoaPp {
-    /// Gravity model used for every evaluation.
-    pub params: GravityParams,
-    soa: SoaBodies,
-}
-
-impl SoaPp {
-    /// Creates the engine with the given gravity model.
-    pub fn new(params: GravityParams) -> Self {
-        Self { params, soa: SoaBodies::new() }
-    }
-}
-
-impl ForceEngine for SoaPp {
-    fn accelerations(&mut self, set: &ParticleSet, acc: &mut [Vec3]) {
-        self.soa.fill_from(set);
-        let view = self.soa.view();
-        let threads = par::threads();
-        if threads <= 1 {
-            accelerations_pp_tiled_with(view, &self.params, tile(), acc);
-        } else {
-            accelerations_pp_tiled_parallel(view, &self.params, tile(), threads, acc);
-        }
-    }
-
-    fn name(&self) -> &str {
-        "soa-pp"
-    }
 }
 
 #[cfg(test)]
@@ -533,7 +417,7 @@ mod tests {
         let mut soa = SoaBodies::new();
         soa.fill_from(&set);
         let mut acc = vec![Vec3::ZERO; set.len()];
-        accelerations_pp_tiled(soa.view(), &params, &mut acc);
+        accelerations_pp_tiled_with(soa.view(), &params, 8, &mut acc);
         assert_eq!(acc, reference);
         assert!(acc.iter().all(|a| a.is_finite()));
     }
@@ -554,19 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_matches_direct_pp() {
-        use crate::integrator::{DirectPp, ForceEngine};
-        let set = random_set(96, 6);
-        let params = GravityParams::default();
-        let mut a = vec![Vec3::ZERO; set.len()];
-        let mut b = vec![Vec3::ZERO; set.len()];
-        DirectPp::new(params).accelerations(&set, &mut a);
-        SoaPp::new(params).accelerations(&set, &mut b);
-        assert_eq!(a, b);
-        assert_eq!(SoaPp::new(params).name(), "soa-pp");
-    }
-
-    #[test]
     fn empty_and_single_body() {
         let params = GravityParams::default();
         let empty = SoaBodies::new();
@@ -581,14 +452,12 @@ mod tests {
     }
 
     #[test]
-    fn probe_returns_candidate() {
-        let t = auto_probe_tile();
-        assert!(TILE_CANDIDATES.contains(&t));
-    }
-
-    #[test]
     #[should_panic(expected = "tile size")]
     fn zero_tile_rejected() {
-        set_tile(0);
+        let set = random_set(4, 8);
+        let mut soa = SoaBodies::new();
+        soa.fill_from(&set);
+        let mut acc = vec![Vec3::ZERO; set.len()];
+        pp_rows_tiled(soa.view(), 0..set.len(), &GravityParams::default(), 0, &mut acc);
     }
 }

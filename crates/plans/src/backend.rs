@@ -230,9 +230,11 @@ impl Backend for SimBackend {
 // Host (f64)
 // ---------------------------------------------------------------------------
 
-/// The host f64 backend: PP plans run the SoA tiled kernel (bit-exact
-/// against the scalar reference at every tile size and thread count), tree
-/// plans run the walk lane kernel
+/// The host f64 backend, and the workspace's one production host force
+/// path per algorithm: PP plans run the SoA tiled kernel (bit-exact
+/// against the scalar reference [`nbody_core::gravity::accelerations_pp`]
+/// at every tile size and thread count), tree plans run the walk lane
+/// kernel
 /// [`treecode::interaction_list::evaluate_walk_lanes`] parallelized over
 /// walk groups (groups own disjoint bodies, so the scatter is
 /// deterministic). The lane kernel makes each walk's targets SIMD lanes
@@ -250,7 +252,8 @@ pub struct HostBackend {
 
 impl HostBackend {
     /// Creates the backend; `config.block_size` doubles as the SoA tile
-    /// size (results are tile-invariant, the knob only moves wall time).
+    /// size, the only source of the host PP tile (results are
+    /// tile-invariant, the knob only moves wall time).
     pub fn new(config: PlanConfig) -> Self {
         Self { config, soa: SoaBodies::new() }
     }

@@ -192,6 +192,41 @@ mod tests {
         let _ = params;
     }
 
+    /// The host tree engine the examples evolve on: w-parallel walks on the
+    /// f64 host backend.
+    fn host_tree_engine(params: GravityParams) -> PlanForceEngine {
+        PlanForceEngine::with_backend(
+            Box::new(crate::backend::HostBackend::new(PlanConfig::default())),
+            PlanKind::WParallel,
+            params,
+        )
+    }
+
+    #[test]
+    fn engine_fills_accelerations() {
+        let set = random_set(100, 1);
+        let mut eng = host_tree_engine(GravityParams::default());
+        let mut acc = vec![Vec3::ZERO; set.len()];
+        eng.accelerations(&set, &mut acc);
+        assert!(acc.iter().all(|a| a.is_finite()));
+        assert!(acc.iter().any(|a| a.norm() > 0.0));
+        assert_eq!(eng.evaluations(), 1);
+        assert!(eng.last_outcome().is_some_and(|o| o.interactions > 0));
+    }
+
+    #[test]
+    fn integration_with_bh_conserves_energy_roughly() {
+        let mut set = random_set(150, 3);
+        set.recenter();
+        let params = GravityParams { g: 1.0, softening: 0.05 };
+        let mut eng = host_tree_engine(params);
+        let e0 = total_energy(&set, &params);
+        run(&mut set, &mut eng, &LeapfrogKdk, 2e-4, 50);
+        let e1 = total_energy(&set, &params);
+        let drift = ((e1 - e0) / e0).abs();
+        assert!(drift < 0.05, "energy drift {drift}");
+    }
+
     #[test]
     fn engine_name_matches_plan() {
         for kind in PlanKind::all() {

@@ -5,12 +5,12 @@
 //! pass/fail gate; this module packages the comparisons the workspace's
 //! tests perform into a reusable API with explicit error budgets.
 
+use crate::backend::{Backend, HostBackend};
 use crate::common::{PlanConfig, PlanKind, PlanOutcome};
 use gpu_sim::prelude::{Device, DeviceSpec, TransferModel};
 use nbody_core::body::ParticleSet;
 use nbody_core::flops::FlopConvention;
-use nbody_core::gravity::{accelerations_pp_parallel, max_relative_error, GravityParams};
-use nbody_core::vec3::Vec3;
+use nbody_core::gravity::{max_relative_error, GravityParams};
 use serde::{Deserialize, Serialize};
 
 /// Error budgets per method family.
@@ -78,9 +78,9 @@ pub fn validate_plan(
     params: &GravityParams,
     budget: ErrorBudget,
 ) -> ValidationReport {
-    // bit-identical to the serial reference at any thread count
-    let mut exact = vec![Vec3::ZERO; set.len()];
-    accelerations_pp_parallel(set, params, &mut exact, par::threads());
+    // the host f64 PP kernel: bit-identical to the scalar reference at any
+    // tile size and thread count
+    let exact = HostBackend::new(config).evaluate(PlanKind::IParallel, set, params).acc;
 
     let mut device = Device::with_transfer_model(spec.clone(), TransferModel::pcie2_x16());
     device.set_race_checking(true);

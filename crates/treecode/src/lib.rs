@@ -7,6 +7,11 @@
 //! where spatially coherent groups of bodies share one list produced by a
 //! single conservative (group-MAC) traversal.
 //!
+//! There is one host force path per role: [`evaluate_walk_lanes`] is the
+//! production kernel (the host backend's tree plans), [`evaluate_walks_cpu`]
+//! its scalar oracle, and the per-body walk [`accelerations_bh`] the
+//! classic treecode that Table 1's CPU column times.
+//!
 //! ```
 //! use nbody_core::prelude::*;
 //! use treecode::prelude::*;
@@ -22,18 +27,15 @@
 
 #![warn(missing_docs)]
 
-pub mod engine;
 pub mod interaction_list;
 pub mod mac;
 pub mod morton;
-pub mod multipole;
 pub mod shards;
 pub mod traverse;
 pub mod tree;
 
 /// Common imports.
 pub mod prelude {
-    pub use crate::engine::BarnesHut;
     pub use crate::interaction_list::{
         build_walks, build_walks_into, build_walks_range, collect_list, collect_list_into,
         evaluate_walk_lanes, evaluate_walks_cpu, WalkGroup, WalkSet,
@@ -43,12 +45,8 @@ pub mod prelude {
         demorton3, eligible_walk_splits, keys_in_order, morton3, morton_of, morton_order,
         morton_order_incremental,
     };
-    pub use crate::multipole::{accelerations_bh_quad, compute_quadrupoles, Quadrupole};
     pub use crate::shards::{MortonShard, MortonShards};
-    pub use crate::traverse::{
-        acceleration_on, acceleration_on_with_stack, accelerations_bh, accelerations_bh_scratch,
-        WalkStats,
-    };
+    pub use crate::traverse::{accelerations_bh, WalkStats};
     pub use crate::tree::{octant, octant_offset, root_cube, Node, Octree, TreeParams, NO_CHILD};
 }
 

@@ -1,4 +1,5 @@
-//! Per-body tree walks: the CPU Barnes-Hut force evaluation.
+//! Per-body tree walks: the classic CPU Barnes-Hut force evaluation, timed
+//! as Table 1's CPU column and used by the θ accuracy sweeps.
 //!
 //! For each target body the walk descends from the root; accepted cells
 //! contribute a softened monopole interaction with their center of mass
@@ -40,23 +41,10 @@ impl std::ops::AddAssign for WalkStats {
     }
 }
 
-/// Acceleration on body `target` (an index into `set`) from the whole tree.
-pub fn acceleration_on(
-    tree: &Octree,
-    set: &nbody_core::body::ParticleSet,
-    target: usize,
-    theta: OpeningAngle,
-    params: &GravityParams,
-    stats: &mut WalkStats,
-) -> Vec3 {
-    let mut stack: Vec<u32> = Vec::with_capacity(64);
-    acceleration_on_with_stack(tree, set, target, theta, params, stats, &mut stack)
-}
-
-/// [`acceleration_on`] with a caller-provided traversal stack, so repeated
-/// walks (one per body, every step) reuse one buffer instead of allocating
-/// per walk. The stack is cleared on entry.
-pub fn acceleration_on_with_stack(
+/// Acceleration on body `target` (an index into `set`) from the whole
+/// tree, walking with a caller-provided traversal stack so the walks of one
+/// evaluation reuse one buffer. The stack is cleared on entry.
+fn acceleration_on(
     tree: &Octree,
     set: &nbody_core::body::ParticleSet,
     target: usize,
@@ -112,17 +100,19 @@ pub fn accelerations_bh(
     assert_eq!(acc.len(), set.len(), "acceleration buffer length mismatch");
     if par::threads() == 1 {
         // serial fast path: write in place with one shared traversal stack
+        let mut stats = WalkStats::default();
         let mut stack: Vec<u32> = Vec::with_capacity(64);
-        return bh_rows(tree, set, theta, params, acc, &mut stack);
+        for (i, ai) in acc.iter_mut().enumerate() {
+            *ai = acceleration_on(tree, set, i, theta, params, &mut stats, &mut stack);
+        }
+        return stats;
     }
     let chunks = par::map_chunks(set.len(), |range| {
         let mut stats = WalkStats::default();
         let mut stack: Vec<u32> = Vec::with_capacity(64);
         let accs: Vec<Vec3> = range
             .clone()
-            .map(|i| {
-                acceleration_on_with_stack(tree, set, i, theta, params, &mut stats, &mut stack)
-            })
+            .map(|i| acceleration_on(tree, set, i, theta, params, &mut stats, &mut stack))
             .collect();
         (range, accs, stats)
     });
@@ -131,45 +121,6 @@ pub fn accelerations_bh(
         acc[range].copy_from_slice(&accs);
         stats += chunk_stats;
     }
-    stats
-}
-
-/// Serial per-body walks over all of `acc`, reusing `stack`.
-fn bh_rows(
-    tree: &Octree,
-    set: &nbody_core::body::ParticleSet,
-    theta: OpeningAngle,
-    params: &GravityParams,
-    acc: &mut [Vec3],
-    stack: &mut Vec<u32>,
-) -> WalkStats {
-    let mut stats = WalkStats::default();
-    for (i, ai) in acc.iter_mut().enumerate() {
-        *ai = acceleration_on_with_stack(tree, set, i, theta, params, &mut stats, stack);
-    }
-    stats
-}
-
-/// [`accelerations_bh`] with the traversal stack pooled in `scratch`:
-/// the allocation-free walk used by the steady-state treecode step. Results
-/// are bit-identical to [`accelerations_bh`] (same walks, same order). With
-/// more than one `par` thread this delegates to the chunked path, whose
-/// per-chunk buffers still allocate (zero-alloc is a serial invariant).
-pub fn accelerations_bh_scratch(
-    tree: &Octree,
-    set: &nbody_core::body::ParticleSet,
-    theta: OpeningAngle,
-    params: &GravityParams,
-    acc: &mut [Vec3],
-    scratch: &mut par::arena::Scratch,
-) -> WalkStats {
-    assert_eq!(acc.len(), set.len(), "acceleration buffer length mismatch");
-    if par::threads() != 1 {
-        return accelerations_bh(tree, set, theta, params, acc);
-    }
-    let mut stack = scratch.take::<u32>("walk-stack");
-    let stats = bh_rows(tree, set, theta, params, acc, &mut stack);
-    scratch.put("walk-stack", stack);
     stats
 }
 
@@ -249,7 +200,16 @@ mod tests {
         let params = GravityParams::default();
         let mut stats = WalkStats::default();
         // single body: no interaction partners
-        let a = acceleration_on(&tree, &set, 0, OpeningAngle::default(), &params, &mut stats);
+        let mut stack = Vec::new();
+        let a = acceleration_on(
+            &tree,
+            &set,
+            0,
+            OpeningAngle::default(),
+            &params,
+            &mut stats,
+            &mut stack,
+        );
         assert_eq!(a, Vec3::ZERO);
         assert_eq!(stats.cell_interactions, 0);
         assert_eq!(stats.body_interactions, 0);
@@ -261,27 +221,6 @@ mod tests {
         a += WalkStats { cell_interactions: 10, body_interactions: 20, nodes_visited: 30 };
         assert_eq!(a.cell_interactions, 11);
         assert_eq!(a.total_interactions(), 33);
-    }
-
-    #[test]
-    fn scratch_walk_is_bitwise_identical() {
-        let set = random_set(400, 8);
-        let params = GravityParams::default();
-        let tree = Octree::build(&set, TreeParams::default());
-        let mut a = vec![Vec3::ZERO; set.len()];
-        let mut b = vec![Vec3::ZERO; set.len()];
-        let s1 = accelerations_bh(&tree, &set, OpeningAngle::new(0.5), &params, &mut a);
-        let mut scratch = par::arena::Scratch::new();
-        let s2 = accelerations_bh_scratch(
-            &tree,
-            &set,
-            OpeningAngle::new(0.5),
-            &params,
-            &mut b,
-            &mut scratch,
-        );
-        assert_eq!(a, b);
-        assert_eq!(s1, s2);
     }
 
     #[test]

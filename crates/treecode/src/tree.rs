@@ -185,28 +185,6 @@ impl Octree {
         self.nodes.iter().map(|n| n.depth).max().unwrap_or(0)
     }
 
-    /// Refits the tree to moved positions **without rebuilding topology**:
-    /// recomputes every node's mass and center of mass bottom-up while
-    /// keeping the cell geometry and the body partition.
-    ///
-    /// Valid while bodies have not drifted far across cell boundaries —
-    /// the standard cheap-update between full rebuilds (tree *update* in
-    /// the N-body literature). [`Octree::check_invariants`] may fail on a
-    /// refitted tree (bodies can sit slightly outside their original cell);
-    /// the force error grows smoothly with the drift.
-    ///
-    /// # Panics
-    /// Panics if `set` has a different body count than the tree was built
-    /// for.
-    pub fn refit(&mut self, set: &ParticleSet) {
-        assert_eq!(
-            self.order.len(),
-            set.len(),
-            "refit requires the same body count the tree was built with"
-        );
-        self.compute_multipoles(set);
-    }
-
     fn compute_multipoles(&mut self, set: &ParticleSet) {
         let pos = set.pos();
         let mass = set.mass();
@@ -602,42 +580,6 @@ mod tests {
         let shallow = Octree::build(&random_set(32, 5), TreeParams { leaf_capacity: 8 });
         let deep = Octree::build(&random_set(4096, 5), TreeParams { leaf_capacity: 8 });
         assert!(deep.max_depth() > shallow.max_depth());
-    }
-
-    #[test]
-    fn refit_tracks_small_motion() {
-        use crate::mac::OpeningAngle;
-        use crate::traverse::accelerations_bh;
-        use nbody_core::gravity::{accelerations_pp, max_relative_error, GravityParams};
-
-        let mut set = random_set(600, 7);
-        let mut tree = Octree::build(&set, TreeParams::default());
-        // nudge every body slightly and refit
-        let mut rng = nbody_core::testutil::XorShift64::new(99);
-        for p in set.pos_mut() {
-            *p += rng.uniform_vec3(-1e-3, 1e-3);
-        }
-        tree.refit(&set);
-        // mass still conserved, com updated
-        assert!((tree.root().mass - set.total_mass()).abs() < 1e-9);
-        assert!(tree.root().com.distance(set.center_of_mass().unwrap()) < 1e-9);
-        // forces from the refitted tree stay close to the truth
-        let params = GravityParams::default();
-        let mut exact = vec![Vec3::ZERO; set.len()];
-        let mut approx = vec![Vec3::ZERO; set.len()];
-        accelerations_pp(&set, &params, &mut exact);
-        accelerations_bh(&tree, &set, OpeningAngle::new(0.5), &params, &mut approx);
-        let err = max_relative_error(&exact, &approx);
-        assert!(err < 0.03, "refit error {err}");
-    }
-
-    #[test]
-    #[should_panic(expected = "same body count")]
-    fn refit_rejects_different_population() {
-        let set = random_set(50, 8);
-        let mut tree = Octree::build(&set, TreeParams::default());
-        let other = random_set(51, 8);
-        tree.refit(&other);
     }
 
     #[test]

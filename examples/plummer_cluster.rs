@@ -1,11 +1,13 @@
 //! Plummer cluster in virial equilibrium: verify that a cluster sampled
 //! from the equilibrium distribution *stays* in equilibrium when evolved
-//! with the Barnes-Hut treecode, and show how the opening angle θ trades
-//! accuracy for interaction count — the knob behind the paper's tree plans.
+//! with the w-parallel treecode on the host f64 backend, and show how the
+//! opening angle θ trades accuracy for interaction count — the knob behind
+//! the paper's tree plans.
 //!
 //! Run with: `cargo run --release --example plummer_cluster`
 
 use nbody_core::prelude::*;
+use plans::prelude::*;
 use treecode::prelude::*;
 use workloads::prelude::{plummer, PlummerParams};
 
@@ -37,19 +39,25 @@ fn main() {
 
     // evolve half a crossing time and watch the equilibrium hold
     let mut sim = set.clone();
-    let mut engine = BarnesHut::with_theta(params, OpeningAngle::new(0.5));
+    // the default plan config walks at θ = 0.5
+    let mut engine = PlanForceEngine::with_backend(
+        Box::new(HostBackend::new(PlanConfig::default())),
+        PlanKind::WParallel,
+        params,
+    );
     let dt = 1e-3;
     let steps = 200;
+    let started = std::time::Instant::now();
     run(&mut sim, &mut engine, &LeapfrogKdk, dt, steps);
+    let wall = started.elapsed();
     let d1 = Diagnostics::measure(&sim, &params);
     println!("\nafter {steps} leapfrog steps (dt = {dt}):");
     println!("  virial ratio   {:.4} -> {:.4}", d0.virial, d1.virial);
     println!("  energy drift   {:.2e}", d0.energy_drift(&d1));
     println!("  net momentum   {:.2e}", d1.momentum.norm());
     println!(
-        "  tree time {:.1} ms, walk time {:.1} ms over {} evaluations",
-        engine.tree_time().as_secs_f64() * 1e3,
-        engine.walk_time().as_secs_f64() * 1e3,
+        "  {:.1} ms wall over {} host w-parallel evaluations",
+        wall.as_secs_f64() * 1e3,
         engine.evaluations()
     );
 }

@@ -1,13 +1,13 @@
 //! Quickstart: simulate a small star cluster three ways and check they
-//! agree — the CPU direct sum, the CPU Barnes-Hut treecode, and the paper's
-//! jw-parallel plan on the simulated Radeon HD 5850.
+//! agree — the CPU direct sum, the w-parallel treecode on the host f64
+//! backend, and the paper's jw-parallel plan on the simulated Radeon HD
+//! 5850.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use gpu_sim::prelude::{Device, DeviceSpec, TransferModel};
 use nbody_core::prelude::*;
 use plans::prelude::*;
-use treecode::prelude::BarnesHut;
 use workloads::prelude::{plummer, PlummerParams};
 
 fn main() {
@@ -20,12 +20,16 @@ fn main() {
     let mut pp_acc = vec![Vec3::ZERO; n];
     accelerations_pp(&set, &params, &mut pp_acc);
 
-    // 2. Barnes-Hut treecode on the CPU
-    let mut bh = BarnesHut::new(params);
-    let mut bh_acc = vec![Vec3::ZERO; n];
-    bh.accelerations(&set, &mut bh_acc);
-    let bh_err = nbody_core::gravity::max_relative_error(&pp_acc, &bh_acc);
-    println!("Barnes-Hut (θ=0.5) vs direct sum: max relative error {bh_err:.2e}");
+    // 2. the treecode on the host: w-parallel walks on the f64 backend
+    let mut tree = PlanForceEngine::with_backend(
+        Box::new(HostBackend::new(PlanConfig::default())),
+        PlanKind::WParallel,
+        params,
+    );
+    let mut tree_acc = vec![Vec3::ZERO; n];
+    tree.accelerations(&set, &mut tree_acc);
+    let tree_err = nbody_core::gravity::max_relative_error(&pp_acc, &tree_acc);
+    println!("host w-parallel treecode (θ=0.5) vs direct sum: max relative error {tree_err:.2e}");
 
     // 3. the paper's jw-parallel plan on the simulated GPU
     let mut device =
@@ -42,13 +46,14 @@ fn main() {
         outcome.gflops(FlopConvention::Grape38)
     );
 
-    // 4. integrate 100 steps with the treecode and watch energy conservation
+    // 4. integrate 100 steps with the host treecode and watch energy
+    //    conservation
     let mut sim = set.clone();
     let e0 = total_energy(&sim, &params);
-    run(&mut sim, &mut bh, &LeapfrogKdk, 1e-3, 100);
+    run(&mut sim, &mut tree, &LeapfrogKdk, 1e-3, 100);
     let e1 = total_energy(&sim, &params);
     println!(
-        "100 leapfrog steps with Barnes-Hut: relative energy drift {:.2e}",
+        "100 leapfrog steps with the host treecode: relative energy drift {:.2e}",
         ((e1 - e0) / e0).abs()
     );
 }

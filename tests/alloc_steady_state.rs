@@ -5,8 +5,10 @@
 //! buffers, scratch arenas, and pooled tree storage, the serial hot paths
 //! perform **zero** heap allocations per step:
 //!
-//! * the SoA-tiled PP engine driven by the leapfrog integrator,
-//! * the Barnes-Hut engine (rebuild-in-place, refit, and pooled walks),
+//! * the leapfrog integrator stepping the direct-PP oracle engine,
+//! * the SoA refill plus tiled PP sweep that the host backend's PP plans
+//!   run, into a caller-owned buffer,
+//! * the in-place octree rebuild,
 //! * interaction-list generation plus CPU walk evaluation,
 //! * the walk lane kernel that the host backend's tree plans run,
 //! * the incremental Morton re-sort.
@@ -19,7 +21,6 @@
 #[global_allocator]
 static ALLOC: par::arena::CountingAlloc = par::arena::CountingAlloc;
 
-use nbody_core::integrator::{prime, ForceEngine, Integrator, LeapfrogKdk};
 use nbody_core::prelude::*;
 use treecode::prelude::*;
 
@@ -41,26 +42,31 @@ fn steady_state_steps_perform_zero_heap_allocations() {
     let params = GravityParams { g: 1.0, softening: 0.05 };
     let n = 512;
 
-    // --- PP path: SoA engine + leapfrog, full integrator step ---
+    // --- PP path: a full leapfrog step on the direct-PP oracle engine ---
     let mut set = nbody_core::testutil::random_set(n, 21);
-    let mut engine = SoaPp::new(params);
-    prime(&mut set, &mut engine); // also resolves the tile size (auto-probe)
+    let mut engine = DirectPp::new(params);
+    prime(&mut set, &mut engine);
     let pp = allocs_of_step(3, || LeapfrogKdk.step(&mut set, &mut engine, 1e-4));
-    assert_eq!(pp, 0, "SoA PP integrator step allocated {pp} times");
+    assert_eq!(pp, 0, "direct-PP integrator step allocated {pp} times");
 
-    // --- treecode path: Barnes-Hut with rebuild-in-place and refit ---
-    // rebuild_interval 2 makes consecutive steps alternate rebuild/refit,
-    // so the warmup + measured window covers both branches
-    let mut bh = BarnesHut::new(params).with_rebuild_interval(2);
+    // --- the host backend's PP core: refill warm SoA lanes, tiled sweep ---
+    let mut soa = SoaBodies::new();
     let mut acc = vec![Vec3::ZERO; set.len()];
-    let tree_rebuild = allocs_of_step(4, || bh.accelerations(&set, &mut acc));
-    assert_eq!(tree_rebuild, 0, "Barnes-Hut step allocated {tree_rebuild} times");
+    let tiled = allocs_of_step(2, || {
+        soa.fill_from(&set);
+        accelerations_pp_tiled_with(soa.view(), &params, 64, &mut acc);
+    });
+    assert_eq!(tiled, 0, "SoA refill + tiled PP allocated {tiled} times");
+
+    // --- treecode: rebuild in place into a warm tree ---
+    let mut tree = Octree::build(&set, TreeParams::default());
+    let mut scratch = par::arena::Scratch::new();
+    let rebuild = allocs_of_step(2, || tree.rebuild(&set, &mut scratch));
+    assert_eq!(rebuild, 0, "octree rebuild allocated {rebuild} times");
 
     // --- interaction lists: capacity-reusing walk build + CPU evaluation ---
-    let tree = Octree::build(&set, TreeParams::default());
     let theta = OpeningAngle::new(0.5);
     let mut walks = build_walks(&tree, &set, theta, 64);
-    let mut scratch = par::arena::Scratch::new();
     let walk = allocs_of_step(2, || {
         build_walks_into(&mut walks, &tree, &set, theta, 64, &mut scratch);
         evaluate_walks_cpu(&walks, &tree, &set, &params, &mut acc);

@@ -1,7 +1,7 @@
-//! Integration tests of the extension features working *together*: the
-//! Simulation driver on the simulated GPU, quadrupole engines inside full
-//! runs, refit-based stepping, tuned configurations, device-side
-//! diagnostics, and snapshot round-trips of evolved states.
+//! Integration tests of the extension features working *together*: a
+//! leapfrog run on the simulated GPU with recorded diagnostics, tuned
+//! configurations, device-side diagnostics, and snapshot round-trips of
+//! evolved states.
 
 use gpu_sim::prelude::{Device, DeviceSpec, TransferModel};
 use nbody_core::prelude::*;
@@ -17,31 +17,25 @@ fn params() -> GravityParams {
 fn simulation_driver_on_simulated_gpu_records_physics() {
     let device =
         Device::with_transfer_model(DeviceSpec::radeon_hd_5850(), TransferModel::pcie2_x16());
-    let engine = PlanForceEngine::with_backend(
+    let mut engine = PlanForceEngine::with_backend(
         Box::new(SimBackend::new(device, PlanConfig::default())),
         PlanKind::JwParallel,
         params(),
     );
     let mut set = plummer(256, PlummerParams::default(), 41);
     set.recenter();
-    let mut sim = Simulation::new(set, engine, LeapfrogKdk, 1e-3, params()).with_recording(10);
-    sim.run(30);
-    assert_eq!(sim.steps(), 30);
-    assert_eq!(sim.history().len(), 4); // steps 0, 10, 20, 30
-    let drift = sim.energy_drift().unwrap();
+    prime(&mut set, &mut engine);
+    let mut history = vec![Diagnostics::measure(&set, &params())];
+    for step in 1..=30 {
+        LeapfrogKdk.step(&mut set, &mut engine, 1e-3);
+        if step % 10 == 0 {
+            history.push(Diagnostics::measure(&set, &params()));
+        }
+    }
+    assert_eq!(history.len(), 4); // steps 0, 10, 20, 30
+    let drift = history[0].energy_drift(&history[3]);
     assert!(drift < 1e-3, "drift {drift}");
-    assert!(sim.engine.simulated_total_seconds() > 0.0);
-}
-
-#[test]
-fn quadrupole_engine_runs_full_simulations() {
-    let mut set = plummer(300, PlummerParams::default(), 42);
-    set.recenter();
-    let engine = BarnesHut::new(params()).with_quadrupoles().with_rebuild_interval(5);
-    let mut sim = Simulation::new(set, engine, LeapfrogKdk, 1e-3, params()).with_recording(20);
-    sim.run(40);
-    let drift = sim.energy_drift().unwrap();
-    assert!(drift < 1e-2, "drift {drift}");
+    assert!(engine.simulated_total_seconds() > 0.0);
 }
 
 #[test]
@@ -82,7 +76,14 @@ fn device_potential_tracks_cpu_during_evolution() {
 fn snapshot_roundtrips_an_evolved_state() {
     let p = params();
     let mut set = cluster_collision(200, CollisionParams::default(), 46);
-    let mut engine = BarnesHut::new(p);
+    let host_tree = || {
+        PlanForceEngine::with_backend(
+            Box::new(HostBackend::new(PlanConfig::default())),
+            PlanKind::WParallel,
+            p,
+        )
+    };
+    let mut engine = host_tree();
     run(&mut set, &mut engine, &LeapfrogKdk, 1e-3, 10);
 
     let snap = Snapshot::new("evolved-collision", 0.01, set.clone());
@@ -92,8 +93,8 @@ fn snapshot_roundtrips_an_evolved_state() {
     // the restored state continues identically to the original
     let mut a = set.clone();
     let mut b = restored.set;
-    let mut ea = BarnesHut::new(p);
-    let mut eb = BarnesHut::new(p);
+    let mut ea = host_tree();
+    let mut eb = host_tree();
     run(&mut a, &mut ea, &LeapfrogKdk, 1e-3, 5);
     run(&mut b, &mut eb, &LeapfrogKdk, 1e-3, 5);
     assert_eq!(a.pos(), b.pos());

@@ -310,37 +310,6 @@ fn tuner_winner_always_comes_from_the_candidate_grid() {
 }
 
 #[test]
-fn tuned_host_tile_is_a_candidate_and_reproduces_bit_exact_forces() {
-    // the host-tile probe picks by wall clock, which varies per machine —
-    // but the winner must come from TILE_CANDIDATES and must never move a
-    // float: forces under the tuned tile are bit-identical to the default
-    // tile and to the scalar reference
-    let best = nbody_core::soa::auto_probe_tile();
-    assert!(nbody_core::soa::TILE_CANDIDATES.contains(&best));
-    let mut rng = XorShift64::new(0xC2);
-    for _ in 0..6 {
-        let bodies = arb_bodies(&mut rng, 280);
-        let set = ParticleSet::from_bodies(&bodies);
-        let params = GravityParams { g: 1.0, softening: 0.05 };
-        let mut reference = vec![Vec3::ZERO; set.len()];
-        accelerations_pp(&set, &params, &mut reference);
-        let mut soa = nbody_core::soa::SoaBodies::new();
-        soa.fill_from(&set);
-        let mut tuned = vec![Vec3::ZERO; set.len()];
-        nbody_core::soa::accelerations_pp_tiled_with(soa.view(), &params, best, &mut tuned);
-        let mut default_tile = vec![Vec3::ZERO; set.len()];
-        nbody_core::soa::accelerations_pp_tiled_with(
-            soa.view(),
-            &params,
-            nbody_core::soa::tile(),
-            &mut default_tile,
-        );
-        assert_eq!(tuned, default_tile, "tuned tile {best} diverged from the default tile");
-        assert_eq!(tuned, reference, "tuned tile {best} diverged from the scalar reference");
-    }
-}
-
-#[test]
 fn jw_parallel_matches_reference_for_arbitrary_clouds() {
     let mut rng = XorShift64::new(0xB2);
     for _ in 0..12 {

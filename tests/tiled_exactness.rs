@@ -9,6 +9,7 @@
 //! property against refactors.
 
 use nbody_core::prelude::*;
+use plans::prelude::{Backend, HostBackend, PlanConfig, PlanKind};
 
 const TILE_SIZES: [usize; 4] = [1, 3, 8, 64];
 const POPULATIONS: [usize; 4] = [0, 1, 5, 257];
@@ -67,21 +68,21 @@ fn tiled_kernel_is_bitwise_identical_to_naive_for_all_tiles_and_sizes() {
 
 #[test]
 fn soa_engine_matches_reference_engine_across_thread_counts() {
+    // the host backend's PP plans are the production user of the kernel:
+    // its SoA lanes stay warm across evaluations, its tile comes from the
+    // plan config's block size
     let set = nbody_core::testutil::random_set(257, 7);
     let params = GravityParams { g: 1.0, softening: 0.05 };
     let mut reference = vec![Vec3::ZERO; set.len()];
     accelerations_pp(&set, &params, &mut reference);
     for threads in THREAD_COUNTS {
         par::set_threads(threads);
-        let mut engine = SoaPp::new(params);
-        let mut acc = vec![Vec3::ZERO; set.len()];
-        use nbody_core::integrator::ForceEngine;
-        engine.accelerations(&set, &mut acc);
+        let mut backend = HostBackend::new(PlanConfig::default());
+        let acc = backend.evaluate(PlanKind::IParallel, &set, &params).acc;
         // second evaluation reuses the warm SoA buffers — still exact
-        let mut again = vec![Vec3::ZERO; set.len()];
-        engine.accelerations(&set, &mut again);
-        assert_eq!(acc, reference, "SoaPp diverged at {threads} threads");
-        assert_eq!(again, reference, "warm SoaPp diverged at {threads} threads");
+        let again = backend.evaluate(PlanKind::IParallel, &set, &params).acc;
+        assert_eq!(acc, reference, "host PP diverged at {threads} threads");
+        assert_eq!(again, reference, "warm host PP diverged at {threads} threads");
     }
     par::set_threads(1);
 }
