@@ -135,6 +135,15 @@ test "$(ls "$spool/running" "$spool/submitted" 2>/dev/null | grep -c json || tru
 ./target/release/serve --spool "$spool" | tee "$out/serve-restart.log"
 grep -q 'JOBS OK' "$out/serve-restart.log" || { echo "FAIL: restarted server did not report JOBS OK"; exit 1; }
 grep -q 'requeued=[1-9]' "$out/serve-restart.log" || { echo "FAIL: no killed job was requeued"; exit 1; }
+# one-pass artifacts across the kill: each of the three computed jobs left
+# a bench.json beside the trace.csv of its own priming evaluation, and all
+# three specs run on the sim backend, so every trace has launch rows
+test "$(ls "$spool"/jobs/*/bench.json 2>/dev/null | wc -l)" -eq 3 || {
+    echo "FAIL: want exactly 3 bench.json artifacts after the restart"; exit 1; }
+for bench in "$spool"/jobs/*/bench.json; do
+    grep -q '^launch,' "$(dirname "$bench")/trace.csv" || {
+        echo "FAIL: $(dirname "$bench")/trace.csv has no launch row"; exit 1; }
+done
 
 # identical resubmission of the full batch must be served 100% from cache
 ./target/release/submit --spool "$spool" --n 96 --steps 12 --seed 1 --every 2

@@ -3,9 +3,8 @@
 //! ```text
 //! cargo run -p harness --release --bin serve -- --spool <dir> \
 //!     [--daemon] [--threads N] [--max-parallel P] [--throttle-ms M] \
-//!     [--crash-after K] [--no-artifacts] [--shed-budget-s S] \
-//!     [--max-attempts A] [--watchdog-s W] [--max-ticks T] \
-//!     [--exit-when-idle] [--no-preempt]
+//!     [--crash-after K] [--shed-budget-s S] [--max-attempts A] \
+//!     [--watchdog-s W] [--max-ticks T] [--exit-when-idle] [--no-preempt]
 //! ```
 //!
 //! Without `--daemon`: opens the spool (recovering whatever a previous
@@ -84,9 +83,8 @@ fn main() {
         None => {
             eprintln!(
                 "usage: serve --spool <dir> [--daemon] [--threads N] [--max-parallel P] \
-                 [--throttle-ms M] [--crash-after K] [--no-artifacts] [--shed-budget-s S] \
-                 [--max-attempts A] [--watchdog-s W] [--max-ticks T] [--exit-when-idle] \
-                 [--no-preempt]"
+                 [--throttle-ms M] [--crash-after K] [--shed-budget-s S] [--max-attempts A] \
+                 [--watchdog-s W] [--max-ticks T] [--exit-when-idle] [--no-preempt]"
             );
             std::process::exit(2);
         }
@@ -112,9 +110,6 @@ fn main() {
     }
     if let Some(a) = parsed(&args, "--max-attempts") {
         config.max_job_attempts = a;
-    }
-    if args.iter().any(|a| a == "--no-artifacts") {
-        config.artifacts = false;
     }
 
     let (spool, recovery) = Spool::open(spool_dir.as_str()).unwrap_or_else(|e| {

@@ -93,7 +93,7 @@ pub fn demo(spec: &JobSpec, dir: &Path) -> Result<String, HarnessError> {
 
     let result: JobResult =
         match run_job(spec, dir, &RunOptions::default()).map_err(harness_error)? {
-            RunStatus::Complete(result) => *result,
+            RunStatus::Complete { result, .. } => *result,
             other => return Err(HarnessError::Verification(format!("resume ended as {other:?}"))),
         };
     out.push_str(&format!(
@@ -130,7 +130,7 @@ mod tests {
 
     fn complete(status: RunStatus) -> JobResult {
         match status {
-            RunStatus::Complete(result) => *result,
+            RunStatus::Complete { result, .. } => *result,
             other => panic!("unexpected status {other:?}"),
         }
     }

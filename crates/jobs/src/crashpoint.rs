@@ -58,7 +58,7 @@ pub fn high_spec() -> JobSpec {
 }
 
 fn lifecycle_config() -> ServerConfig {
-    ServerConfig { max_parallel: 1, artifacts: true, ..Default::default() }
+    ServerConfig { max_parallel: 1, ..Default::default() }
 }
 
 /// Runs the scripted lifecycle on `fs`, pushing each acknowledged
@@ -119,7 +119,7 @@ fn verify_recovery(root: &Path, acked: &[String], reference: &ParticleSet) -> Re
     }
 
     // the recovered spool drains to completion...
-    let config = ServerConfig { max_parallel: 1, artifacts: false, ..Default::default() };
+    let config = lifecycle_config();
     let summary =
         drain(&spool, recovery, &config).map_err(|e| format!("recovery drain failed: {e}"))?;
     if !summary.ok() {

@@ -250,10 +250,7 @@ mod tests {
     }
 
     fn quick_daemon() -> DaemonConfig {
-        let mut config =
-            DaemonConfig { exit_when_idle: true, idle_sleep_ms: 1, ..Default::default() };
-        config.server.artifacts = false;
-        config
+        DaemonConfig { exit_when_idle: true, idle_sleep_ms: 1, ..Default::default() }
     }
 
     #[test]

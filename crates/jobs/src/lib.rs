@@ -30,9 +30,9 @@
 //! (DESIGN.md §8), completed results are content-addressed by the canonical
 //! job hash ([`spec::JobSpec::canonical_hash`]) and stored in
 //! [`cache::ResultCache`]: resubmitting an identical spec is a cache hit that
-//! never recomputes. Every computed job also emits the PR 1 observability
-//! artifacts (`trace.csv`, `bench.json`) into its spool work directory
-//! ([`artifact`]).
+//! never recomputes. Every computed job also emits its observability
+//! artifacts (`bench.json`, and `trace.csv` of the run's own priming
+//! evaluation) into its spool work directory ([`artifact`]).
 //!
 //! On top of the finite drain sits the supervised daemon
 //! ([`daemon::run_daemon`]): a long-lived tick loop with preemptive

@@ -25,6 +25,7 @@ use crate::error::JobError;
 use crate::fsx::{real_fs, SpoolFs};
 use crate::spec::JobSpec;
 use gpu_sim::prelude::FaultPlan;
+use gpu_sim::trace::{MemoryTraceSink, Trace};
 use nbody_core::body::ParticleSet;
 use nbody_core::gravity::GravityParams;
 use nbody_core::integrator::{prime, Integrator, LeapfrogKdk};
@@ -77,7 +78,13 @@ impl Default for RunOptions {
 #[derive(Debug)]
 pub enum RunStatus {
     /// The job integrated all its steps; the result is ready to cache.
-    Complete(Box<JobResult>),
+    Complete {
+        /// The cacheable result.
+        result: Box<JobResult>,
+        /// The attempt's traced priming evaluation (empty off the sim
+        /// backend), kept out of the cached result.
+        trace: Trace,
+    },
     /// The simulated crash hook fired; state survives only as checkpoints.
     Crashed {
         /// The step the attempt had reached when it died.
@@ -120,8 +127,7 @@ fn plan_config(spec: &JobSpec) -> PlanConfig {
 
 /// The one place a spec becomes an engine: its plan on its backend with
 /// the spec's tunables, and — when `with_faults` — the spec's fault plan
-/// on the sim device. Attempts, reference runs and the traced evaluation
-/// behind `trace.csv` all build their engine here.
+/// on the sim device. Attempts and reference runs build their engine here.
 pub(crate) fn engine(spec: &JobSpec, with_faults: bool) -> PlanForceEngine {
     let config = plan_config(spec);
     let params = GravityParams { g: 1.0, softening: 0.05 };
@@ -146,7 +152,9 @@ pub(crate) fn engine(spec: &JobSpec, with_faults: bool) -> PlanForceEngine {
 ///
 /// On success the returned [`JobResult`] carries the final snapshot, the
 /// attempt's simulated clocks, fault tally, and the step it resumed from;
-/// `retries` is left at zero for the server to fill in. A deadline yield
+/// `retries` is left at zero for the server to fill in. Beside it comes the
+/// trace of the attempt's priming evaluation (DESIGN.md §11): the only
+/// evaluation traced, so the stepping loop runs untraced. A deadline yield
 /// returns [`JobError::DeadlineExceeded`] with the progress flag the retry
 /// policy keys on.
 pub fn run_job(spec: &JobSpec, dir: &Path, opts: &RunOptions) -> Result<RunStatus, JobError> {
@@ -157,9 +165,18 @@ pub fn run_job(spec: &JobSpec, dir: &Path, opts: &RunOptions) -> Result<RunStatu
     };
 
     let mut eng = engine(spec, true);
+    // the priming evaluation is the one traced, for the job's trace.csv
+    let sink = MemoryTraceSink::new();
+    if let Some(device) = eng.device_mut() {
+        device.set_trace_sink(Box::new(sink.clone()));
+    }
     // re-prime after restore: forces are a deterministic function of the
     // restored positions, so this reproduces the pre-crash accelerations
     prime(&mut set, &mut eng);
+    if let Some(device) = eng.device_mut() {
+        device.clear_trace_sink();
+    }
+    let trace = sink.take();
 
     let started = std::time::Instant::now();
     let mut step = start_step;
@@ -237,7 +254,7 @@ pub fn run_job(spec: &JobSpec, dir: &Path, opts: &RunOptions) -> Result<RunStatu
     };
     let fault_total =
         eng.device().and_then(|d| d.fault_plan()).map(|p| p.counts().total() as u64).unwrap_or(0);
-    Ok(RunStatus::Complete(Box::new(JobResult {
+    let result = Box::new(JobResult {
         hash_hex: spec.hash_hex(),
         spec: spec.clone(),
         final_snapshot,
@@ -249,7 +266,8 @@ pub fn run_job(spec: &JobSpec, dir: &Path, opts: &RunOptions) -> Result<RunStatu
         fault_total,
         resumed_from: start_step,
         retries: 0,
-    })))
+    });
+    Ok(RunStatus::Complete { result, trace })
 }
 
 /// The fault-free, checkpoint-free reference trajectory for `spec` — what
@@ -279,7 +297,7 @@ mod tests {
 
     fn complete(status: RunStatus) -> JobResult {
         match status {
-            RunStatus::Complete(result) => *result,
+            RunStatus::Complete { result, .. } => *result,
             other => panic!("unexpected status {other:?}"),
         }
     }

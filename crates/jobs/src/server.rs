@@ -38,13 +38,14 @@
 //! All spool transitions happen on the scheduler thread in wave order, so
 //! the spool's on-disk history is identical for every host thread count.
 
-use crate::artifact::write_artifacts;
+use crate::artifact::write_run_artifacts;
 use crate::cache::{JobResult, ResultCache};
 use crate::error::JobError;
 use crate::runner::{reference_set, run_job, RunOptions, RunStatus};
 use crate::spec::{admit, AdmissionPolicy, Priority};
 use crate::spool::{JobRecord, JobState, Spool, SpoolRecovery};
 use gpu_sim::fault::RetryPolicy;
+use gpu_sim::trace::Trace;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -67,13 +68,8 @@ pub struct ServerConfig {
     pub admission: AdmissionPolicy,
     /// Retry budget and backoff for deadline yields.
     pub retry: RetryPolicy,
-    /// Re-run resumed jobs' references and require bit-exactness before
-    /// caching (the crash-recovery gate; costs one uninterrupted re-run).
-    pub verify_resumed: bool,
     /// Runner hooks (CI throttle, simulated crash, watchdog budget).
     pub run: RunOptions,
-    /// Emit `bench.json` / `trace.csv` for every computed job.
-    pub artifacts: bool,
     /// PTPM load shedding; `None` disables it.
     pub shed: Option<ShedPolicy>,
     /// Cross-restart attempt budget per job: a job that has durably charged
@@ -95,9 +91,7 @@ impl Default for ServerConfig {
             max_parallel: 2,
             admission: AdmissionPolicy::default(),
             retry: RetryPolicy::default(),
-            verify_resumed: true,
             run: RunOptions::default(),
-            artifacts: true,
             shed: None,
             max_job_attempts: 3,
             supervise: false,
@@ -261,7 +255,8 @@ impl DrainSummary {
 
 /// How one wave worker's job ended.
 enum WaveOutcome {
-    Done(Box<JobResult>),
+    /// The result and the trace of the final attempt's priming evaluation.
+    Done(Box<JobResult>, Trace),
     Preempted,
     Crashed,
     Failed(JobError),
@@ -300,43 +295,22 @@ fn run_with_retry(
                 Err(JobError::Unrecoverable(msg))
             }
         };
-        match outcome {
-            Ok(RunStatus::Complete(mut result)) => {
+        let (outcome, verified) = match outcome {
+            Ok(RunStatus::Complete { mut result, trace }) => {
                 // the record was claimed before the wave, so `attempts` is
                 // already one ahead of the completed prior attempts
                 result.retries = record.attempts.saturating_sub(1) + retries;
-                let verified = if result.resumed_from > 0 && config.verify_resumed {
+                // the crash-recovery gate: a resumed result is cached only
+                // if it matches the uninterrupted reference bit for bit
+                let verified = (result.resumed_from > 0).then(|| {
                     let reference = reference_set(&record.spec);
-                    Some(
-                        result.final_snapshot.set.pos() == reference.pos()
-                            && result.final_snapshot.set.vel() == reference.vel(),
-                    )
-                } else {
-                    None
-                };
-                return WaveResult {
-                    record: record.clone(),
-                    outcome: WaveOutcome::Done(result),
-                    retries,
-                    verified,
-                };
+                    result.final_snapshot.set.pos() == reference.pos()
+                        && result.final_snapshot.set.vel() == reference.vel()
+                });
+                (WaveOutcome::Done(result, trace), verified)
             }
-            Ok(RunStatus::Preempted { .. }) => {
-                return WaveResult {
-                    record: record.clone(),
-                    outcome: WaveOutcome::Preempted,
-                    retries,
-                    verified: None,
-                };
-            }
-            Ok(RunStatus::Crashed { .. }) => {
-                return WaveResult {
-                    record: record.clone(),
-                    outcome: WaveOutcome::Crashed,
-                    retries,
-                    verified: None,
-                };
-            }
+            Ok(RunStatus::Preempted { .. }) => (WaveOutcome::Preempted, None),
+            Ok(RunStatus::Crashed { .. }) => (WaveOutcome::Crashed, None),
             Err(err)
                 if err.is_retryable() && (retries as usize + 1) < config.retry.max_attempts =>
             {
@@ -345,16 +319,11 @@ fn run_with_retry(
                 // time so a tight deadline cannot stall the wave
                 let backoff = config.retry.backoff_s(retries as usize).min(0.05);
                 std::thread::sleep(std::time::Duration::from_secs_f64(backoff));
+                continue;
             }
-            Err(err) => {
-                return WaveResult {
-                    record: record.clone(),
-                    outcome: WaveOutcome::Failed(err),
-                    retries,
-                    verified: None,
-                };
-            }
-        }
+            Err(err) => (WaveOutcome::Failed(err), None),
+        };
+        return WaveResult { record: record.clone(), outcome, retries, verified };
     }
 }
 
@@ -546,7 +515,7 @@ pub(crate) fn drain_round(
         let mut record = wave_result.record;
         record.attempts += wave_result.retries;
         let report = match wave_result.outcome {
-            WaveOutcome::Done(result) => {
+            WaveOutcome::Done(result, trace) => {
                 if wave_result.verified == Some(false) {
                     let msg = JobError::Verification(
                         "resumed run diverged from the fault-free reference".into(),
@@ -564,13 +533,12 @@ pub(crate) fn drain_round(
                     }
                 } else {
                     cache.store(&result)?;
-                    if config.artifacts {
-                        write_artifacts(
-                            &result,
-                            &spool.job_dir(&record.hash_hex),
-                            spool.fs().as_ref(),
-                        )?;
-                    }
+                    write_run_artifacts(
+                        &result,
+                        &trace,
+                        &spool.job_dir(&record.hash_hex),
+                        spool.fs().as_ref(),
+                    )?;
                     record.error = None;
                     spool.transition(&record, JobState::Running, JobState::Done)?;
                     JobReport {
@@ -690,10 +658,6 @@ mod tests {
         s
     }
 
-    fn quick_config() -> ServerConfig {
-        ServerConfig { artifacts: false, ..Default::default() }
-    }
-
     #[test]
     fn drains_batch_in_priority_order_and_caches() {
         let scratch = ScratchDir::new("server");
@@ -702,7 +666,7 @@ mod tests {
         high.priority = Priority::High;
         spool.submit(&spec(64, 1)).unwrap();
         spool.submit(&high).unwrap();
-        let summary = drain(&spool, recovery, &quick_config()).unwrap();
+        let summary = drain(&spool, recovery, &ServerConfig::default()).unwrap();
         assert!(summary.ok(), "{}", summary.render());
         assert_eq!(summary.completed(), 2);
         assert_eq!(summary.reports[0].hash_hex, high.hash_hex(), "high priority runs first");
@@ -712,7 +676,7 @@ mod tests {
         // resubmission of an identical spec is a pure cache hit
         spool.submit(&spec(64, 1)).unwrap();
         let (spool, recovery) = Spool::open(spool.root()).unwrap();
-        let summary = drain(&spool, recovery, &quick_config()).unwrap();
+        let summary = drain(&spool, recovery, &ServerConfig::default()).unwrap();
         assert_eq!(summary.reports.len(), 1);
         assert_eq!(summary.reports[0].outcome, JobOutcome::CacheHit);
         std::fs::remove_dir_all(spool.root()).ok();
@@ -725,7 +689,7 @@ mod tests {
         spool.submit(&spec(64, 5)).unwrap();
         spool.submit(&spec(64, 5)).unwrap();
         spool.submit(&spec(64, 5)).unwrap();
-        let summary = drain(&spool, recovery, &quick_config()).unwrap();
+        let summary = drain(&spool, recovery, &ServerConfig::default()).unwrap();
         assert!(summary.ok());
         let computed = summary.reports.iter().filter(|r| r.outcome == JobOutcome::Computed).count();
         let hits = summary.reports.iter().filter(|r| r.outcome == JobOutcome::CacheHit).count();
@@ -744,7 +708,7 @@ mod tests {
         bad.checkpoint_every = 0;
         spool.submit(&bad).unwrap();
         spool.submit(&spec(64, 2)).unwrap();
-        let summary = drain(&spool, recovery, &quick_config()).unwrap();
+        let summary = drain(&spool, recovery, &ServerConfig::default()).unwrap();
         assert!(summary.ok(), "a typed rejection is not degradation");
         let rejected: Vec<_> = summary
             .reports
@@ -770,7 +734,7 @@ mod tests {
         // probe the budget first
         let probe = spec(64, 9);
         spool.submit(&probe).unwrap();
-        let summary = drain(&spool, recovery, &quick_config()).unwrap();
+        let summary = drain(&spool, recovery, &ServerConfig::default()).unwrap();
         assert!(summary.ok());
         let total = spool.cache().lookup(&probe.hash_hex()).unwrap().unwrap().simulated_total_s;
 
@@ -778,7 +742,7 @@ mod tests {
         sliced.deadline_s = Some(total * 0.4);
         spool.submit(&sliced).unwrap();
         let (spool, recovery) = Spool::open(spool.root()).unwrap();
-        let summary = drain(&spool, recovery, &quick_config()).unwrap();
+        let summary = drain(&spool, recovery, &ServerConfig::default()).unwrap();
         assert!(summary.ok(), "{}", summary.render());
         let report = &summary.reports[0];
         assert_eq!(report.outcome, JobOutcome::Computed);
@@ -798,7 +762,7 @@ mod tests {
         doomed.fault_loss_prob = Some(1.0); // every CU dies on first touch
         spool.submit(&doomed).unwrap();
         spool.submit(&spec(64, 12)).unwrap();
-        let summary = drain(&spool, recovery, &quick_config()).unwrap();
+        let summary = drain(&spool, recovery, &ServerConfig::default()).unwrap();
         assert!(summary.ok(), "typed failure keeps the server healthy");
         let failed: Vec<_> =
             summary.reports.iter().filter(|r| matches!(r.outcome, JobOutcome::Failed(_))).collect();
@@ -819,7 +783,7 @@ mod tests {
         spool.submit(&job).unwrap();
         let crash_config = ServerConfig {
             run: RunOptions { crash_after: Some(2), ..Default::default() },
-            ..quick_config()
+            ..Default::default()
         };
         let summary = drain(&spool, recovery, &crash_config).unwrap();
         assert_eq!(summary.reports[0].outcome, JobOutcome::Crashed);
@@ -828,7 +792,7 @@ mod tests {
         // restart: open requeues, drain resumes from the checkpoint
         let (spool, recovery) = Spool::open(&root).unwrap();
         assert_eq!(recovery.requeued, 1);
-        let summary = drain(&spool, recovery, &quick_config()).unwrap();
+        let summary = drain(&spool, recovery, &ServerConfig::default()).unwrap();
         assert!(summary.ok(), "{}", summary.render());
         let report = &summary.reports[0];
         assert_eq!(report.outcome, JobOutcome::Computed);
@@ -857,8 +821,10 @@ mod tests {
         // budget fits the high job plus exactly one batch job
         let one_job = high.forecast_seconds();
         assert!(one_job > 0.0);
-        let config =
-            ServerConfig { shed: Some(ShedPolicy { budget_s: one_job * 2.5 }), ..quick_config() };
+        let config = ServerConfig {
+            shed: Some(ShedPolicy { budget_s: one_job * 2.5 }),
+            ..Default::default()
+        };
         let summary = drain(&spool, recovery, &config).unwrap();
         assert!(summary.ok(), "{}", summary.render());
         let shed: Vec<_> =
@@ -883,7 +849,7 @@ mod tests {
         doomed.fault_loss_prob = Some(1.0); // deterministically unrunnable
         spool.submit(&doomed).unwrap();
         spool.submit(&spec(64, 31)).unwrap();
-        let config = ServerConfig { supervise: true, max_job_attempts: 3, ..quick_config() };
+        let config = ServerConfig { supervise: true, max_job_attempts: 3, ..Default::default() };
         let summary = drain(&spool, recovery, &config).unwrap();
         assert!(summary.ok(), "{}", summary.render());
         let requeues =
@@ -918,7 +884,7 @@ mod tests {
             supervise: true,
             max_job_attempts: 3,
             run: RunOptions { watchdog_s: Some(0.0), ..Default::default() },
-            ..quick_config()
+            ..Default::default()
         };
         let summary = drain(&spool, recovery, &config).unwrap();
         let poisoned = spool.list(JobState::Poisoned).unwrap();

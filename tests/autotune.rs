@@ -99,12 +99,12 @@ fn auto_resolved_job_is_content_identical_to_the_pinned_job() {
 
     let auto_result = match run_job(&auto_spec, &dir.join("auto"), &RunOptions::default()).unwrap()
     {
-        RunStatus::Complete(r) => *r,
+        RunStatus::Complete { result, .. } => *result,
         other => panic!("unexpected status {other:?}"),
     };
     let pinned_result =
         match run_job(&pinned_spec, &dir.join("pinned"), &RunOptions::default()).unwrap() {
-            RunStatus::Complete(r) => *r,
+            RunStatus::Complete { result, .. } => *result,
             other => panic!("unexpected status {other:?}"),
         };
     assert_eq!(auto_result.result_checksum, pinned_result.result_checksum);

@@ -54,7 +54,6 @@ fn inversion_run(name: &str, fault_seed: Option<u64>) -> InversionFingerprint {
     spool.submit(&batch_b).unwrap();
 
     let mut config = DaemonConfig { exit_when_idle: true, idle_sleep_ms: 1, ..Default::default() };
-    config.server.artifacts = false;
     // throttle stretches each batch step to >= 12 ms wall clock so the high
     // job reliably arrives while the wave is mid-flight
     config.server.run.throttle_ms = 12;

@@ -26,10 +26,6 @@ fn spec(n: usize, seed: u64) -> JobSpec {
     s
 }
 
-fn quick_config() -> ServerConfig {
-    ServerConfig { artifacts: false, ..Default::default() }
-}
-
 /// A mixed-tenant batch: priority classes, a deadline-sliced job, a
 /// fault-injected job, and a tiled variant — every scheduler feature in one
 /// queue.
@@ -91,7 +87,7 @@ fn slicing_deadline() -> f64 {
     let root = tmp("probe");
     let (spool, recovery) = Spool::open(&root).unwrap();
     spool.submit(&probe).unwrap();
-    let summary = drain(&spool, recovery, &quick_config()).unwrap();
+    let summary = drain(&spool, recovery, &ServerConfig::default()).unwrap();
     assert!(summary.ok(), "{}", summary.render());
     let total = spool.cache().lookup(&probe.hash_hex()).unwrap().unwrap().simulated_total_s;
     total * 0.4
@@ -105,21 +101,22 @@ fn drain_matrix_is_thread_and_fault_seed_invariant() {
 
     // --- thread axis: identical batch at 1, 2, and 4 host threads ---
     par::set_threads(1);
-    let base = drain_batch("threads-1", &batch(deadline, 7), &quick_config());
+    let base = drain_batch("threads-1", &batch(deadline, 7), &ServerConfig::default());
     assert!(
         base.reports.iter().any(|(_, _, retries, _)| *retries > 0),
         "the sliced job must consume deadline retries: {base:?}"
     );
     for t in [2usize, 4] {
         par::set_threads(t);
-        let got = drain_batch(&format!("threads-{t}"), &batch(deadline, 7), &quick_config());
+        let got =
+            drain_batch(&format!("threads-{t}"), &batch(deadline, 7), &ServerConfig::default());
         assert_eq!(base, got, "drain behaviour diverged at {t} host threads");
     }
 
     // --- max_parallel axis: wave width changes wall-clock, never results ---
     par::set_threads(4);
     for width in [1usize, 4] {
-        let config = ServerConfig { max_parallel: width, ..quick_config() };
+        let config = ServerConfig { max_parallel: width, ..Default::default() };
         let got = drain_batch(&format!("width-{width}"), &batch(deadline, 7), &config);
         assert_eq!(base, got, "drain behaviour diverged at max_parallel={width}");
     }
@@ -130,7 +127,7 @@ fn drain_matrix_is_thread_and_fault_seed_invariant() {
         let got = drain_batch(
             &format!("faults-{fault_seed}"),
             &batch(deadline, fault_seed),
-            &quick_config(),
+            &ServerConfig::default(),
         );
         assert_eq!(
             base.checksums, got.checksums,
@@ -153,7 +150,7 @@ fn killed_server_resumes_bit_exactly_and_resubmission_hits_cache() {
     let ref_root = tmp("crash-reference");
     let (spool, recovery) = Spool::open(&ref_root).unwrap();
     spool.submit(&job).unwrap();
-    let summary = drain(&spool, recovery, &quick_config()).unwrap();
+    let summary = drain(&spool, recovery, &ServerConfig::default()).unwrap();
     assert!(summary.ok());
     let reference = spool.cache().lookup(&job.hash_hex()).unwrap().unwrap();
 
@@ -163,7 +160,7 @@ fn killed_server_resumes_bit_exactly_and_resubmission_hits_cache() {
     spool.submit(&job).unwrap();
     let crash = ServerConfig {
         run: RunOptions { crash_after: Some(2), ..Default::default() },
-        ..quick_config()
+        ..Default::default()
     };
     let summary = drain(&spool, recovery, &crash).unwrap();
     assert_eq!(summary.reports[0].outcome, JobOutcome::Crashed);
@@ -172,7 +169,7 @@ fn killed_server_resumes_bit_exactly_and_resubmission_hits_cache() {
     // restart: requeue, resume from the step-2 checkpoint, verify bit-exact
     let (spool, recovery) = Spool::open(&root).unwrap();
     assert_eq!(recovery.requeued, 1);
-    let summary = drain(&spool, recovery, &quick_config()).unwrap();
+    let summary = drain(&spool, recovery, &ServerConfig::default()).unwrap();
     assert!(summary.ok(), "{}", summary.render());
     let report = &summary.reports[0];
     assert_eq!(report.outcome, JobOutcome::Computed);
@@ -189,7 +186,7 @@ fn killed_server_resumes_bit_exactly_and_resubmission_hits_cache() {
     // an identical resubmission never recomputes
     spool.submit(&job).unwrap();
     let (spool, recovery) = Spool::open(&root).unwrap();
-    let summary = drain(&spool, recovery, &quick_config()).unwrap();
+    let summary = drain(&spool, recovery, &ServerConfig::default()).unwrap();
     assert_eq!(summary.reports.len(), 1);
     assert_eq!(summary.reports[0].outcome, JobOutcome::CacheHit);
     assert_eq!(spool.cache().len(), 1, "the cache holds exactly one entry per canonical hash");
@@ -208,7 +205,7 @@ fn malformed_and_doomed_tenants_cannot_degrade_the_server() {
     spool.submit(&rejected).unwrap();
     spool.submit(&doomed).unwrap();
     spool.submit(&healthy).unwrap();
-    let summary = drain(&spool, recovery, &quick_config()).unwrap();
+    let summary = drain(&spool, recovery, &ServerConfig::default()).unwrap();
     assert!(summary.ok(), "typed failures are not degradation: {}", summary.render());
     assert_eq!(summary.completed(), 1, "{}", summary.render());
     assert_eq!(spool.count(JobState::Failed), 2);

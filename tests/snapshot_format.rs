@@ -146,7 +146,7 @@ fn golden_spec() -> JobSpec {
 
 fn complete(status: RunStatus) -> JobResult {
     match status {
-        RunStatus::Complete(result) => *result,
+        RunStatus::Complete { result, .. } => *result,
         other => panic!("expected a complete run, got {other:?}"),
     }
 }
