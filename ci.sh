@@ -47,6 +47,19 @@ if grep -q 'tree-pipeline:' "$out/sharded.csv"; then
     echo "FAIL: host-tree sharded trace carries a tree-pipeline label"; exit 1
 fi
 
+echo "==> float writer identity test (release, 10^7 random bit patterns)"
+# serde_json's Ryu-style writer must print every finite f64 exactly as
+# format!("{:?}") does (that is what keeps every spool file byte-identical);
+# the 10^7-pattern sweep is #[ignore]d in debug builds.
+cargo test --release -q -p serde_json -- --include-ignored
+
+echo "==> submit out-of-core flags smoke test"
+# --shards must reach the submitted record, not be silently dropped
+sspool="$out/shards-spool"
+./target/release/submit --spool "$sspool" --n 256 --steps 1 --shards 3 > "$out/submit-shards.log"
+grep -q '"shards": 3' "$sspool"/submitted/*.json || {
+    echo "FAIL: submit --shards 3 did not reach the record"; exit 1; }
+
 echo "==> fault-injection smoke test"
 cargo run --release -p harness --bin faults -- --seed 7 --dir "$out/faults" | tee "$out/faults.log"
 grep -q 'FAULTS OK' "$out/faults.log" || { echo "FAIL: fault recovery smoke did not pass"; exit 1; }

@@ -146,10 +146,6 @@ impl DaemonSummary {
     }
 }
 
-fn queue_depth(spool: &Spool, priority: Priority) -> Result<usize, JobError> {
-    Ok(spool.list(JobState::Submitted)?.iter().filter(|r| r.spec.priority == priority).count())
-}
-
 fn write_heartbeat(spool: &Spool, status: &DaemonStatus) -> Result<(), JobError> {
     let path = spool.status_path();
     let text = serde_json::to_string_pretty(status)
@@ -167,11 +163,14 @@ fn heartbeat(
 ) -> Result<DaemonStatus, JobError> {
     let hits = summary.count("cache-hit");
     let completed = summary.completed();
+    // one listing of submitted/ serves all three depths
+    let queued = spool.list(JobState::Submitted)?;
+    let depth = |priority: Priority| queued.iter().filter(|r| r.spec.priority == priority).count();
     let status = DaemonStatus {
         uptime_ticks,
-        queued_high: queue_depth(spool, Priority::High)?,
-        queued_normal: queue_depth(spool, Priority::Normal)?,
-        queued_batch: queue_depth(spool, Priority::Batch)?,
+        queued_high: depth(Priority::High),
+        queued_normal: depth(Priority::Normal),
+        queued_batch: depth(Priority::Batch),
         in_flight: spool.count(JobState::Running),
         poisoned: spool.count(JobState::Poisoned),
         cache_entries: spool.cache().len(),

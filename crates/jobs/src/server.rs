@@ -62,7 +62,9 @@ pub struct ShedPolicy {
 /// Scheduler configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Jobs run concurrently per wave (admission-controlled parallelism).
+    /// Jobs per wave (admission-controlled parallelism). They run
+    /// concurrently only up to [`par::threads`]: with one `par` thread a
+    /// wave's jobs run one after another on the scheduler's core.
     pub max_parallel: usize,
     /// Budgets specs must fit inside.
     pub admission: AdmissionPolicy,

@@ -568,11 +568,23 @@ mod tests {
     fn malformed_record_is_quarantined_not_fatal() {
         let scratch = ScratchDir::new("spool");
         let (spool, _) = Spool::open(scratch.join("quarantine")).unwrap();
-        spool.submit(&spec(32, 1)).unwrap();
-        std::fs::write(spool.dir(JobState::Submitted).join("job-zzz.json"), "{nope").unwrap();
+        let good = spool.submit(&spec(32, 1)).unwrap();
+        let submitted = spool.dir(JobState::Submitted);
+        let text = std::fs::read_to_string(submitted.join(good.file_name())).unwrap();
+        // not JSON, a wrong-typed field, a truncated record, trailing text
+        let bad = [
+            "{nope".to_string(),
+            text.replace("\"attempts\": 0", "\"attempts\": \"0\""),
+            text[..text.len() / 2].to_string(),
+            format!("{text}}}"),
+        ];
+        for (i, body) in bad.iter().enumerate() {
+            std::fs::write(submitted.join(format!("job-zzz{i}.json")), body).unwrap();
+        }
         let listed = spool.list(JobState::Submitted).unwrap();
         assert_eq!(listed.len(), 1, "the good record survives");
-        assert_eq!(spool.count(JobState::Failed), 1, "the bad one is quarantined");
+        assert_eq!(listed[0].id, good.id);
+        assert_eq!(spool.count(JobState::Failed), bad.len(), "each bad one is quarantined");
         std::fs::remove_dir_all(spool.root()).ok();
     }
 

@@ -1,11 +1,13 @@
 //! Derive macros for the offline serde shim.
 //!
-//! Implements `#[derive(Serialize)]` / `#[derive(Deserialize)]` for the two
-//! shapes this workspace uses: structs with named fields and enums whose
-//! variants are all unit variants. There is no `syn`/`quote` available in
-//! the offline environment, so parsing walks the raw [`proc_macro`] token
-//! stream directly and code generation builds a string that is parsed back
-//! into a `TokenStream`.
+//! Implements `#[derive(Serialize)]` / `#[derive(Deserialize)]` for the
+//! shapes this workspace uses: structs with named fields, tuple structs,
+//! and enums of unit and newtype variants. The generated impls stream
+//! through the shim's `Serializer` / `Deserializer` traits; no value tree
+//! is built. There is no `syn`/`quote` available in the offline
+//! environment, so parsing walks the raw [`proc_macro`] token stream
+//! directly and code generation builds a string that is parsed back into a
+//! `TokenStream`.
 //!
 //! The only `#[serde(...)]` attributes supported are the field-level
 //! `#[serde(default)]` and `#[serde(default = "path")]` forms (missing keys
@@ -39,171 +41,215 @@ enum Shape {
     Enum { name: String, variants: Vec<(String, bool)> },
 }
 
-/// Derives `serde::Serialize` (the shim's `to_value` form).
+/// Derives `serde::Serialize`: the type writes itself to a
+/// `serde::Serializer` field by field.
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let shape = parse_shape(input);
-    let code = match &shape {
+    let (name, body) = match parse_shape(input) {
         Shape::Struct { name, fields } => {
-            let mut pairs = String::new();
-            for f in fields {
+            let mut body = String::from("__s.begin_object();\n");
+            for f in &fields {
                 let f = &f.name;
-                pairs.push_str(&format!(
-                    "(\"{f}\".to_string(), ::serde::Serialize::to_value(&self.{f})),"
+                body.push_str(&format!(
+                    "__s.key(\"{f}\"); ::serde::Serialize::serialize(&self.{f}, __s);\n"
                 ));
             }
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{\n\
-                         ::serde::Value::Object(vec![{pairs}])\n\
-                     }}\n\
-                 }}"
-            )
+            body.push_str("__s.end_object();");
+            (name, body)
         }
-        Shape::Tuple { name, arity: 1 } => format!(
-            "impl ::serde::Serialize for {name} {{\n\
-                 fn to_value(&self) -> ::serde::Value {{\n\
-                     ::serde::Serialize::to_value(&self.0)\n\
-                 }}\n\
-             }}"
-        ),
+        Shape::Tuple { name, arity: 1 } => {
+            (name, "::serde::Serialize::serialize(&self.0, __s);".into())
+        }
         Shape::Tuple { name, arity } => {
-            let items: Vec<String> =
-                (0..*arity).map(|i| format!("::serde::Serialize::to_value(&self.{i})")).collect();
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{\n\
-                         ::serde::Value::Array(vec![{}])\n\
-                     }}\n\
-                 }}",
-                items.join(",")
-            )
+            let mut body = String::from("__s.begin_array();\n");
+            for i in 0..arity {
+                body.push_str(&format!(
+                    "__s.element(); ::serde::Serialize::serialize(&self.{i}, __s);\n"
+                ));
+            }
+            body.push_str("__s.end_array();");
+            (name, body)
         }
         Shape::Enum { name, variants } => {
             let mut arms = String::new();
-            for (v, has_payload) in variants {
+            for (v, has_payload) in &variants {
                 if *has_payload {
                     arms.push_str(&format!(
-                        "{name}::{v}(inner) => ::serde::Value::Object(vec![(\
-                             \"{v}\".to_string(), ::serde::Serialize::to_value(inner))]),\n"
+                        "{name}::{v}(inner) => {{ __s.begin_object(); __s.key(\"{v}\"); \
+                         ::serde::Serialize::serialize(inner, __s); __s.end_object(); }}\n"
                     ));
                 } else {
-                    arms.push_str(&format!(
-                        "{name}::{v} => ::serde::Value::Str(\"{v}\".to_string()),\n"
-                    ));
+                    arms.push_str(&format!("{name}::{v} => __s.write_str(\"{v}\"),\n"));
                 }
             }
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{\n\
-                         match self {{ {arms} }}\n\
-                     }}\n\
-                 }}"
-            )
+            (name, format!("match self {{ {arms} }}"))
         }
     };
-    code.parse().expect("serde_derive: generated Serialize impl failed to parse")
+    format!(
+        "impl ::serde::Serialize for {name} {{\n\
+             fn serialize<__S: ::serde::Serializer>(&self, __s: &mut __S) {{\n\
+                 {body}\n\
+             }}\n\
+         }}"
+    )
+    .parse()
+    .expect("serde_derive: generated Serialize impl failed to parse")
 }
 
-/// Derives `serde::Deserialize` (the shim's `from_value` form).
+/// Derives `serde::Deserialize`: the type reads itself from a
+/// `serde::Deserializer`. A struct matches each key against its field
+/// names as a borrowed slice; the first of duplicate keys wins, unknown
+/// keys are skipped, and a missing key takes the field's
+/// `#[serde(default…)]`, or `Deserialize::missing` (`None` for an
+/// `Option`), or is an error naming the field.
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let shape = parse_shape(input);
-    let code = match &shape {
+    let (name, body, missing) = match parse_shape(input) {
         Shape::Struct { name, fields } => {
+            let mut slots = String::new();
+            let mut keys = String::new();
+            let mut reads = String::new();
             let mut inits = String::new();
-            for f in fields {
-                let init = match (&f.name, &f.default) {
-                    (f, None) => format!("{f}: ::serde::field(fields, \"{f}\")?,"),
-                    (f, Some(None)) => format!(
-                        "{f}: ::serde::field_or_else(fields, \"{f}\", \
-                         ::std::default::Default::default)?,"
+            for (i, f) in fields.iter().enumerate() {
+                let key = &f.name;
+                slots.push_str(&format!("let mut __f{i} = ::std::option::Option::None;\n"));
+                keys.push_str(&format!("\"{key}\" => {i}usize,\n"));
+                reads.push_str(&format!(
+                    "{i}usize if __f{i}.is_none() => \
+                     __f{i} = ::std::option::Option::Some(::serde::field(__d, \"{key}\")?),\n"
+                ));
+                let fill = match &f.default {
+                    None => format!(
+                        "match __f{i} {{ ::std::option::Option::Some(v) => v, \
+                         ::std::option::Option::None => ::serde::missing_field(\"{key}\")? }}"
                     ),
-                    (f, Some(Some(path))) => {
-                        format!("{f}: ::serde::field_or_else(fields, \"{f}\", {path})?,")
+                    Some(None) => {
+                        format!("__f{i}.unwrap_or_else(::std::default::Default::default)")
                     }
+                    Some(Some(path)) => format!("__f{i}.unwrap_or_else({path})"),
                 };
-                inits.push_str(&init);
+                inits.push_str(&format!("{key}: {fill},\n"));
             }
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
-                         let fields = v.as_object().ok_or_else(|| \
-                             ::serde::DeError::new(\"expected object for `{name}`\"))?;\n\
-                         ::std::result::Result::Ok({name} {{ {inits} }})\n\
+            let body = format!(
+                "{slots}\
+                 __d.begin_object()?;\n\
+                 loop {{\n\
+                     let __field = match __d.next_key()? {{\n\
+                         ::std::option::Option::None => break,\n\
+                         ::std::option::Option::Some(__key) => match __key {{\n\
+                             {keys}\
+                             _ => usize::MAX,\n\
+                         }},\n\
+                     }};\n\
+                     match __field {{\n\
+                         {reads}\
+                         _ => __d.skip_value()?,\n\
                      }}\n\
-                 }}"
-            )
-        }
-        Shape::Tuple { name, arity: 1 } => format!(
-            "impl ::serde::Deserialize for {name} {{\n\
-                 fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
-                     ::std::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))\n\
                  }}\n\
-             }}"
+                 ::std::result::Result::Ok({name} {{ {inits} }})"
+            );
+            (name, body, String::new())
+        }
+        Shape::Tuple { name, arity: 1 } => (
+            name.clone(),
+            format!("::std::result::Result::Ok({name}(::serde::Deserialize::deserialize(__d)?))"),
+            format!(
+                "fn missing() -> ::std::option::Option<Self> {{\n\
+                     ::serde::Deserialize::missing().map({name})\n\
+                 }}"
+            ),
         ),
         Shape::Tuple { name, arity } => {
-            let items: Vec<String> = (0..*arity)
-                .map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?"))
-                .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
-                         let items = v.as_array().ok_or_else(|| \
-                             ::serde::DeError::new(\"expected array for `{name}`\"))?;\n\
-                         if items.len() != {arity} {{\n\
-                             return ::std::result::Result::Err(::serde::DeError::new(\
-                                 \"wrong tuple arity for `{name}`\"));\n\
-                         }}\n\
-                         ::std::result::Result::Ok({name}({}))\n\
-                     }}\n\
-                 }}",
-                items.join(",")
-            )
+            let arity_error = format!(
+                "return ::std::result::Result::Err(::serde::DeError::new(\
+                     \"wrong tuple arity for `{name}`\"))"
+            );
+            let mut items = String::new();
+            for _ in 0..arity {
+                items.push_str(&format!(
+                    "{{ if !__d.next_element()? {{ {arity_error} }} \
+                     ::serde::Deserialize::deserialize(__d)? }},"
+                ));
+            }
+            let body = format!(
+                "__d.begin_array()?;\n\
+                 let __value = {name}({items});\n\
+                 if __d.next_element()? {{ {arity_error} }}\n\
+                 ::std::result::Result::Ok(__value)"
+            );
+            (name, body, String::new())
         }
         Shape::Enum { name, variants } => {
+            let unknown = format!(
+                "::std::result::Result::Err(::serde::DeError::new(\
+                     format!(\"unknown `{name}` variant `{{other}}`\")))"
+            );
+            let not_a_variant = format!(
+                "::std::result::Result::Err(::serde::DeError::new(\
+                     \"expected variant of `{name}`\"))"
+            );
             let mut unit_arms = String::new();
+            let mut tags = String::new();
             let mut payload_arms = String::new();
-            for (v, has_payload) in variants {
+            for (i, (v, has_payload)) in variants.iter().enumerate() {
                 if *has_payload {
+                    tags.push_str(&format!("\"{v}\" => {i}usize,\n"));
                     payload_arms.push_str(&format!(
-                        "\"{v}\" => ::std::result::Result::Ok(\
-                             {name}::{v}(::serde::Deserialize::from_value(inner)?)),\n"
+                        "{i}usize => {name}::{v}(::serde::Deserialize::deserialize(__d)?),\n"
                     ));
                 } else {
-                    unit_arms.push_str(&format!(
-                        "\"{v}\" => ::std::result::Result::Ok({name}::{v}),\n"
-                    ));
+                    unit_arms
+                        .push_str(&format!("\"{v}\" => ::std::result::Result::Ok({name}::{v}),\n"));
                 }
             }
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
-                         if let ::std::option::Option::Some(s) = v.as_str() {{\n\
-                             return match s {{\n\
-                                 {unit_arms}\
-                                 other => ::std::result::Result::Err(::serde::DeError::new(\
-                                     format!(\"unknown `{name}` variant `{{other}}`\"))),\n\
-                             }};\n\
+            let object_arm = if payload_arms.is_empty() {
+                String::new()
+            } else {
+                format!(
+                    "::serde::Kind::Object => {{\n\
+                         __d.begin_object()?;\n\
+                         let __variant = match __d.next_key()? {{\n\
+                             ::std::option::Option::Some(__tag) => match __tag {{\n\
+                                 {tags}\
+                                 other => return {unknown},\n\
+                             }},\n\
+                             ::std::option::Option::None => return {not_a_variant},\n\
+                         }};\n\
+                         let __value = match __variant {{\n\
+                             {payload_arms}\
+                             _ => unreachable!(),\n\
+                         }};\n\
+                         match __d.next_key()? {{\n\
+                             ::std::option::Option::None => ::std::result::Result::Ok(__value),\n\
+                             ::std::option::Option::Some(_) => {not_a_variant},\n\
                          }}\n\
-                         if let ::std::option::Option::Some(fields) = v.as_object() {{\n\
-                             if let [(tag, inner)] = fields {{\n\
-                                 #[allow(unused_variables)]\n\
-                                 return match tag.as_str() {{\n\
-                                     {payload_arms}\
-                                     other => ::std::result::Result::Err(::serde::DeError::new(\
-                                         format!(\"unknown `{name}` variant `{{other}}`\"))),\n\
-                                 }};\n\
-                             }}\n\
-                         }}\n\
-                         ::std::result::Result::Err(::serde::DeError::new(\
-                             \"expected variant of `{name}`\"))\n\
-                     }}\n\
+                     }}\n"
+                )
+            };
+            let body = format!(
+                "match __d.peek()? {{\n\
+                     ::serde::Kind::Str => match __d.read_str()? {{\n\
+                         {unit_arms}\
+                         other => {unknown},\n\
+                     }},\n\
+                     {object_arm}\
+                     _ => {not_a_variant},\n\
                  }}"
-            )
+            );
+            (name, body, String::new())
         }
     };
-    code.parse().expect("serde_derive: generated Deserialize impl failed to parse")
+    format!(
+        "impl ::serde::Deserialize for {name} {{\n\
+             fn deserialize<__D: ::serde::Deserializer>(__d: &mut __D) \
+                 -> ::std::result::Result<Self, ::serde::DeError> {{\n\
+                 {body}\n\
+             }}\n\
+             {missing}\n\
+         }}"
+    )
+    .parse()
+    .expect("serde_derive: generated Deserialize impl failed to parse")
 }
 
 /// Parses the derive input into the supported struct/enum shape, panicking

@@ -1,13 +1,18 @@
 //! Offline stand-in for the `serde_json` crate.
 //!
-//! Provides the JSON text layer over the serde shim's [`serde::Value`]
-//! model: [`to_string`], [`to_string_pretty`], and [`from_str`], plus the
-//! [`Error`] type downstream code stores. Output is deterministic (object
-//! keys keep declaration order, floats use Rust's shortest round-trip
-//! formatting) so golden-file tests are byte-stable.
+//! The JSON text format for the serde shim: [`to_string`],
+//! [`to_string_pretty`], [`from_str`] and [`parse_value`], plus the
+//! [`Error`] type downstream code stores. Both directions stream: the
+//! writer appends each scalar and bracket to the output as `Serialize`
+//! reaches it, and the reader hands `Deserialize` typed scalars and
+//! borrowed keys straight from the input bytes, so no value tree is built.
+//! Output is deterministic (object keys keep declaration order, floats are
+//! the shortest round-trip digits `{:?}` prints, written by the crate's own
+//! Ryu-style `float` module) so golden-file tests are byte-stable.
 
-use serde::{Deserialize, Serialize, Value};
-use std::fmt::Write;
+mod float;
+
+use serde::{DeError, Deserialize, Deserializer, Kind, Serialize, Serializer, Value};
 
 /// JSON serialization/deserialization error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,307 +34,411 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl From<serde::DeError> for Error {
-    fn from(e: serde::DeError) -> Self {
+impl From<DeError> for Error {
+    fn from(e: DeError) -> Self {
         Error::new(e.to_string())
     }
 }
 
 /// Serializes `value` to compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, None, 0);
-    Ok(out)
+    Ok(Writer::run(value, false))
 }
 
 /// Serializes `value` to pretty-printed JSON (two-space indent).
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, Some(2), 0);
-    Ok(out)
+    Ok(Writer::run(value, true))
 }
 
-/// Parses JSON text into `T`.
+/// Parses JSON text into `T`, rejecting trailing non-whitespace.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let value = parse_value(s)?;
-    Ok(T::from_value(&value)?)
-}
-
-/// Parses JSON text into a raw [`Value`], checking for trailing garbage.
-pub fn parse_value(s: &str) -> Result<Value, Error> {
-    let bytes = s.as_bytes();
-    let mut pos = 0;
-    let value = parse(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(Error::new(format!("trailing characters at byte {pos}")));
+    let mut reader = Reader { text: s, pos: 0, first: false, scratch: String::new() };
+    let value = T::deserialize(&mut reader)?;
+    reader.skip_ws();
+    if reader.pos != s.len() {
+        return Err(Error::new(format!("trailing characters at byte {}", reader.pos)));
     }
     Ok(value)
 }
 
+/// Parses JSON text into a raw [`Value`], checking for trailing garbage.
+pub fn parse_value(s: &str) -> Result<Value, Error> {
+    from_str(s)
+}
+
 // ---------------------------------------------------------------- writer
 
-fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        // formatting into a `String` cannot fail
-        Value::Int(i) => _ = write!(out, "{i}"),
-        Value::UInt(u) => _ = write!(out, "{u}"),
-        Value::Float(f) => write_float(*f, out),
-        Value::Str(s) => write_string(s, out),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
+/// Appends JSON text to `out`. `first` is true between opening a container
+/// and its first item; it is the only per-level state the layout needs,
+/// because closing a container leaves its parent past its first item.
+struct Writer {
+    out: String,
+    pretty: bool,
+    depth: usize,
+    first: bool,
+}
+
+impl Writer {
+    fn run<T: Serialize + ?Sized>(value: &T, pretty: bool) -> String {
+        let mut writer = Writer { out: String::new(), pretty, depth: 0, first: false };
+        value.serialize(&mut writer);
+        writer.out
+    }
+
+    fn newline_indent(&mut self) {
+        if self.pretty {
+            self.out.push('\n');
+            for _ in 0..2 * self.depth {
+                self.out.push(' ');
             }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
+        }
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.out.push(bracket);
+        self.depth += 1;
+        self.first = true;
+    }
+
+    /// The separator before an array item or object member.
+    fn item(&mut self) {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        self.newline_indent();
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        if !self.first {
+            self.newline_indent();
+        }
+        self.first = false;
+        self.out.push(bracket);
+    }
+
+    fn string(&mut self, s: &str) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        self.out.push('"');
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let escape = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            // every escaped byte is ASCII, so `run..i` ends on a char boundary
+            self.out.push_str(&s[run..i]);
+            run = i + 1;
+            if escape.is_empty() {
+                self.out.push_str("\\u00");
+                self.out.push(char::from(HEX[usize::from(b >> 4)]));
+                self.out.push(char::from(HEX[usize::from(b & 0xf)]));
+            } else {
+                self.out.push_str(escape);
+            }
+        }
+        self.out.push_str(&s[run..]);
+        self.out.push('"');
+    }
+}
+
+impl Serializer for Writer {
+    fn write_null(&mut self) {
+        self.out.push_str("null");
+    }
+
+    fn write_bool(&mut self, v: bool) {
+        self.out.push_str(if v { "true" } else { "false" });
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        let mut digits = [0u8; 20];
+        let n = float::write_digits(v, &mut digits);
+        self.out.push_str(std::str::from_utf8(&digits[..n]).expect("digits are ASCII"));
+    }
+
+    fn write_i64(&mut self, v: i64) {
+        if v < 0 {
+            self.out.push('-');
+        }
+        self.write_u64(v.unsigned_abs());
+    }
+
+    fn write_f64(&mut self, v: f64) {
+        if v.is_finite() {
+            float::write_f64(&mut self.out, v);
+        } else {
+            // serde_json writes null for NaN / infinities
+            self.write_null();
+        }
+    }
+
+    fn write_str(&mut self, v: &str) {
+        self.string(v);
+    }
+
+    fn begin_array(&mut self) {
+        self.open('[');
+    }
+
+    fn element(&mut self) {
+        self.item();
+    }
+
+    fn end_array(&mut self) {
+        self.close(']');
+    }
+
+    fn begin_object(&mut self) {
+        self.open('{');
+    }
+
+    fn key(&mut self, key: &str) {
+        self.item();
+        self.string(key);
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+    }
+
+    fn end_object(&mut self) {
+        self.close('}');
+    }
+}
+
+// ---------------------------------------------------------------- reader
+
+/// Reads JSON text front to back. `first` is true between opening a
+/// container and its first item (see [`Writer`]); `scratch` holds a string
+/// that had escapes, which an unescaped one borrows from `text` instead.
+struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+    first: bool,
+    scratch: String,
+}
+
+impl<'a> Reader<'a> {
+    fn error(&self, what: &str) -> DeError {
+        DeError::new(format!("{what} at byte {}", self.pos))
+    }
+
+    fn skip_ws(&mut self) {
+        let bytes = self.text.as_bytes();
+        while matches!(bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    /// The next non-whitespace byte, not consumed.
+    fn next_byte(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn expect(&mut self, byte: u8, what: &str) -> Result<(), DeError> {
+        if self.next_byte() == Some(byte) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.error(what))
+        }
+    }
+
+    fn keyword(&mut self, word: &str) -> bool {
+        self.skip_ws();
+        let hit = self.text.as_bytes()[self.pos..].starts_with(word.as_bytes());
+        if hit {
+            self.pos += word.len();
+        }
+        hit
+    }
+
+    /// After an item: true if the container continues (`,` consumed, or its
+    /// first item is next), false if `close` ended it.
+    fn more(&mut self, close: u8, what: &str) -> Result<bool, DeError> {
+        let byte = self.next_byte();
+        if byte == Some(close) {
+            self.pos += 1;
+            self.first = false;
+            return Ok(false);
+        }
+        if std::mem::replace(&mut self.first, false) {
+            return Ok(true);
+        }
+        if byte == Some(b',') {
+            self.pos += 1;
+            return Ok(true);
+        }
+        Err(self.error(what))
+    }
+
+    /// Reads a string: `Some(range)` of `text` when it had no escapes,
+    /// `None` when it was unescaped into `scratch`. (Returning the place
+    /// rather than the `&str` lets `next_key` read the colon before handing
+    /// out the borrow.)
+    fn string(&mut self) -> Result<Option<(usize, usize)>, DeError> {
+        if self.next_byte() != Some(b'"') {
+            return Err(self.error("expected string"));
+        }
+        self.pos += 1;
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        // the quote and the backslash are ASCII, so every run between them
+        // starts and ends on a char boundary of the `&str` input
+        let run_end = |from: usize| {
+            bytes[from..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .map(|n| from + n)
+                .ok_or_else(|| DeError::new("unterminated string"))
+        };
+        let mut end = run_end(start)?;
+        if bytes[end] == b'"' {
+            self.pos = end + 1;
+            return Ok(Some((start, end)));
+        }
+        self.scratch.clear();
+        self.scratch.push_str(&self.text[start..end]);
+        while bytes[end] == b'\\' {
+            self.pos = end + 1;
+            let unescaped = match bytes.get(self.pos) {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'b') => '\u{0008}',
+                Some(b'f') => '\u{000c}',
+                Some(b'u') => {
+                    let code = self
+                        .text
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or_else(|| DeError::new("truncated \\u escape"))
+                        .and_then(|hex| {
+                            u32::from_str_radix(hex, 16)
+                                .map_err(|_| DeError::new("invalid \\u escape"))
+                        })?;
+                    self.pos += 4;
+                    // surrogate pairs are not produced by our writer; lone
+                    // surrogates decode to the replacement char
+                    char::from_u32(code).unwrap_or('\u{fffd}')
                 }
-                newline_indent(out, indent, depth + 1);
-                write_value(item, out, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push(']');
+                _ => return Err(self.error("invalid escape")),
+            };
+            self.scratch.push(unescaped);
+            let from = self.pos + 1;
+            end = run_end(from)?;
+            self.scratch.push_str(&self.text[from..end]);
         }
-        Value::Object(fields) => {
-            if fields.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (key, val)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
+        self.pos = end + 1;
+        Ok(None)
+    }
+
+    /// The string [`Reader::string`] located.
+    fn resolve(&self, at: Option<(usize, usize)>) -> &str {
+        match at {
+            Some((start, end)) => &self.text[start..end],
+            None => &self.scratch,
+        }
+    }
+}
+
+impl Deserializer for Reader<'_> {
+    fn peek(&mut self) -> Result<Kind, DeError> {
+        Ok(match self.next_byte() {
+            None => return Err(DeError::new("unexpected end of input")),
+            Some(b'n') => Kind::Null,
+            Some(b't' | b'f') => Kind::Bool,
+            Some(b'"') => Kind::Str,
+            Some(b'[') => Kind::Array,
+            Some(b'{') => Kind::Object,
+            // anything else must parse as a number
+            Some(_) => Kind::Number,
+        })
+    }
+
+    fn read_null(&mut self) -> Result<bool, DeError> {
+        Ok(self.keyword("null"))
+    }
+
+    fn read_bool(&mut self) -> Result<bool, DeError> {
+        if self.keyword("true") {
+            Ok(true)
+        } else if self.keyword("false") {
+            Ok(false)
+        } else {
+            Err(self.error("expected bool"))
+        }
+    }
+
+    fn read_number(&mut self) -> Result<Value, DeError> {
+        self.skip_ws();
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        if bytes.get(self.pos) == Some(&b'-') {
+            self.pos += 1;
+        }
+        let mut is_float = false;
+        while let Some(&b) = bytes.get(self.pos) {
+            match b {
+                b'0'..=b'9' => self.pos += 1,
+                b'.' | b'e' | b'E' | b'+' | b'-' => {
+                    is_float = true;
+                    self.pos += 1;
                 }
-                newline_indent(out, indent, depth + 1);
-                write_string(key, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(val, out, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * depth {
-            out.push(' ');
-        }
-    }
-}
-
-fn write_float(f: f64, out: &mut String) {
-    if !f.is_finite() {
-        // serde_json writes null for NaN / infinities
-        out.push_str("null");
-    } else {
-        // {:?} is the shortest representation that round-trips, and always
-        // includes a decimal point or exponent (1.0 -> "1.0")
-        _ = write!(out, "{f:?}");
-    }
-}
-
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => _ = write!(out, "\\u{:04x}", c as u32),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-// ---------------------------------------------------------------- parser
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(Error::new("unexpected end of input")),
-        Some(b'n') => parse_keyword(bytes, pos, "null", Value::Null),
-        Some(b't') => parse_keyword(bytes, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_keyword(bytes, pos, "false", Value::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Value::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Value::Array(items));
-            }
-            loop {
-                items.push(parse(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Value::Array(items));
-                    }
-                    _ => return Err(Error::new(format!("expected `,` or `]` at byte {pos}"))),
-                }
+                _ => break,
             }
         }
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Value::Object(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(Error::new(format!("expected `:` at byte {pos}")));
-                }
-                *pos += 1;
-                let value = parse(bytes, pos)?;
-                fields.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Value::Object(fields));
-                    }
-                    _ => return Err(Error::new(format!("expected `,` or `}}` at byte {pos}"))),
-                }
-            }
+        // only ASCII bytes were consumed
+        let text = &self.text[start..self.pos];
+        if text.is_empty() || text == "-" {
+            return Err(DeError::new(format!("expected number at byte {start}")));
         }
-        Some(_) => parse_number(bytes, pos),
+        let float = || text.parse::<f64>().map(Value::Float);
+        let parsed = if is_float {
+            float()
+        } else if text.starts_with('-') {
+            text.parse::<i64>().map(Value::Int).or_else(|_| float())
+        } else {
+            text.parse::<u64>().map(Value::UInt).or_else(|_| float())
+        };
+        parsed.map_err(|_| DeError::new(format!("invalid number `{text}`")))
     }
-}
 
-fn parse_keyword(
-    bytes: &[u8],
-    pos: &mut usize,
-    keyword: &str,
-    value: Value,
-) -> Result<Value, Error> {
-    if bytes[*pos..].starts_with(keyword.as_bytes()) {
-        *pos += keyword.len();
-        Ok(value)
-    } else {
-        Err(Error::new(format!("invalid literal at byte {pos}")))
+    fn read_str(&mut self) -> Result<&str, DeError> {
+        let at = self.string()?;
+        Ok(self.resolve(at))
     }
-}
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(Error::new(format!("expected string at byte {pos}")));
+    fn begin_array(&mut self) -> Result<(), DeError> {
+        self.expect(b'[', "expected array")?;
+        self.first = true;
+        Ok(())
     }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(Error::new("unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| Error::new("truncated \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| Error::new("invalid \\u escape"))?;
-                        // surrogate pairs are not produced by our writer;
-                        // lone surrogates decode to the replacement char
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(Error::new(format!("invalid escape at byte {pos}"))),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // copy the run up to the next quote or backslash; both are
-                // ASCII, so the run ends on a char boundary of the &str
-                // input, and each byte is validated once, not once per char
-                let run = bytes[*pos..]
-                    .iter()
-                    .position(|&b| b == b'"' || b == b'\\')
-                    .unwrap_or(bytes.len() - *pos);
-                let text = std::str::from_utf8(&bytes[*pos..*pos + run])
-                    .map_err(|_| Error::new("invalid UTF-8 in string"))?;
-                out.push_str(text);
-                *pos += run;
-            }
+
+    fn next_element(&mut self) -> Result<bool, DeError> {
+        self.more(b']', "expected `,` or `]`")
+    }
+
+    fn begin_object(&mut self) -> Result<(), DeError> {
+        self.expect(b'{', "expected object")?;
+        self.first = true;
+        Ok(())
+    }
+
+    fn next_key(&mut self) -> Result<Option<&str>, DeError> {
+        if !self.more(b'}', "expected `,` or `}`")? {
+            return Ok(None);
         }
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let mut is_float = false;
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'0'..=b'9' => *pos += 1,
-            b'.' | b'e' | b'E' | b'+' | b'-' => {
-                is_float = true;
-                *pos += 1;
-            }
-            _ => break,
-        }
-    }
-    let text =
-        std::str::from_utf8(&bytes[start..*pos]).map_err(|_| Error::new("invalid number"))?;
-    if text.is_empty() || text == "-" {
-        return Err(Error::new(format!("expected number at byte {start}")));
-    }
-    if is_float {
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| Error::new(format!("invalid number `{text}`")))
-    } else if text.starts_with('-') {
-        text.parse::<i64>()
-            .map(Value::Int)
-            .or_else(|_| text.parse::<f64>().map(Value::Float))
-            .map_err(|_| Error::new(format!("invalid number `{text}`")))
-    } else {
-        text.parse::<u64>()
-            .map(Value::UInt)
-            .or_else(|_| text.parse::<f64>().map(Value::Float))
-            .map_err(|_| Error::new(format!("invalid number `{text}`")))
+        let at = self.string()?;
+        self.expect(b':', "expected `:`")?;
+        Ok(Some(self.resolve(at)))
     }
 }
 

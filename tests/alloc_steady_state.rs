@@ -13,6 +13,11 @@
 //! * the walk lane kernel that the host backend's tree plans run,
 //! * the incremental Morton re-sort.
 //!
+//! It also gates the JSON layer that writes and reads cache entries: the
+//! writer and reader stream, so a `JobResult` at N = 4096 costs only the
+//! output string's and the particle vectors' doublings more than one at
+//! N = 256, never an allocation per body.
+//!
 //! Zero allocation is a *serial* invariant (`par` pinned to one thread):
 //! the parallel paths spawn scoped workers with per-chunk buffers by
 //! design. The file holds exactly one `#[test]` so no concurrent test can
@@ -94,6 +99,50 @@ fn steady_state_steps_perform_zero_heap_allocations() {
         morton_order_incremental(&set, &mut order, &mut scratch);
     });
     assert_eq!(morton, 0, "incremental Morton re-sort allocated {morton} times");
+
+    // --- JSON cache entries: no per-body allocation either way ---
+    let json_allocs = |n: usize| {
+        let set = nbody_core::testutil::random_set(n, 5);
+        let spec = jobs::spec::JobSpec::new(
+            workloads::spec::WorkloadSpec::plummer(n, 5),
+            plans::prelude::PlanKind::JwParallel,
+            4,
+        );
+        let final_snapshot = workloads::snapshot::Snapshot::new(spec.label(), 0.5, set);
+        let result = jobs::cache::JobResult {
+            hash_hex: spec.hash_hex(),
+            result_checksum: final_snapshot.checksum.unwrap(),
+            spec,
+            final_snapshot,
+            steps: 4,
+            simulated_total_s: 0.25,
+            simulated_kernel_s: 0.125,
+            recovery_s: 0.0,
+            fault_total: 0,
+            resumed_from: 0,
+            retries: 0,
+        };
+        let mut text = String::new();
+        let encode = allocs_of_step(0, || text = serde_json::to_string(&result).unwrap());
+        let mut back = None;
+        let decode = allocs_of_step(0, || {
+            back = Some(serde_json::from_str::<jobs::cache::JobResult>(&text).unwrap())
+        });
+        assert_eq!(back.as_ref(), Some(&result), "N = {n}: the entry round-trips");
+        (encode, decode)
+    };
+    let (encode_small, decode_small) = json_allocs(256);
+    let (encode_large, decode_large) = json_allocs(4096);
+    // 16x the bodies: the output string doubles about four more times
+    assert!(
+        encode_large <= encode_small + 6,
+        "encoding N = 4096 allocated {encode_large} times, N = 256 {encode_small}"
+    );
+    // ... and each of the four particle vectors doubles four more times
+    assert!(
+        decode_large <= decode_small + 4 * 4 + 2,
+        "decoding N = 4096 allocated {decode_large} times, N = 256 {decode_small}"
+    );
 
     // sanity: the counter is actually live in this binary
     let probe = vec![0u8; 1];

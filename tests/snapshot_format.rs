@@ -106,6 +106,28 @@ fn legacy_json_snapshots_still_load() {
         assert_eq!(&back, snap, "{name}: JSON keeps every field, acc included");
         assert_eq!(bits(&back.set), bits(&set), "{name}");
     }
+
+    // hand-written text, independent of the writer: integers where floats
+    // go, exponent forms, a v1 file without a checksum key
+    let set = ParticleSet::from_parts(
+        vec![Vec3::new(1.0, -0.5, 2.5e-8), Vec3::new(0.0, 3.0, -1.0)],
+        vec![Vec3::new(0.25, 0.0, 0.0), Vec3::new(-0.25, 1e300, 0.0)],
+        vec![1.0, 0.5],
+    );
+    let body = r#""set":{"pos":[{"x":1,"y":-0.5,"z":2.5e-8},{"x":0.0,"y":3,"z":-1}],
+        "vel":[{"x":0.25,"y":0,"z":0},{"x":-0.25,"y":1e300,"z":0}],
+        "acc":[{"x":0,"y":0,"z":0},{"x":0,"y":0,"z":0}],"mass":[1,0.5]}"#;
+    let v1 = format!(r#"{{"version":1,"label":"v1","time":0.5,{body}}}"#);
+    let snap = Snapshot::from_json(&v1).unwrap();
+    assert_eq!((snap.version, snap.checksum, snap.time), (1, None, 0.5));
+    assert_eq!(snap.set, set);
+    let sum = content_checksum(0.5, &set);
+    let v2 = format!(r#"{{"version":2,"label":"v2","time":0.5,{body},"checksum":{sum}}}"#);
+    let snap = Snapshot::from_json(&v2).unwrap();
+    assert_eq!((snap.version, snap.checksum), (2, Some(sum)));
+    assert_eq!(snap.set, set);
+    let bad = v2.replace(&format!("{sum}"), &format!("{}", sum ^ 1));
+    assert!(Snapshot::from_json(&bad).is_err(), "a v2 checksum is still checked");
 }
 
 #[test]
