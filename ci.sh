@@ -132,8 +132,9 @@ echo "==> job-server crash-recovery smoke test (SIGKILL mid-job)"
 # Submit a small batch, kill the server with SIGKILL mid-job, restart it,
 # and require the summary's JOBS OK tail: the interrupted job must resume
 # from its checkpoint and verify bit-exact against an uninterrupted
-# reference run. The server binary is exec'd directly (not via cargo run)
-# so the SIGKILL hits the server process itself.
+# reference run, and no finished job may keep a ckpt-* file. The server
+# binary is exec'd directly (not via cargo run) so the SIGKILL hits the
+# server process itself.
 spool="$out/spool"
 ./target/release/submit --spool "$spool" --n 96 --steps 12 --seed 1 --every 2
 ./target/release/submit --spool "$spool" --n 96 --steps 12 --seed 2 --every 2 --priority high
@@ -148,6 +149,11 @@ test "$(ls "$spool/running" "$spool/submitted" 2>/dev/null | grep -c json || tru
 ./target/release/serve --spool "$spool" | tee "$out/serve-restart.log"
 grep -q 'JOBS OK' "$out/serve-restart.log" || { echo "FAIL: restarted server did not report JOBS OK"; exit 1; }
 grep -q 'requeued=[1-9]' "$out/serve-restart.log" || { echo "FAIL: no killed job was requeued"; exit 1; }
+# checkpoints live only while a job is unfinished: every job is done now,
+# so no work dir may keep a ckpt-* file
+if ls "$spool"/jobs/*/ckpt-* >/dev/null 2>&1; then
+    echo "FAIL: finished jobs kept checkpoints:"; ls "$spool"/jobs/*/ckpt-*; exit 1
+fi
 # one-pass artifacts across the kill: each of the three computed jobs left
 # a bench.json beside the trace.csv of its own priming evaluation, and all
 # three specs run on the sim backend, so every trace has launch rows

@@ -25,7 +25,7 @@
 //! tile choice).
 //!
 //! Each submission is admission-checked client-side (a malformed spec is
-//! refused with a typed error before touching the spool), then durably
+//! refused with a typed error before anything is submitted), then durably
 //! written into `<spool>/submitted/`. `--count K` submits K copies of the
 //! same spec — a cheap way to demonstrate the content-addressed cache: the
 //! server computes the result once and serves the rest as cache hits.
@@ -33,11 +33,23 @@
 //!
 //! With `--wait`, blocks after submitting until every submitted job reaches
 //! a terminal spool state (a running `serve --daemon` does the work), then
-//! prints one `outcome: <job-id> <state>` line per job and mirrors the
-//! outcome in the exit code: 0 when all are `done`, 3 if any was poisoned,
-//! 1 if any failed (or the `--wait-timeout-s` wall-clock budget expired).
+//! prints one `outcome: <job-id> <state>` line per job.
+//!
+//! Exit codes follow `serve`'s (DESIGN.md §12):
+//!
+//! | code | meaning |
+//! |------|---------|
+//! | 0    | submitted; with `--wait`, every job is `done`                |
+//! | 1    | with `--wait`, a job failed or the timeout expired; or the   |
+//! |      | spool could not be opened or written                         |
+//! | 2    | usage error: no `--spool`, a bad flag, or a refused spec     |
+//! | 3    | with `--wait`, a job was poisoned                            |
+//!
+//! Usage errors are found before the spool is touched; only a `--plan
+//! auto` spec is admission-checked after its resolution, which reads (and
+//! may extend) the spool's tuning DB.
 
-use harness::error::{exit_with, or_exit, HarnessError};
+use harness::error::HarnessError;
 use jobs::prelude::*;
 use plans::prelude::{PlanKind, TuneObjective, DEFAULT_SHORTLIST};
 use workloads::spec::{WorkloadKind, WorkloadSpec};
@@ -56,6 +68,26 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter().position(|a| a == flag).and_then(|p| args.get(p + 1)).map(String::as_str)
 }
 
+/// A usage error exits 2, as in `serve`: distinct from a `--wait` outcome.
+fn usage_error(err: impl std::fmt::Display) -> ! {
+    eprintln!("error: {err}");
+    std::process::exit(2);
+}
+
+fn or_usage<T>(result: Result<T, HarnessError>) -> T {
+    result.unwrap_or_else(|e| usage_error(e))
+}
+
+fn bad_flag(flag: &str, value: &str) -> ! {
+    usage_error(HarnessError::BadFlag { flag: flag.into(), value: value.into() })
+}
+
+fn admit_or_usage(spec: &JobSpec) {
+    if let Err(err) = admit(spec, &AdmissionPolicy::default()) {
+        usage_error(format!("admission refused the spec: {err}"));
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(spool_dir) = flag_value(&args, "--spool") else {
@@ -70,9 +102,7 @@ fn main() {
 
     let kind = match flag_value(&args, "--workload") {
         None => WorkloadKind::Plummer,
-        Some(id) => WorkloadKind::parse(id).unwrap_or_else(|| {
-            exit_with(HarnessError::BadFlag { flag: "--workload".into(), value: id.into() })
-        }),
+        Some(id) => WorkloadKind::parse(id).unwrap_or_else(|| bad_flag("--workload", id)),
     };
     let plan_flag = flag_value(&args, "--plan");
     let auto_plan = plan_flag == Some("auto");
@@ -80,65 +110,65 @@ fn main() {
         None => PlanKind::JwParallel,
         // placeholder until resolution below; never submitted as-is
         Some("auto") => PlanKind::JwParallel,
-        Some(id) => PlanKind::parse(id).unwrap_or_else(|| {
-            exit_with(HarnessError::BadFlag { flag: "--plan".into(), value: id.into() })
-        }),
+        Some(id) => PlanKind::parse(id).unwrap_or_else(|| bad_flag("--plan", id)),
     };
-    let n = parsed(&args, "--n").map_or(384, or_exit);
-    let seed = parsed(&args, "--seed").map_or(1, or_exit);
-    let steps = parsed(&args, "--steps").map_or(12, or_exit);
+    let n = parsed(&args, "--n").map_or(384, or_usage);
+    let seed = parsed(&args, "--seed").map_or(1, or_usage);
+    let steps = parsed(&args, "--steps").map_or(12, or_usage);
 
     let mut spec = JobSpec::new(WorkloadSpec { kind, n, seed }, plan, steps);
     if let Some(dt) = parsed(&args, "--dt") {
-        spec.dt = or_exit(dt);
+        spec.dt = or_usage(dt);
     }
     if let Some(every) = parsed(&args, "--every") {
-        spec.checkpoint_every = or_exit(every);
+        spec.checkpoint_every = or_usage(every);
     }
     if let Some(id) = flag_value(&args, "--priority") {
-        spec.priority = Priority::parse(id).unwrap_or_else(|| {
-            exit_with(HarnessError::BadFlag { flag: "--priority".into(), value: id.into() })
-        });
+        spec.priority = Priority::parse(id).unwrap_or_else(|| bad_flag("--priority", id));
     }
     if let Some(d) = parsed(&args, "--deadline-s") {
-        spec.deadline_s = Some(or_exit(d));
+        spec.deadline_s = Some(or_usage(d));
     }
     if let Some(t) = parsed(&args, "--tile") {
-        spec.tile = Some(or_exit(t));
+        spec.tile = Some(or_usage(t));
     }
     if let Some(t) = parsed(&args, "--job-threads") {
-        spec.threads = Some(or_exit(t));
+        spec.threads = Some(or_usage(t));
     }
     if let Some(s) = parsed(&args, "--fault-seed") {
-        spec.fault_seed = Some(or_exit(s));
+        spec.fault_seed = Some(or_usage(s));
     }
     if let Some(p) = parsed(&args, "--fault-prob") {
-        spec.fault_prob = Some(or_exit(p));
+        spec.fault_prob = Some(or_usage(p));
     }
     if let Some(q) = parsed(&args, "--fault-loss-prob") {
-        spec.fault_loss_prob = Some(or_exit(q));
+        spec.fault_loss_prob = Some(or_usage(q));
     }
     // --backend and the out-of-core flags parse as on every harness binary
-    let config = or_exit(harness::try_config_from_args(&args));
+    let config = or_usage(harness::try_config_from_args(&args));
     spec.backend = config.backend;
     spec.shards = config.plan.shards;
     spec.mem_budget_bytes = config.plan.mem_budget_bytes;
     spec.device_tree = config.plan.device_tree;
-    let count: usize = parsed(&args, "--count").map_or(1, or_exit);
+    let count: usize = parsed(&args, "--count").map_or(1, or_usage);
+    let timeout_s: f64 = parsed(&args, "--wait-timeout-s").map_or(120.0, or_usage);
+    if auto_plan && spec.tile.is_some() {
+        usage_error("--tile cannot be combined with --plan auto (the resolver owns it)");
+    }
+    // client-side admission: refuse malformed specs before spooling
+    if !auto_plan {
+        admit_or_usage(&spec);
+    }
 
-    // the resolver needs the spool's fs seam and tuning.json, so attach
-    // first; attaching runs no crash recovery, which belongs to the server
-    // (a live daemon's running/ records and .tmp files are in flight)
+    // attaching runs no crash recovery, which belongs to the server (a live
+    // daemon's running/ records and .tmp files are in flight)
     let spool = Spool::attach(spool_dir).unwrap_or_else(|e| {
         eprintln!("error: cannot open spool {spool_dir}: {e}");
         std::process::exit(1);
     });
 
     if auto_plan {
-        if spec.tile.is_some() {
-            eprintln!("error: --tile cannot be combined with --plan auto (the resolver owns it)");
-            std::process::exit(2);
-        }
+        // the resolver needs the spool's fs seam and tuning.json
         let resolution = resolve_plan(
             spool.fs().as_ref(),
             &spool.root().join("tuning.json"),
@@ -159,13 +189,9 @@ fn main() {
             resolution.tile(),
             resolution.source.id()
         );
+        admit_or_usage(&spec);
     }
 
-    // client-side admission: refuse malformed specs before spooling
-    if let Err(err) = admit(&spec, &AdmissionPolicy::default()) {
-        eprintln!("error: admission refused the spec: {err}");
-        std::process::exit(1);
-    }
     let mut ids = Vec::new();
     for _ in 0..count.max(1) {
         match spool.submit(&spec) {
@@ -181,7 +207,6 @@ fn main() {
     }
 
     if args.iter().any(|a| a == "--wait") {
-        let timeout_s: f64 = parsed(&args, "--wait-timeout-s").map_or(120.0, or_exit);
         let started = std::time::Instant::now();
         let mut worst = 0i32;
         for id in &ids {

@@ -1,6 +1,7 @@
 //! The `submit` binary carries the out-of-core flags into the spool
 //! record: `--shards`, `--mem-budget` and `--device-tree` parse as on every
-//! other harness binary and land in the submitted spec.
+//! other harness binary and land in the submitted spec. A bad flag or spec
+//! exits 2 before the spool is touched.
 
 use jobs::prelude::*;
 use nbody_core::testutil::ScratchDir;
@@ -46,11 +47,22 @@ fn out_of_core_flags_reach_the_record() {
 
 #[test]
 fn a_bad_shard_count_is_refused() {
-    let dir = ScratchDir::new("submit-cli-bad");
-    let out = Command::new(env!("CARGO_BIN_EXE_submit"))
-        .args(["--spool", dir.to_str().unwrap(), "--shards", "0"])
-        .output()
-        .expect("run submit");
-    assert_eq!(out.status.code(), Some(1), "the exit code of every bad submit flag");
-    assert!(!dir.join("submitted").exists(), "refused before touching the spool");
+    // usage errors exit 2, as `serve`'s do; 1 and 3 are `--wait` outcomes
+    for bad in [
+        &["--shards", "0"][..],
+        &["--steps", "0"],
+        &["--every", "0"],
+        &["--count", "many"],
+        &["--wait-timeout-s", "soon"],
+        &["--plan", "auto", "--tile", "64"],
+    ] {
+        let dir = ScratchDir::new("submit-cli-bad");
+        let out = Command::new(env!("CARGO_BIN_EXE_submit"))
+            .args(["--spool", dir.to_str().unwrap()])
+            .args(bad)
+            .output()
+            .expect("run submit");
+        assert_eq!(out.status.code(), Some(2), "{bad:?}: the exit code of a usage error");
+        assert!(!dir.join("submitted").exists(), "{bad:?}: refused before touching the spool");
+    }
 }

@@ -80,6 +80,12 @@ impl ResultCache {
         self.dir.join(format!("{hash_hex}.json"))
     }
 
+    /// True when an entry is filed under `hash_hex`. Unvalidated: a corrupt
+    /// entry counts until [`ResultCache::lookup`] evicts it.
+    pub(crate) fn contains(&self, hash_hex: &str) -> bool {
+        self.entry_path(hash_hex).exists()
+    }
+
     /// Looks up a result by canonical hash. Returns `Ok(None)` on a miss.
     /// An entry that is unparseable, mislabeled, or fails its content
     /// checksum is deleted and reported as a miss — the job simply

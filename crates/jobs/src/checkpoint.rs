@@ -168,28 +168,22 @@ pub fn clean_stale_tmp(dir: &Path) -> std::io::Result<usize> {
     Ok(cleaned)
 }
 
-/// Deletes every stale `*.tmp` file anywhere under `root` — state dirs,
-/// the result cache, and per-job work/artifact directories at any depth.
-/// Removals go through `fs` so recovery itself is crash-enumerable.
-/// Traversal is depth-first over a sorted entry list, so the removal order
-/// (and thus the fuzzer's op numbering) is deterministic.
-pub fn clean_stale_tmp_recursive(root: &Path, fs: &dyn SpoolFs) -> std::io::Result<usize> {
-    if !root.exists() {
-        return Ok(0);
-    }
-    let mut cleaned = 0;
-    let mut entries: Vec<_> = std::fs::read_dir(root)?.collect::<Result<_, _>>()?;
-    entries.sort_by_key(|e| e.file_name());
-    for entry in entries {
-        let ty = entry.file_type()?;
-        if ty.is_dir() {
-            cleaned += clean_stale_tmp_recursive(&entry.path(), fs)?;
-        } else if ty.is_file() && entry.file_name().to_string_lossy().ends_with(".tmp") {
-            fs.remove_file(&entry.path())?;
-            cleaned += 1;
-        }
-    }
-    Ok(cleaned)
+/// True for a checkpoint file name: `ckpt-<step>.snap`, a legacy
+/// `ckpt-<step>.json`, or a `.tmp` sibling of either.
+pub(crate) fn is_checkpoint_name(name: &str) -> bool {
+    name.starts_with("ckpt-")
+}
+
+/// Deletes every checkpoint file directly inside `dir` through `fs`, in
+/// name order. A finished job's checkpoints are dead weight: its result is
+/// in the cache, which intake consults before any resume.
+pub(crate) fn remove_checkpoints(fs: &dyn SpoolFs, dir: &Path) -> std::io::Result<()> {
+    let mut names: Vec<_> = std::fs::read_dir(dir)?
+        .map(|entry| entry.map(|e| e.file_name()))
+        .collect::<Result<_, _>>()?;
+    names.retain(|name| is_checkpoint_name(&name.to_string_lossy()));
+    names.sort();
+    names.iter().try_for_each(|name| fs.remove_file(&dir.join(name)))
 }
 
 #[cfg(test)]

@@ -19,7 +19,8 @@
 //!    (a submission is *acknowledged* once `submit` returned `Ok`, i.e.
 //!    its durable rename landed);
 //! 2. a plain drain on the recovered spool completes every acknowledged
-//!    job into `done/`;
+//!    job into `done/` and leaves no `ckpt-*` file in a work dir whose
+//!    hash has a cache entry;
 //! 3. the batch job's final result — whatever mixture of preemption,
 //!    crash, and resume it went through — is bit-exact against an
 //!    uninterrupted reference integration.
@@ -28,6 +29,7 @@
 //! the subsystem can make goes through the [`crate::fsx::SpoolFs`] seam,
 //! so `k` ranges over every possible crash point of the lifecycle.
 
+use crate::checkpoint::is_checkpoint_name;
 use crate::error::JobError;
 use crate::fsx::{is_crashpoint, CrashFs, SpoolFs};
 use crate::runner::reference_set;
@@ -128,6 +130,25 @@ fn verify_recovery(root: &Path, acked: &[String], reference: &ParticleSet) -> Re
     for id in acked {
         if spool.job_state(id) != Some(JobState::Done) {
             return Err(format!("job {id} did not reach done/ after recovery"));
+        }
+    }
+
+    // ...keeps no checkpoint behind a cached result...
+    let cache = spool.cache();
+    let work_dirs = std::fs::read_dir(spool.jobs_dir()).map_err(|e| format!("jobs/: {e}"))?;
+    for dir in work_dirs.flatten() {
+        let hash = dir.file_name().to_string_lossy().into_owned();
+        if !cache.contains(&hash) {
+            continue;
+        }
+        let files = std::fs::read_dir(dir.path()).map_err(|e| format!("jobs/{hash}: {e}"))?;
+        let left: Vec<String> = files
+            .flatten()
+            .map(|f| f.file_name().to_string_lossy().into_owned())
+            .filter(|name| is_checkpoint_name(name))
+            .collect();
+        if !left.is_empty() {
+            return Err(format!("jobs/{hash} keeps {left:?} beside its cache entry"));
         }
     }
 

@@ -4,8 +4,11 @@
 //! It resumes from the newest usable checkpoint in the job's work directory
 //! ([`crate::checkpoint::scan`]), re-primes forces from the restored
 //! positions (bit-exact, per the determinism contract), integrates with
-//! kick-drift-kick leapfrog, and checkpoints on the spec's cadence plus the
-//! final step.
+//! kick-drift-kick leapfrog, and checkpoints on the spec's cadence at every
+//! step short of the last. The final state is the cached result, not a
+//! checkpoint: a checkpoint exists only while the job is unfinished. A crash
+//! between the last step and the cache store resumes from the last cadence
+//! checkpoint (or from scratch) and is verified bit-exact like any resume.
 //!
 //! Deadlines are *cooperative and simulated*: after each step the runner
 //! compares the engine's accumulated simulated device seconds against
@@ -183,7 +186,7 @@ pub fn run_job(spec: &JobSpec, dir: &Path, opts: &RunOptions) -> Result<RunStatu
     while step < spec.steps {
         LeapfrogKdk.step(&mut set, &mut eng, spec.dt);
         step += 1;
-        let on_cadence = step % spec.checkpoint_every == 0 || step == spec.steps;
+        let on_cadence = step % spec.checkpoint_every == 0 && step < spec.steps;
         if on_cadence {
             save_checkpoint_with(
                 opts.fs.as_ref(),
@@ -199,7 +202,7 @@ pub fn run_job(spec: &JobSpec, dir: &Path, opts: &RunOptions) -> Result<RunStatu
         }
         // preemption only fires where a checkpoint just landed: the yield
         // point is always durable, so the requeued job resumes bit-exactly
-        if on_cadence && step < spec.steps {
+        if on_cadence {
             if let Some(flag) = &opts.preempt {
                 if flag.load(Ordering::SeqCst) {
                     return Ok(RunStatus::Preempted { at_step: step });
@@ -316,6 +319,25 @@ mod tests {
         assert_eq!(result.final_snapshot.set.pos(), reference.pos());
         assert_eq!(result.final_snapshot.set.vel(), reference.vel());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_completed_run_checkpoints_only_at_cadence_steps_short_of_the_last() {
+        let scratch = ScratchDir::new("runner");
+        for steps in [6, 5] {
+            let mut s = spec();
+            s.steps = steps;
+            let dir = scratch.join(format!("cadence-{steps}"));
+            complete(run_job(&s, &dir, &RunOptions::default()).unwrap());
+            let mut written: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .filter(|p| p.file_name().unwrap().to_string_lossy().starts_with("ckpt-"))
+                .collect();
+            written.sort();
+            let cadence = [2, 4].map(|step| crate::checkpoint::checkpoint_path(&dir, step));
+            assert_eq!(written, cadence, "{steps} steps, every 2: no final-step checkpoint");
+        }
     }
 
     #[test]

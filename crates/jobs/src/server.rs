@@ -25,8 +25,13 @@
 //!   [`ServerConfig::max_job_attempts`] is exhausted, then quarantined into
 //!   `poisoned/` with a typed reason. With `preempt_batch = true`, a `high`
 //!   job arriving while a wave of `batch` jobs runs preempts them at their
-//!   next checkpoint boundary (progress stays durable; the requeued jobs
-//!   resume bit-exactly and the preemption does not charge an attempt).
+//!   next checkpoint boundary, and one intake deferred behind its twin
+//!   preempts them at their first (progress stays durable; the requeued
+//!   jobs resume bit-exactly and the preemption does not charge an
+//!   attempt).
+//!
+//! A computed job's checkpoints are removed right after its `done/`
+//! transition: the cached result supersedes them.
 //!
 //! PTPM load shedding ([`ShedPolicy`]): admission consults
 //! [`crate::spec::JobSpec::forecast_seconds`] — the paper's analytic model
@@ -40,6 +45,7 @@
 
 use crate::artifact::write_run_artifacts;
 use crate::cache::{JobResult, ResultCache};
+use crate::checkpoint::remove_checkpoints;
 use crate::error::JobError;
 use crate::runner::{reference_set, run_job, RunOptions, RunStatus};
 use crate::spec::{admit, AdmissionPolicy, Priority};
@@ -242,11 +248,12 @@ impl DrainSummary {
             self.count("requeued"),
         ));
         out.push_str(&format!(
-            "recovery: requeued={} tmp-cleaned={} duplicates-dropped={} resumed-jobs={} \
-             verified-bitexact={}\n",
+            "recovery: requeued={} tmp-cleaned={} duplicates-dropped={} \
+             checkpoints-reclaimed={} resumed-jobs={} verified-bitexact={}\n",
             self.recovery.requeued,
             self.recovery.tmp_cleaned,
             self.recovery.duplicates_dropped,
+            self.recovery.checkpoints_reclaimed,
             self.resumed_jobs(),
             self.verified_bitexact(),
         ));
@@ -365,7 +372,9 @@ pub(crate) fn drain_round(
     // admission, shedding, cache service, and wave selection — sequential,
     // in scheduling order, so the outcome is thread-count invariant
     let mut wave: Vec<JobRecord> = Vec::new();
-    let mut deferred = 0usize;
+    // a `high` record deferred past this wave is already waiting, so the
+    // wave's batch jobs yield at their first checkpoint boundary
+    let mut high_deferred = false;
     for record in submitted {
         if let Err(err) = admit(&record.spec, &config.admission) {
             let job_err = JobError::from(err);
@@ -420,14 +429,13 @@ pub(crate) fn drain_round(
             }
             debt_s += forecast_s;
         }
-        if wave.len() == config.max_parallel.max(1) {
-            deferred += 1;
-            continue;
-        }
-        if wave.iter().any(|w| w.hash_hex == record.hash_hex) {
-            // identical job already in this wave: defer one round so it
-            // lands on the cache entry the first copy is about to write
-            deferred += 1;
+        // a full wave defers to the next round; so does an identical job
+        // already in this wave, so that it lands on the cache entry the
+        // first copy is about to write
+        if wave.len() == config.max_parallel.max(1)
+            || wave.iter().any(|w| w.hash_hex == record.hash_hex)
+        {
+            high_deferred |= record.spec.priority == Priority::High;
             continue;
         }
         if record.attempts >= config.max_job_attempts {
@@ -456,17 +464,18 @@ pub(crate) fn drain_round(
     if wave.is_empty() {
         return Ok(RoundResult::Progressed);
     }
-    let _ = deferred; // deferred jobs are picked up by the next round
 
     // per-job runner options: checkpoints route through the spool's fs
-    // seam, and preemptible batch jobs get a preemption flag
+    // seam, and preemptible batch jobs get a preemption flag, raised before
+    // the wave starts when intake deferred a high job: the yield step then
+    // never depends on when the watcher below is first scheduled
     let mut opts: Vec<RunOptions> = Vec::with_capacity(wave.len());
     let mut batch_flags: Vec<Arc<AtomicBool>> = Vec::new();
     for record in &wave {
         let mut o = config.run.clone();
         o.fs = spool.fs();
         if config.preempt_batch && record.spec.priority == Priority::Batch {
-            let flag = Arc::new(AtomicBool::new(false));
+            let flag = Arc::new(AtomicBool::new(high_deferred));
             batch_flags.push(Arc::clone(&flag));
             o.preempt = Some(flag);
         }
@@ -476,7 +485,7 @@ pub(crate) fn drain_round(
     // while the wave runs, a watcher raises the preemption flags the moment
     // a high-priority job lands in submitted/
     let stop = Arc::new(AtomicBool::new(false));
-    let watcher = (!batch_flags.is_empty()).then(|| {
+    let watcher = (!batch_flags.is_empty() && !high_deferred).then(|| {
         let spool = spool.clone();
         let stop = Arc::clone(&stop);
         let flags = batch_flags;
@@ -534,15 +543,15 @@ pub(crate) fn drain_round(
                         verified: Some(false),
                     }
                 } else {
+                    let dir = spool.job_dir(&record.hash_hex);
                     cache.store(&result)?;
-                    write_run_artifacts(
-                        &result,
-                        &trace,
-                        &spool.job_dir(&record.hash_hex),
-                        spool.fs().as_ref(),
-                    )?;
+                    write_run_artifacts(&result, &trace, &dir, spool.fs().as_ref())?;
                     record.error = None;
                     spool.transition(&record, JobState::Running, JobState::Done)?;
+                    // the cached result supersedes every checkpoint; a crash
+                    // before this lands leaves them to Spool::open's sweep
+                    remove_checkpoints(spool.fs().as_ref(), &dir)
+                        .map_err(|e| JobError::io(dir.display().to_string(), e))?;
                     JobReport {
                         id: record.id.clone(),
                         hash_hex: record.hash_hex.clone(),
@@ -804,6 +813,46 @@ mod tests {
         assert!(rendered.contains("resumed-jobs=1"), "{rendered}");
         assert!(rendered.ends_with("JOBS OK\n"));
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_deferred_high_twin_preempts_the_batch_partner_at_its_first_checkpoint() {
+        // the twin waits in submitted/ from the start of the wave, so the
+        // partner's yield step is fixed at intake, not by when the watcher
+        // thread first runs; repeated, because a race shows only sometimes
+        let restore = par::threads();
+        for threads in [1usize, 4].repeat(5) {
+            par::set_threads(threads);
+            let scratch = ScratchDir::new("server");
+            let (spool, _) = Spool::open(scratch.join("twin")).unwrap();
+            let mut high = spec(64, 50);
+            high.priority = Priority::High;
+            let mut partner = spec(32, 51);
+            partner.steps = 8;
+            partner.checkpoint_every = 1;
+            partner.priority = Priority::Batch;
+            spool.submit(&high).unwrap();
+            spool.submit(&high).unwrap();
+            spool.submit(&partner).unwrap();
+            let config = ServerConfig { preempt_batch: true, ..Default::default() };
+            let mut summary =
+                DrainSummary { reports: Vec::new(), recovery: SpoolRecovery::default() };
+            drain_round(&spool, &spool.cache(), &config, &mut summary).unwrap();
+            let outcomes: Vec<_> =
+                summary.reports.iter().map(|r| (r.hash_hex.clone(), r.outcome.clone())).collect();
+            assert_eq!(
+                outcomes,
+                [
+                    (high.hash_hex(), JobOutcome::Computed),
+                    (partner.hash_hex(), JobOutcome::Preempted)
+                ],
+                "{threads} threads"
+            );
+            let step = crate::checkpoint::scan(&spool.job_dir(&partner.hash_hex())).unwrap().best;
+            assert_eq!(step.map(|(s, _)| s), Some(partner.checkpoint_every), "{threads} threads");
+            assert_eq!(spool.count(JobState::Submitted), 2, "the twin and the partner wait");
+        }
+        par::set_threads(restore);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!   done/<id>.json           completed (result in cache/)
 //!   failed/<id>.json         terminal failure (typed error recorded)
 //!   poisoned/<id>.json       quarantined: exhausted its attempt budget
-//!   jobs/<hash16>/           per-job work dir: checkpoints + artifacts
+//!   jobs/<hash16>/           per-job work dir: ckpt-*.snap while the job is
+//!                            unfinished, then bench.json + trace.csv
 //!   cache/<hash16>.json      content-addressed results
 //!   daemon.json              daemon heartbeat (written atomically per tick)
 //! ```
@@ -21,8 +22,10 @@
 //! `submitted`), deletes stale `.tmp` litter *recursively across the whole
 //! spool tree* (state dirs, the cache, and every per-job work/artifact
 //! directory — a kill-9 between an artifact's `.tmp` write and its rename
-//! must not leave debris forever), and re-queues jobs a dead server left in
-//! `running/` so they resume from their checkpoints.
+//! must not leave debris forever), reclaims the checkpoints of every work
+//! dir whose hash has a cache entry (the server removes them when the job
+//! reaches `done/`; a crash can cut in before it does), and re-queues jobs
+//! a dead server left in `running/` so they resume from their checkpoints.
 //!
 //! Every mutation goes through the [`crate::fsx::SpoolFs`] seam, which is
 //! what lets the crash-point fuzzer ([`crate::crashpoint`]) enumerate and
@@ -121,6 +124,9 @@ pub struct SpoolRecovery {
     /// Duplicate records dropped (a crash between the two halves of a
     /// transition left the job in two state dirs).
     pub duplicates_dropped: usize,
+    /// `ckpt-*` files deleted from work dirs whose hash has a cache entry:
+    /// intake serves such a hash as a cache hit, so they never resume.
+    pub checkpoints_reclaimed: usize,
 }
 
 /// Handle to a spool directory tree.
@@ -161,9 +167,10 @@ impl Spool {
     /// Opens the spool at `root` with every mutation routed through `fs`,
     /// and repairs any crash litter: stale `.tmp` files are deleted
     /// recursively across the whole tree (state dirs, cache, per-job
-    /// work/artifact dirs), duplicate records are resolved by state
-    /// precedence, and jobs a dead server left in `running/` are re-queued.
-    /// Only a server may call it: see [`Spool::attach`].
+    /// work/artifact dirs), a cached hash's work dir loses its checkpoints,
+    /// duplicate records are resolved by state precedence, and jobs a dead
+    /// server left in `running/` are re-queued. Only a server may call it:
+    /// see [`Spool::attach`].
     pub fn open_with(
         root: impl Into<PathBuf>,
         fs: Arc<dyn SpoolFs>,
@@ -172,9 +179,9 @@ impl Spool {
         let mut recovery = SpoolRecovery::default();
         // one recursive sweep covers everything: state dirs, the cache, and
         // every per-job work directory however deep its artifacts nest
-        recovery.tmp_cleaned +=
-            crate::checkpoint::clean_stale_tmp_recursive(&spool.root, spool.fs.as_ref())
-                .map_err(|e| JobError::io(spool.root.display().to_string(), e))?;
+        spool
+            .sweep(&spool.root, &mut recovery)
+            .map_err(|e| JobError::io(spool.root.display().to_string(), e))?;
 
         // duplicate resolution: a terminal record wins over running, which
         // wins over submitted; then requeue whatever genuinely runs nowhere
@@ -207,6 +214,32 @@ impl Spool {
             }
         }
         Ok((spool, recovery))
+    }
+
+    /// Recovery's walk of the tree under `dir`, depth-first over sorted
+    /// entries so the removal order (and thus the fuzzer's op numbering) is
+    /// deterministic. Deletes stale `.tmp` files everywhere, and the
+    /// checkpoints of a work dir whose hash has a cache entry. Removals go
+    /// through the fs seam, so recovery itself is crash-enumerable.
+    fn sweep(&self, dir: &Path, recovery: &mut SpoolRecovery) -> std::io::Result<()> {
+        let mut entries: Vec<_> = std::fs::read_dir(dir)?.collect::<Result<_, _>>()?;
+        entries.sort_by_key(|e| e.file_name());
+        let finished = dir.parent() == Some(self.jobs_dir().as_path())
+            && dir.file_name().is_some_and(|hash| self.cache().contains(&hash.to_string_lossy()));
+        for entry in entries {
+            let ty = entry.file_type()?;
+            let name = entry.file_name().to_string_lossy().into_owned();
+            if ty.is_dir() {
+                self.sweep(&entry.path(), recovery)?;
+            } else if ty.is_file() && name.ends_with(".tmp") {
+                self.fs.remove_file(&entry.path())?;
+                recovery.tmp_cleaned += 1;
+            } else if ty.is_file() && finished && crate::checkpoint::is_checkpoint_name(&name) {
+                self.fs.remove_file(&entry.path())?;
+                recovery.checkpoints_reclaimed += 1;
+            }
+        }
+        Ok(())
     }
 
     /// The spool root directory.
@@ -505,6 +538,55 @@ mod tests {
         assert!(!jd.join("trace.csv.tmp").exists());
         assert!(!deep.join("x.tmp").exists());
         assert!(!spool2.root().join("daemon.json.tmp").exists());
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn reopen_reclaims_cached_checkpoints_and_keeps_a_requeued_jobs() {
+        use crate::checkpoint::{checkpoint_path, save_checkpoint, scan};
+        use crate::runner::RunOptions;
+        use crate::server::{drain, JobOutcome, ServerConfig};
+        let scratch = ScratchDir::new("spool");
+        let root = scratch.join("reclaim");
+        let (spool, recovery) = Spool::open(&root).unwrap();
+        let mut finished = spec(32, 11);
+        finished.checkpoint_every = 2;
+        spool.submit(&finished).unwrap();
+        let summary = drain(&spool, recovery, &ServerConfig::default()).unwrap();
+        assert_eq!(summary.reports[0].outcome, JobOutcome::Computed);
+        let done_dir = spool.job_dir(&finished.hash_hex());
+        assert!(scan(&done_dir).unwrap().best.is_none(), "done/ keeps no checkpoint");
+        // a crash between the done/ transition and the checkpoint removal
+        // leaves them behind the cache entry
+        let set = WorkloadSpec::plummer(32, 11).generate();
+        save_checkpoint(&done_dir, "leftover", 0.0, 2, &set).unwrap();
+        std::fs::write(done_dir.join("ckpt-00001.json"), "{legacy").unwrap();
+
+        // a crashed job with no cache entry: its checkpoint is its progress
+        let mut requeued = spec(32, 12);
+        requeued.checkpoint_every = 2;
+        spool.submit(&requeued).unwrap();
+        let crash = ServerConfig {
+            run: RunOptions { crash_after: Some(3), ..Default::default() },
+            ..Default::default()
+        };
+        let summary = drain(&spool, SpoolRecovery::default(), &crash).unwrap();
+        assert_eq!(summary.reports[0].outcome, JobOutcome::Crashed);
+
+        let (spool, recovery) = Spool::open(&root).unwrap();
+        assert_eq!((recovery.checkpoints_reclaimed, recovery.requeued), (2, 1), "{recovery:?}");
+        assert!(!checkpoint_path(&done_dir, 2).exists());
+        assert!(!done_dir.join("ckpt-00001.json").exists());
+        assert!(done_dir.join("bench.json").exists() && done_dir.join("trace.csv").exists());
+        let work_dir = spool.job_dir(&requeued.hash_hex());
+        assert!(checkpoint_path(&work_dir, 2).exists(), "an unfinished job keeps its checkpoint");
+
+        let summary = drain(&spool, recovery, &ServerConfig::default()).unwrap();
+        let report = &summary.reports[0];
+        assert_eq!(report.outcome, JobOutcome::Computed, "{}", summary.render());
+        assert_eq!((report.resumed_from, report.verified), (2, Some(true)));
+        assert!(scan(&work_dir).unwrap().best.is_none(), "reclaimed once it is done");
+        assert!(summary.render().contains("checkpoints-reclaimed=2"), "{}", summary.render());
         std::fs::remove_dir_all(&root).ok();
     }
 
