@@ -129,19 +129,31 @@ grep -rq '"plan_source": *"auto:db-hit"' "$aspool/jobs" || {
     echo "FAIL: bench.json artifact does not record the auto resolution path"; exit 1; }
 
 echo "==> job-server crash-recovery smoke test (SIGKILL mid-job)"
-# Submit a small batch, kill the server with SIGKILL mid-job, restart it,
-# and require the summary's JOBS OK tail: the interrupted job must resume
-# from its checkpoint and verify bit-exact against an uninterrupted
-# reference run, and no finished job may keep a ckpt-* file. The server
-# binary is exec'd directly (not via cargo run) so the SIGKILL hits the
-# server process itself.
+# Submit a small batch, kill the server with SIGKILL mid-job as soon as a
+# job has written its first checkpoint (failing if none appears within
+# 10 s), restart it, and require the summary's JOBS OK tail: the
+# interrupted job must resume from its checkpoint and verify bit-exact
+# against an uninterrupted reference run (resumed-jobs and
+# verified-bitexact both nonzero on the recovery line), and no finished
+# job may keep a ckpt-* file. The server binary is exec'd directly (not
+# via cargo run) so the SIGKILL hits the server process itself.
 spool="$out/spool"
 ./target/release/submit --spool "$spool" --n 96 --steps 12 --seed 1 --every 2
 ./target/release/submit --spool "$spool" --n 96 --steps 12 --seed 2 --every 2 --priority high
 ./target/release/submit --spool "$spool" --n 96 --steps 12 --seed 3 --every 2 --fault-seed 7
 ./target/release/serve --spool "$spool" --throttle-ms 80 > "$out/serve-killed.log" 2>&1 &
 serve_pid=$!
-sleep 1
+# poll for a durable checkpoint (a renamed .snap, not its .tmp sibling)
+# every 50 ms, for at most 10 s
+polls=0
+until ls "$spool"/jobs/*/ckpt-*.snap >/dev/null 2>&1; do
+    polls=$((polls + 1))
+    if [ "$polls" -gt 200 ]; then
+        kill -9 "$serve_pid" 2>/dev/null || true
+        echo "FAIL: no job checkpoint appeared within 10 s"; exit 1
+    fi
+    sleep 0.05
+done
 kill -9 "$serve_pid" 2>/dev/null || true
 wait "$serve_pid" 2>/dev/null || true
 test "$(ls "$spool/running" "$spool/submitted" 2>/dev/null | grep -c json || true)" -gt 0 || {
@@ -149,6 +161,10 @@ test "$(ls "$spool/running" "$spool/submitted" 2>/dev/null | grep -c json || tru
 ./target/release/serve --spool "$spool" | tee "$out/serve-restart.log"
 grep -q 'JOBS OK' "$out/serve-restart.log" || { echo "FAIL: restarted server did not report JOBS OK"; exit 1; }
 grep -q 'requeued=[1-9]' "$out/serve-restart.log" || { echo "FAIL: no killed job was requeued"; exit 1; }
+grep -q 'resumed-jobs=[1-9]' "$out/serve-restart.log" || {
+    echo "FAIL: no killed job resumed from a checkpoint"; exit 1; }
+grep -q 'verified-bitexact=[1-9]' "$out/serve-restart.log" || {
+    echo "FAIL: no resumed job was verified bit-exact"; exit 1; }
 # checkpoints live only while a job is unfinished: every job is done now,
 # so no work dir may keep a ckpt-* file
 if ls "$spool"/jobs/*/ckpt-* >/dev/null 2>&1; then

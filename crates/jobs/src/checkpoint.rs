@@ -81,10 +81,17 @@ pub struct CheckpointScan {
     pub tmp_cleaned: usize,
 }
 
+/// Scans `dir` for the newest usable checkpoint on the production
+/// filesystem. See [`scan_with`].
+pub fn scan(dir: &Path) -> Result<CheckpointScan, JobError> {
+    scan_with(&RealFs, dir)
+}
+
 /// Scans `dir` for the newest usable checkpoint. A missing directory is an
 /// empty scan, not an error; unusable files are skipped and reported, never
-/// trusted.
-pub fn scan(dir: &Path) -> Result<CheckpointScan, JobError> {
+/// trusted. Stale `.tmp` litter is removed through the `fs` seam, so the
+/// crash-point fuzzer counts and can interrupt that removal.
+pub fn scan_with(fs: &dyn SpoolFs, dir: &Path) -> Result<CheckpointScan, JobError> {
     let mut out = CheckpointScan::default();
     if !dir.exists() {
         return Ok(out);
@@ -99,9 +106,12 @@ pub fn scan(dir: &Path) -> Result<CheckpointScan, JobError> {
         }
         if name.ends_with(".tmp") {
             // crash between write and rename: the rename never happened, so
-            // the durable file (if any) is intact and this litter is dead
-            if std::fs::remove_file(entry.path()).is_ok() {
-                out.tmp_cleaned += 1;
+            // the durable file (if any) is intact and this litter is dead;
+            // litter someone else removed first is no longer our concern
+            match fs.remove_file(&entry.path()) {
+                Ok(()) => out.tmp_cleaned += 1,
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(e) => return Err(JobError::io(entry.path().display().to_string(), e)),
             }
             continue;
         }
@@ -148,24 +158,6 @@ pub fn scan(dir: &Path) -> Result<CheckpointScan, JobError> {
     }
     out.skipped.sort_by(|a, b| a.file.cmp(&b.file));
     Ok(out)
-}
-
-/// Deletes every stale `*.tmp` file directly inside `dir` (non-recursive).
-/// Returns how many were removed; a missing directory removes nothing.
-pub fn clean_stale_tmp(dir: &Path) -> std::io::Result<usize> {
-    if !dir.exists() {
-        return Ok(0);
-    }
-    let mut cleaned = 0;
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if name.ends_with(".tmp") && entry.file_type()?.is_file() {
-            std::fs::remove_file(entry.path())?;
-            cleaned += 1;
-        }
-    }
-    Ok(cleaned)
 }
 
 /// True for a checkpoint file name: `ckpt-<step>.snap`, a legacy
@@ -310,6 +302,20 @@ mod tests {
     }
 
     #[test]
+    fn stale_tmp_removal_goes_through_the_seam() {
+        let scratch = ScratchDir::new("ckpt");
+        let dir = tmp(&scratch, "tmp-seam");
+        write_valid(&dir, 2);
+        std::fs::write(dir.join("ckpt-00004.snap.tmp"), "half a snapshot").unwrap();
+        let fs = crate::fsx::CrashFs::counting();
+        let scan = scan_with(fs.as_ref(), &dir).unwrap();
+        assert_eq!(scan.best.as_ref().unwrap().0, 2);
+        assert_eq!(scan.tmp_cleaned, 1);
+        assert_eq!(fs.ops_used(), 1, "the removal must be a seam mutation");
+        assert!(!dir.join("ckpt-00004.snap.tmp").exists());
+    }
+
+    #[test]
     fn foreign_files_and_weird_names_do_not_confuse_the_scan() {
         let scratch = ScratchDir::new("ckpt");
         let dir = tmp(&scratch, "foreign");
@@ -398,18 +404,5 @@ mod tests {
             assert_eq!(scan.skipped.len(), expected_skips, "case {case}: {:?}", scan.skipped);
             std::fs::remove_dir_all(&dir).ok();
         }
-    }
-
-    #[test]
-    fn clean_stale_tmp_only_touches_tmp_files() {
-        let scratch = ScratchDir::new("ckpt");
-        let dir = tmp(&scratch, "clean");
-        write_valid(&dir, 1);
-        std::fs::write(dir.join("a.tmp"), "x").unwrap();
-        std::fs::write(dir.join("b.json.tmp"), "y").unwrap();
-        assert_eq!(clean_stale_tmp(&dir).unwrap(), 2);
-        assert!(checkpoint_path(&dir, 1).exists());
-        assert_eq!(clean_stale_tmp(Path::new("/not/here")).unwrap(), 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -23,7 +23,7 @@
 //! this module stays panic-transparent.
 
 use crate::cache::JobResult;
-use crate::checkpoint::{save_checkpoint_with, scan};
+use crate::checkpoint::{save_checkpoint_with, scan_with};
 use crate::error::JobError;
 use crate::fsx::{real_fs, SpoolFs};
 use crate::spec::JobSpec;
@@ -162,7 +162,7 @@ pub(crate) fn engine(spec: &JobSpec, with_faults: bool) -> PlanForceEngine {
 /// policy keys on.
 pub fn run_job(spec: &JobSpec, dir: &Path, opts: &RunOptions) -> Result<RunStatus, JobError> {
     opts.fs.create_dir_all(dir).map_err(|e| JobError::io(dir.display().to_string(), e))?;
-    let (start_step, mut set) = match scan(dir)?.best {
+    let (start_step, mut set) = match scan_with(opts.fs.as_ref(), dir)?.best {
         Some((step, snap)) => (step, snap.set),
         None => (0, initial_set(spec)),
     };

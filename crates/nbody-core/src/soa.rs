@@ -331,10 +331,11 @@ pub fn accelerations_pp_tiled_with(
     pp_rows_tiled(view, 0..view.len(), params, tile, acc);
 }
 
-/// Multithreaded tiled PP over `par`'s fixed row chunks on scoped threads.
+/// Multithreaded tiled PP: the rows are cut into `threads` fixed row
+/// blocks (`par::chunk_ranges`) and the blocks run as `par` tasks.
 /// Per-row summation order is unchanged, so results are bit-identical to
 /// the serial tiled kernel — and hence to the scalar reference — at any
-/// thread count.
+/// block count and any `par` thread count.
 pub fn accelerations_pp_tiled_parallel(
     view: SoaView<'_>,
     params: &GravityParams,
@@ -349,15 +350,14 @@ pub fn accelerations_pp_tiled_parallel(
         pp_rows_tiled(view, 0..n, params, tile, acc);
         return;
     }
-    let ranges = par::chunk_ranges(n, threads);
-    std::thread::scope(|scope| {
-        let mut rest = acc;
-        for range in ranges {
-            let (rows, tail) = rest.split_at_mut(range.len());
-            rest = tail;
-            scope.spawn(move || pp_rows_tiled(view, range, params, tile, rows));
-        }
-    });
+    let mut blocks = Vec::with_capacity(threads);
+    let mut rest = acc;
+    for range in par::chunk_ranges(n, threads) {
+        let (rows, tail) = rest.split_at_mut(range.len());
+        rest = tail;
+        blocks.push(move || pp_rows_tiled(view, range, params, tile, rows));
+    }
+    par::run_tasks(blocks);
 }
 
 #[cfg(test)]

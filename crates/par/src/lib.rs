@@ -6,17 +6,22 @@
 //!
 //! ## The determinism contract
 //!
-//! Every helper here splits work into **contiguous index chunks** and
-//! returns the per-chunk results **in chunk order**, so a caller that
-//! combines them in that order observes a fixed merge order regardless of
-//! which worker finished first. Callers must uphold one rule for results to
-//! be bit-exact across thread counts: the value computed for an item must
-//! depend only on the item (and shared read-only state), never on which
-//! chunk the item landed in. All hot paths in this workspace satisfy that
-//! rule — work-groups of a GPU launch are independent by the programming
-//! model, tree walks are independent per walk, and per-body forces are
-//! independent per body — which is why `--threads 1` and `--threads k`
-//! produce identical forces, energies, and simulated clocks.
+//! Every helper here cuts its work into **items with fixed boundaries** — a
+//! task, a walk, or a contiguous index chunk from [`chunk_ranges`] — and
+//! returns the per-item results **in item order**. Up to [`threads`]
+//! workers (the calling thread is one of them) claim items one at a time
+//! from one shared cursor, in index order, so a worker that stalls simply
+//! claims fewer items while the others keep going. Which worker ran an item
+//! is never observable: a caller that combines the results in the order
+//! they are returned sees a fixed merge order regardless of who finished
+//! first. Callers must uphold one rule for results to be bit-exact across
+//! thread counts: the value computed for an item must depend only on the
+//! item (and shared read-only state), never on which worker claimed it or
+//! which items it claimed before. All hot paths in this workspace satisfy
+//! that rule — work-groups of a GPU launch are independent by the
+//! programming model, tree walks are independent per walk, and per-body
+//! forces are independent per body — which is why `--threads 1` and
+//! `--threads k` produce identical forces, energies, and simulated clocks.
 //!
 //! The global thread count is process-wide: [`set_threads`] overrides it,
 //! otherwise the `NBODY_THREADS` environment variable applies, otherwise
@@ -28,6 +33,7 @@ pub mod arena;
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// 0 = not yet resolved; anything else is the configured thread count.
 static THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -91,63 +97,75 @@ pub fn chunk_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
     ranges
 }
 
+/// Applies `f` to every index of `0..len` and returns the results **in
+/// index order**. Up to [`threads`] workers, the caller among them, claim
+/// the next unclaimed index from a shared cursor, one index at a time. With
+/// one thread or one item, `f` runs inline on the caller in index order.
+pub fn map_items<T, F>(len: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let workers = threads().min(len);
+    if workers <= 1 {
+        return (0..len).map(f).collect();
+    }
+    // Relaxed suffices: the cursor only hands out indices, and the results
+    // reach the caller through the scope's joins
+    let cursor = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= len {
+                return done;
+            }
+            done.push((i, f(i)));
+        }
+    };
+    let per_worker: Vec<Vec<(usize, T)>> = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers).map(|_| s.spawn(claim)).collect();
+        let mut per_worker = vec![claim()];
+        per_worker.extend(helpers.into_iter().map(join_propagating));
+        per_worker
+    });
+    let mut slots: Vec<Option<T>> = (0..len).map(|_| None).collect();
+    for (i, value) in per_worker.into_iter().flatten() {
+        slots[i] = Some(value);
+    }
+    slots.into_iter().map(|v| v.expect("every index claimed once")).collect()
+}
+
 /// Applies `f` to contiguous chunks of `0..len` (at most [`threads`] of
-/// them) and returns the results **in chunk order**. With one thread or one
-/// chunk, `f` runs inline on the caller.
+/// them, cut by [`chunk_ranges`]) and returns the results **in chunk
+/// order**. The chunks are claimed as [`map_items`] claims indices. With
+/// one thread or one chunk, `f` runs inline on the caller.
 pub fn map_chunks<T, F>(len: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(Range<usize>) -> T + Sync,
 {
     let ranges = chunk_ranges(len, threads());
-    if ranges.len() <= 1 {
-        return ranges.into_iter().map(f).collect();
-    }
-    std::thread::scope(|s| {
-        let f = &f;
-        let handles: Vec<_> = ranges.into_iter().map(|r| s.spawn(move || f(r))).collect();
-        handles.into_iter().map(join_propagating).collect()
-    })
+    map_items(ranges.len(), |c| f(ranges[c].clone()))
 }
 
 /// Runs independent tasks and returns their results **in task order**. The
-/// tasks are distributed over at most [`threads`] workers as contiguous
-/// slices of the task list; worker `w` runs its slice front to back. With
-/// one thread the tasks simply run in order on the caller.
+/// tasks are claimed one at a time, in task order, as [`map_items`] claims
+/// indices. With one thread the tasks simply run in order on the caller.
 pub fn run_tasks<T, F>(tasks: Vec<F>) -> Vec<T>
 where
     T: Send,
     F: FnOnce() -> T + Send,
 {
-    let n = tasks.len();
-    let ranges = chunk_ranges(n, threads());
-    if ranges.len() <= 1 {
+    if threads() <= 1 || tasks.len() <= 1 {
         return tasks.into_iter().map(|f| f()).collect();
     }
-    let mut tasks: Vec<Option<F>> = tasks.into_iter().map(Some).collect();
-    let mut slices: Vec<&mut [Option<F>]> = Vec::with_capacity(ranges.len());
-    let mut rest = tasks.as_mut_slice();
-    for r in &ranges {
-        let (head, tail) = rest.split_at_mut(r.len());
-        slices.push(head);
-        rest = tail;
-    }
-    let mut per_chunk: Vec<Vec<T>> = std::thread::scope(|s| {
-        let handles: Vec<_> = slices
-            .into_iter()
-            .map(|slice| {
-                s.spawn(move || {
-                    slice.iter_mut().map(|t| (t.take().expect("task present"))()).collect()
-                })
-            })
-            .collect();
-        handles.into_iter().map(join_propagating).collect()
-    });
-    let mut out = Vec::with_capacity(n);
-    for chunk in per_chunk.iter_mut() {
-        out.append(chunk);
-    }
-    out
+    // each slot is taken exactly once, by the worker that claimed its index
+    let slots: Vec<Mutex<Option<F>>> = tasks.into_iter().map(|f| Mutex::new(Some(f))).collect();
+    map_items(slots.len(), |i| {
+        let task = slots[i].lock().expect("no task runs under its slot lock").take();
+        task.expect("task claimed once")()
+    })
 }
 
 fn join_propagating<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
@@ -157,6 +175,7 @@ fn join_propagating<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     /// Tests that read results dependent on the *current* global thread
     /// count must not interleave with tests that change it.
@@ -224,8 +243,66 @@ mod tests {
     }
 
     #[test]
+    fn a_stalled_task_does_not_hold_back_the_tasks_after_it() {
+        let _guard = LOCK.lock().unwrap();
+        set_threads(2);
+        let finished = &AtomicUsize::new(0);
+        let tasks: Vec<_> = (0..9)
+            .map(|i| {
+                move || {
+                    if i > 0 {
+                        finished.fetch_add(1, Ordering::SeqCst);
+                        return true;
+                    }
+                    // done only once another worker has run tasks 1..=8; a
+                    // worker that owned a fixed slice holding task 0 would
+                    // also own some of them, and time out instead
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while finished.load(Ordering::SeqCst) < 8 {
+                        if Instant::now() > deadline {
+                            return false;
+                        }
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    true
+                }
+            })
+            .collect();
+        let out = run_tasks(tasks);
+        set_threads(1);
+        assert_eq!(out, vec![true; 9], "task 0 timed out: tasks 1..=8 were not claimed");
+    }
+
+    #[test]
+    fn results_keep_task_order_under_skewed_costs() {
+        let _guard = LOCK.lock().unwrap();
+        // the early items sleep up to 0.8 ms and the rest not at all, so
+        // later items finish first
+        let cost = |i: u64| Duration::from_micros(200 * (i % 5) * u64::from(i < 10));
+        for t in [1_usize, 2, 3, 8] {
+            set_threads(t);
+            let tasks: Vec<_> = (0..23_u64)
+                .map(|i| {
+                    move || {
+                        std::thread::sleep(cost(i));
+                        i * i
+                    }
+                })
+                .collect();
+            assert_eq!(run_tasks(tasks), (0..23).map(|i| i * i).collect::<Vec<_>>(), "{t}");
+            let items = map_items(23, |i| {
+                std::thread::sleep(cost(i as u64));
+                i
+            });
+            assert_eq!(items, (0..23).collect::<Vec<_>>(), "{t} threads");
+        }
+        set_threads(1);
+    }
+
+    #[test]
     fn zero_len_is_fine() {
         assert!(map_chunks(0, |_| ()).is_empty());
+        assert!(map_items(0, |_| ()).is_empty());
         assert!(run_tasks(Vec::<fn() -> ()>::new()).is_empty());
     }
 

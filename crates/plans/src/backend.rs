@@ -235,9 +235,9 @@ impl Backend for SimBackend {
 /// against the scalar reference [`nbody_core::gravity::accelerations_pp`]
 /// at every tile size and thread count), tree plans run the walk lane
 /// kernel
-/// [`treecode::interaction_list::evaluate_walk_lanes`] parallelized over
-/// walk groups (groups own disjoint bodies, so the scatter is
-/// deterministic). The lane kernel makes each walk's targets SIMD lanes
+/// [`treecode::interaction_list::evaluate_walk_lanes`] with the `par`
+/// workers claiming one walk group at a time (groups own disjoint bodies,
+/// so the scatter is deterministic). The lane kernel makes each walk's targets SIMD lanes
 /// over one sweep of its list, with the PP tiles' lane arithmetic and one
 /// summation chain per target in list order, so it is bit-identical to the
 /// scalar [`treecode::interaction_list::evaluate_walks_cpu`].
@@ -383,45 +383,24 @@ impl Backend for DeviceF32Backend {
 // host plumbing
 // ---------------------------------------------------------------------------
 
-/// Evaluates `eval(walk, &mut out)` for every walk (chunked over threads)
-/// and scatters the `(target, acc)` pairs. Walks own disjoint targets, so
-/// the scatter is deterministic at any thread count.
+/// Evaluates `eval(walk, &mut out)` for every walk and scatters the
+/// `(target, acc)` pairs. Each walk is its own `par` item: the workers
+/// claim walks one at a time in walk (Morton) order, so a worker held up by
+/// a long interaction list or a stalled core leaves the next walks to the
+/// others. Walks own disjoint targets and the pairs are scattered in walk
+/// order, so the result is identical at any thread count.
 fn scatter_walks(
     acc: &mut [Vec3],
     num_walks: usize,
     eval: impl Fn(usize, &mut Vec<(u32, Vec3)>) + Sync,
 ) {
-    let threads = par::threads().max(1).min(num_walks.max(1));
-    if threads <= 1 {
+    let per_walk = par::map_items(num_walks, |w| {
         let mut out = Vec::new();
-        for w in 0..num_walks {
-            eval(w, &mut out);
-        }
-        for (t, a) in out {
-            acc[t as usize] = a;
-        }
-        return;
-    }
-    let ranges = par::chunk_ranges(num_walks, threads);
-    let eval = &eval;
-    let results = par::run_tasks(
-        ranges
-            .into_iter()
-            .map(|range| {
-                move || {
-                    let mut out = Vec::new();
-                    for w in range {
-                        eval(w, &mut out);
-                    }
-                    out
-                }
-            })
-            .collect(),
-    );
-    for out in results {
-        for (t, a) in out {
-            acc[t as usize] = a;
-        }
+        eval(w, &mut out);
+        out
+    });
+    for (t, a) in per_walk.into_iter().flatten() {
+        acc[t as usize] = a;
     }
 }
 

@@ -100,28 +100,8 @@ pub fn build_walks(
     walk_size: usize,
 ) -> WalkSet {
     assert!(walk_size > 0, "walk_size must be positive");
-    let pos = set.pos();
     let num_walks = tree.order().len().div_ceil(walk_size);
-    // Each walk's list depends only on the tree and its own bodies, so the
-    // traversals run chunked over `par` worker threads; concatenating the
-    // per-chunk groups in chunk order keeps the walks in tree order.
-    let chunks = par::map_chunks(num_walks, |range| {
-        range
-            .map(|w| {
-                let start = w * walk_size;
-                let end = (start + walk_size).min(tree.order().len());
-                let bodies = &tree.order()[start..end];
-                let bbox = Aabb::from_points(bodies.iter().map(|&b| pos[b as usize]));
-                let (cell_list, body_list) = collect_list(tree, &bbox, theta);
-                WalkGroup { bodies: bodies.to_vec(), bbox, cell_list, body_list }
-            })
-            .collect::<Vec<_>>()
-    });
-    let mut groups = Vec::with_capacity(num_walks);
-    for chunk in chunks {
-        groups.extend(chunk);
-    }
-    WalkSet { groups, theta, walk_size }
+    build_walks_range(tree, set, theta, walk_size, 0..num_walks)
 }
 
 /// Builds the walks of one contiguous sub-range of the **global** walk grid
@@ -144,23 +124,18 @@ pub fn build_walks_range(
     let num_walks = tree.order().len().div_ceil(walk_size);
     assert!(walk_range.end <= num_walks, "walk range {walk_range:?} exceeds grid {num_walks}");
     let pos = set.pos();
-    let chunks = par::map_chunks(walk_range.len(), |range| {
-        range
-            .map(|r| {
-                let w = walk_range.start + r;
-                let start = w * walk_size;
-                let end = (start + walk_size).min(tree.order().len());
-                let bodies = &tree.order()[start..end];
-                let bbox = Aabb::from_points(bodies.iter().map(|&b| pos[b as usize]));
-                let (cell_list, body_list) = collect_list(tree, &bbox, theta);
-                WalkGroup { bodies: bodies.to_vec(), bbox, cell_list, body_list }
-            })
-            .collect::<Vec<_>>()
+    // Each walk's list depends only on the tree and its own bodies, so the
+    // `par` workers claim the traversals one walk at a time; the groups
+    // come back in walk order, which is tree order.
+    let groups = par::map_items(walk_range.len(), |r| {
+        let w = walk_range.start + r;
+        let start = w * walk_size;
+        let end = (start + walk_size).min(tree.order().len());
+        let bodies = &tree.order()[start..end];
+        let bbox = Aabb::from_points(bodies.iter().map(|&b| pos[b as usize]));
+        let (cell_list, body_list) = collect_list(tree, &bbox, theta);
+        WalkGroup { bodies: bodies.to_vec(), bbox, cell_list, body_list }
     });
-    let mut groups = Vec::with_capacity(walk_range.len());
-    for chunk in chunks {
-        groups.extend(chunk);
-    }
     WalkSet { groups, theta, walk_size }
 }
 
@@ -171,7 +146,7 @@ pub fn build_walks_range(
 /// grow monotonically to their high-water mark).
 ///
 /// The result is exactly [`build_walks`]' output: same groups, same order.
-/// With more than one `par` thread this delegates to the chunked
+/// With more than one `par` thread this delegates to the walk-claiming
 /// [`build_walks`] (zero-alloc is a serial invariant; see DESIGN.md §9).
 ///
 /// # Panics

@@ -2,8 +2,8 @@
 //! every observable result — forces, energies, interaction counts, and all
 //! *simulated* clocks — is bit-identical for any worker-thread count. These
 //! tests sweep `--threads` ∈ {1, 2, 3, 8} (more threads than cores included
-//! deliberately) over every plan, the treecode pipeline, and a full
-//! integrated trajectory.
+//! deliberately) over every plan, the host backend's walk-claiming tree
+//! plans, the treecode pipeline, and a full integrated trajectory.
 //!
 //! `PlanOutcome::host_measured_s` is real wall clock ("informational only")
 //! and is the one field deliberately excluded from the comparisons.
@@ -16,7 +16,7 @@ use gpu_sim::prelude::{Device, DeviceSpec, TransferModel};
 use nbody_core::prelude::*;
 use plans::prelude::*;
 use treecode::prelude::*;
-use workloads::prelude::{plummer, PlummerParams};
+use workloads::prelude::{clustered, plummer, ClusteredParams, PlummerParams};
 
 const THREAD_MATRIX: [usize; 4] = [1, 2, 3, 8];
 
@@ -54,6 +54,29 @@ fn every_plan_is_bit_exact_across_thread_counts() {
             par::set_threads(t);
             let o = plans::evaluate(kind, &PlanConfig::default(), &mut device(), &set, &params());
             assert_outcomes_identical(&base, &o, &format!("{} @ {t} threads", kind.id()));
+        }
+    }
+    par::set_threads(1);
+}
+
+#[test]
+fn host_tree_plans_are_bit_exact_across_thread_counts() {
+    // a clustered set gives ragged walks, so workers that claim walks one
+    // at a time finish them in a different order at every thread count
+    let set = clustered(3000, ClusteredParams::default(), 61);
+    let config = PlanConfig { walk_size: 64, ..PlanConfig::default() };
+    let tree = Octree::build(&set, TreeParams { leaf_capacity: config.leaf_capacity });
+    let walks = build_walks(&tree, &set, OpeningAngle::new(config.theta), config.walk_size);
+    assert!(walks.groups.len() >= 16, "only {} walks", walks.groups.len());
+    for kind in [PlanKind::WParallel, PlanKind::JwParallel] {
+        let run = |t: usize| {
+            par::set_threads(t);
+            HostBackend::new(config).evaluate(kind, &set, &params())
+        };
+        let base = run(THREAD_MATRIX[0]);
+        for &t in &THREAD_MATRIX[1..] {
+            let o = run(t);
+            assert_outcomes_identical(&base, &o, &format!("host {} @ {t} threads", kind.id()));
         }
     }
     par::set_threads(1);
