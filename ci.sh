@@ -17,6 +17,8 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+# crates/jobs/clippy.toml's disallowed-methods list makes this step fail on
+# any direct std::fs mutation in the jobs crate outside the SpoolFs seam
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -65,7 +65,7 @@ fn lifecycle_config() -> ServerConfig {
 
 /// Runs the scripted lifecycle on `fs`, pushing each acknowledged
 /// submission id into `acked` the moment its durable write has landed.
-/// Sequential (`max_parallel = 1`) and preempted via a pre-raised flag, so
+/// Sequential (`max_parallel = 1`) and preempted by a constant check, so
 /// the mutation sequence is identical on every run — which is what makes
 /// prefix `k` meaningful.
 fn lifecycle(root: &Path, fs: Arc<dyn SpoolFs>, acked: &mut Vec<String>) -> Result<(), JobError> {
@@ -73,11 +73,12 @@ fn lifecycle(root: &Path, fs: Arc<dyn SpoolFs>, acked: &mut Vec<String>) -> Resu
     let config = lifecycle_config();
     let cache = spool.cache();
 
-    // submit → run → preempt: the flag is already up, so the wave yields
-    // at the first checkpoint boundary and requeues with progress intact
+    // submit → run → preempt: the check always answers yes, so the wave
+    // yields at the first checkpoint boundary and requeues with progress
+    // intact
     acked.push(spool.submit(&batch_spec())?.id);
     let mut preempting = config.clone();
-    preempting.run.preempt = Some(Arc::new(AtomicBool::new(true)));
+    preempting.run.preempt = Some(Arc::new(|| true));
     let mut scratch = DrainSummary { reports: Vec::new(), recovery: SpoolRecovery::default() };
     drain_round(&spool, &cache, &preempting, &mut scratch)?;
 
@@ -191,6 +192,13 @@ impl CrashpointReport {
     }
 }
 
+/// Removes a fuzz scratch tree. It is the harness's own litter, not spool
+/// state, so it stays outside the seam whose mutations the fuzz counts.
+#[allow(clippy::disallowed_methods)]
+fn clear_scratch(dir: &Path) {
+    std::fs::remove_dir_all(dir).ok();
+}
+
 /// Enumerates the lifecycle's crash points and verifies recovery after
 /// each. `stride = 1` tests every prefix (the CI release-mode gate);
 /// larger strides sample the space for cheap debug-mode runs. Returns an
@@ -198,20 +206,20 @@ impl CrashpointReport {
 pub fn fuzz(scratch: &Path, stride: u64) -> Result<CrashpointReport, String> {
     // pass 1: count the mutation sequence on a crash-free seam
     let probe = scratch.join("probe");
-    std::fs::remove_dir_all(&probe).ok();
+    clear_scratch(&probe);
     let counter = CrashFs::counting();
     let mut acked = Vec::new();
     lifecycle(&probe, counter.clone(), &mut acked)
         .map_err(|e| format!("uninterrupted lifecycle failed: {e}"))?;
     let mutations = counter.ops_used();
-    std::fs::remove_dir_all(&probe).ok();
+    clear_scratch(&probe);
 
     let reference = reference_set(&batch_spec());
     let mut prefixes = Vec::new();
     let mut k = 0u64;
     while k < mutations {
         let root = scratch.join(format!("k{k:04}"));
-        std::fs::remove_dir_all(&root).ok();
+        clear_scratch(&root);
         let crash_fs = CrashFs::with_budget(k);
         let mut acked = Vec::new();
         match lifecycle(&root, crash_fs, &mut acked) {
@@ -227,7 +235,7 @@ pub fn fuzz(scratch: &Path, stride: u64) -> Result<CrashpointReport, String> {
             }
         }
         verify_recovery(&root, &acked, &reference).map_err(|e| format!("prefix {k}: {e}"))?;
-        std::fs::remove_dir_all(&root).ok();
+        clear_scratch(&root);
         prefixes.push(k);
         k += stride.max(1);
     }

@@ -19,7 +19,11 @@
 //! not a wall-clock interval, so a scripted run is bit-reproducible. Wall
 //! clocks appear in exactly two places, both supervision: the per-attempt
 //! watchdog ([`crate::runner::RunOptions::watchdog_s`]) and the idle sleep
-//! between empty polls.
+//! between empty polls. Preemption is not one of them: it is one spool
+//! check a `batch` job makes at its checkpoint boundary
+//! ([`Spool::high_waiting`]), with no watcher thread. Scripted arrivals
+//! land only at tick start, so what that check sees, and hence the yield
+//! step, is a function of the script.
 //!
 //! **Graceful drain:** when the stop flag rises, the daemon stops intake
 //! and exits after the current round. A round ends only when its wave has

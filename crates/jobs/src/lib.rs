@@ -36,14 +36,17 @@
 //!
 //! On top of the finite drain sits the supervised daemon
 //! ([`daemon::run_daemon`]): a long-lived tick loop with preemptive
-//! scheduling (an arriving `high` job preempts running `batch` jobs at
-//! their next checkpoint boundary), wall-clock watchdogs for stuck
-//! attempts, attempt-budget poisoning into `poisoned/`, PTPM-forecast load
-//! shedding ([`server::ShedPolicy`]), an atomic `daemon.json` heartbeat,
-//! and graceful SIGTERM drain.
+//! scheduling (a waiting `high` job preempts running `batch` jobs at
+//! their next checkpoint boundary, where each asks the spool), wall-clock
+//! watchdogs for stuck attempts, attempt-budget poisoning into
+//! `poisoned/`, PTPM-forecast load shedding ([`server::ShedPolicy`]), an
+//! atomic `daemon.json` heartbeat, and graceful SIGTERM drain.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// clippy.toml bars direct `std::fs` mutations outside the `SpoolFs` seam;
+// unit tests build their fixtures with them
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 pub mod artifact;
 pub mod cache;

@@ -35,13 +35,12 @@ use nbody_core::integrator::{prime, Integrator, LeapfrogKdk};
 use plans::engine::PlanForceEngine;
 use plans::prelude::{default_device, make_backend, Backend, BackendKind, PlanConfig, SimBackend};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use workloads::snapshot::Snapshot;
 
 /// Knobs for one attempt that are not part of the job spec (and therefore
 /// never hashed): supervision hooks and test/CI hooks.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct RunOptions {
     /// Wall-clock milliseconds to sleep after each step. Used by the serve
     /// binary's `--throttle-ms` so a CI `SIGKILL` reliably lands mid-job;
@@ -51,10 +50,12 @@ pub struct RunOptions {
     /// spool — an in-process stand-in for a host crash (the on-disk state
     /// is exactly what a `kill -9` at that instant leaves).
     pub crash_after: Option<usize>,
-    /// Cooperative preemption flag: when the scheduler sets it, the attempt
-    /// yields [`RunStatus::Preempted`] at its next checkpoint boundary —
-    /// progress is durable, so the requeued job resumes bit-exactly.
-    pub preempt: Option<Arc<AtomicBool>>,
+    /// Cooperative preemption check, asked only where a cadence checkpoint
+    /// has just landed; when it returns `true` the attempt yields
+    /// [`RunStatus::Preempted`] there. Progress is durable, so the requeued
+    /// job resumes bit-exactly. The scheduler's check asks the spool
+    /// whether a `high` record waits ([`crate::spool::Spool::high_waiting`]).
+    pub preempt: Option<Arc<dyn Fn() -> bool + Send + Sync>>,
     /// Wall-clock watchdog budget per attempt, in seconds. Distinct from
     /// the simulated-seconds deadline: this one catches attempts that are
     /// genuinely stuck on the host. Checked cooperatively between steps;
@@ -63,6 +64,18 @@ pub struct RunOptions {
     pub watchdog_s: Option<f64>,
     /// The filesystem seam checkpoint writes go through.
     pub fs: Arc<dyn SpoolFs>,
+}
+
+impl std::fmt::Debug for RunOptions {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RunOptions")
+            .field("throttle_ms", &self.throttle_ms)
+            .field("crash_after", &self.crash_after)
+            .field("preempt", &self.preempt.as_ref().map(|_| "<check>"))
+            .field("watchdog_s", &self.watchdog_s)
+            .field("fs", &self.fs)
+            .finish()
+    }
 }
 
 impl Default for RunOptions {
@@ -93,7 +106,7 @@ pub enum RunStatus {
         /// The step the attempt had reached when it died.
         at_step: usize,
     },
-    /// The scheduler's preemption flag fired; the attempt checkpointed at
+    /// The preemption check fired; the attempt checkpointed at
     /// `at_step` and yielded. Requeue and resume bit-exactly.
     Preempted {
         /// The checkpoint boundary the attempt yielded at.
@@ -202,12 +215,8 @@ pub fn run_job(spec: &JobSpec, dir: &Path, opts: &RunOptions) -> Result<RunStatu
         }
         // preemption only fires where a checkpoint just landed: the yield
         // point is always durable, so the requeued job resumes bit-exactly
-        if on_cadence {
-            if let Some(flag) = &opts.preempt {
-                if flag.load(Ordering::SeqCst) {
-                    return Ok(RunStatus::Preempted { at_step: step });
-                }
-            }
+        if on_cadence && opts.preempt.as_ref().is_some_and(|check| check()) {
+            return Ok(RunStatus::Preempted { at_step: step });
         }
         if let Some(deadline_s) = spec.deadline_s {
             let simulated_s = eng.simulated_total_seconds();
@@ -290,6 +299,7 @@ mod tests {
     use super::*;
     use nbody_core::testutil::ScratchDir;
     use plans::prelude::PlanKind;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use workloads::spec::WorkloadSpec;
 
     fn spec() -> JobSpec {
@@ -460,7 +470,11 @@ mod tests {
         let scratch = ScratchDir::new("runner");
         let dir = scratch.join("preempt");
         let flag = Arc::new(AtomicBool::new(true)); // raised before the attempt starts
-        let opts = RunOptions { preempt: Some(Arc::clone(&flag)), ..Default::default() };
+        let check = Arc::clone(&flag);
+        let opts = RunOptions {
+            preempt: Some(Arc::new(move || check.load(Ordering::SeqCst))),
+            ..Default::default()
+        };
         match run_job(&spec(), &dir, &opts).unwrap() {
             RunStatus::Preempted { at_step } => {
                 assert_eq!(at_step, 2, "first checkpoint boundary (checkpoint_every=2)");

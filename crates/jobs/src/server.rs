@@ -23,12 +23,15 @@
 //! * **supervised** (`supervise = true`, what the daemon runs): failed
 //!   attempts are *requeued* with their durably-charged attempt count until
 //!   [`ServerConfig::max_job_attempts`] is exhausted, then quarantined into
-//!   `poisoned/` with a typed reason. With `preempt_batch = true`, a `high`
-//!   job arriving while a wave of `batch` jobs runs preempts them at their
-//!   next checkpoint boundary, and one intake deferred behind its twin
-//!   preempts them at their first (progress stays durable; the requeued
-//!   jobs resume bit-exactly and the preemption does not charge an
-//!   attempt).
+//!   `poisoned/` with a typed reason. With `preempt_batch = true`,
+//!   preemption is one spool check at the checkpoint boundary: each `batch`
+//!   job in a wave asks [`Spool::high_waiting`] wherever a cadence
+//!   checkpoint has just landed, and yields there if a `high` record waits
+//!   in `submitted/`. A `high` twin that intake deferred waits from the
+//!   wave's start, so it preempts at the first boundary; one a `submit`
+//!   drops in mid-wave preempts at the next. No watcher thread polls the
+//!   queue (progress stays durable; the requeued jobs resume bit-exactly
+//!   and the preemption does not charge an attempt).
 //!
 //! A computed job's checkpoints are removed right after its `done/`
 //! transition: the cached result supersedes them.
@@ -42,6 +45,8 @@
 //!
 //! All spool transitions happen on the scheduler thread in wave order, so
 //! the spool's on-disk history is identical for every host thread count.
+//! The scheduler owns no thread of its own, and the preemption check the
+//! wave's jobs make only reads.
 
 use crate::artifact::write_run_artifacts;
 use crate::cache::{JobResult, ResultCache};
@@ -52,7 +57,6 @@ use crate::spec::{admit, AdmissionPolicy, Priority};
 use crate::spool::{JobRecord, JobState, Spool, SpoolRecovery};
 use gpu_sim::fault::RetryPolicy;
 use gpu_sim::trace::Trace;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// PTPM-guarded load shedding: the queue-debt budget admission enforces.
@@ -88,8 +92,9 @@ pub struct ServerConfig {
     /// Daemon semantics: requeue failed attempts until the budget above
     /// poisons them, instead of failing terminally on first error.
     pub supervise: bool,
-    /// Let an arriving `high` job preempt running `batch` jobs at their
-    /// next checkpoint boundary.
+    /// Let a waiting `high` job preempt running `batch` jobs: each batch
+    /// job checks the spool for one at every checkpoint boundary
+    /// ([`Spool::high_waiting`]) and yields there if one waits.
     pub preempt_batch: bool,
 }
 
@@ -167,6 +172,21 @@ pub struct JobReport {
     pub resumed_from: usize,
     /// Bit-exactness verdict for resumed jobs (None = not applicable).
     pub verified: Option<bool>,
+}
+
+impl JobReport {
+    /// `record`'s report: `outcome` after `retries`, neither resumed nor
+    /// verified.
+    fn new(record: &JobRecord, outcome: JobOutcome, retries: u32) -> JobReport {
+        JobReport {
+            id: record.id.clone(),
+            hash_hex: record.hash_hex.clone(),
+            outcome,
+            retries,
+            resumed_from: 0,
+            verified: None,
+        }
+    }
 }
 
 /// Everything one [`drain`] did, in completion order.
@@ -372,37 +392,24 @@ pub(crate) fn drain_round(
     // admission, shedding, cache service, and wave selection — sequential,
     // in scheduling order, so the outcome is thread-count invariant
     let mut wave: Vec<JobRecord> = Vec::new();
-    // a `high` record deferred past this wave is already waiting, so the
-    // wave's batch jobs yield at their first checkpoint boundary
-    let mut high_deferred = false;
     for record in submitted {
         if let Err(err) = admit(&record.spec, &config.admission) {
             let job_err = JobError::from(err);
             let mut failed = record.clone();
             failed.error = Some(job_err.to_string());
             spool.transition(&failed, JobState::Submitted, JobState::Failed)?;
-            summary.reports.push(JobReport {
-                id: record.id,
-                hash_hex: record.hash_hex,
-                outcome: JobOutcome::Rejected(job_err.to_string()),
-                retries: 0,
-                resumed_from: 0,
-                verified: None,
-            });
+            summary.reports.push(JobReport::new(
+                &record,
+                JobOutcome::Rejected(job_err.to_string()),
+                0,
+            ));
             continue;
         }
         if let Some(_hit) = cache.lookup(&record.hash_hex)? {
             let mut done = record.clone();
             done.error = None;
             spool.transition(&done, JobState::Submitted, JobState::Done)?;
-            summary.reports.push(JobReport {
-                id: record.id,
-                hash_hex: record.hash_hex,
-                outcome: JobOutcome::CacheHit,
-                retries: 0,
-                resumed_from: 0,
-                verified: None,
-            });
+            summary.reports.push(JobReport::new(&record, JobOutcome::CacheHit, 0));
             continue;
         }
         if let Some(policy) = &config.shed {
@@ -417,14 +424,7 @@ pub(crate) fn drain_round(
                 let mut shed = record.clone();
                 shed.error = Some(msg.clone());
                 spool.transition(&shed, JobState::Submitted, JobState::Failed)?;
-                summary.reports.push(JobReport {
-                    id: record.id,
-                    hash_hex: record.hash_hex,
-                    outcome: JobOutcome::Shed(msg),
-                    retries: 0,
-                    resumed_from: 0,
-                    verified: None,
-                });
+                summary.reports.push(JobReport::new(&record, JobOutcome::Shed(msg), 0));
                 continue;
             }
             debt_s += forecast_s;
@@ -435,7 +435,6 @@ pub(crate) fn drain_round(
         if wave.len() == config.max_parallel.max(1)
             || wave.iter().any(|w| w.hash_hex == record.hash_hex)
         {
-            high_deferred |= record.spec.priority == Priority::High;
             continue;
         }
         if record.attempts >= config.max_job_attempts {
@@ -449,14 +448,7 @@ pub(crate) fn drain_round(
             let mut poisoned = record.clone();
             poisoned.error = Some(msg.clone());
             spool.transition(&poisoned, JobState::Submitted, JobState::Poisoned)?;
-            summary.reports.push(JobReport {
-                id: record.id,
-                hash_hex: record.hash_hex,
-                outcome: JobOutcome::Poisoned(msg),
-                retries: 0,
-                resumed_from: 0,
-                verified: None,
-            });
+            summary.reports.push(JobReport::new(&record, JobOutcome::Poisoned(msg), 0));
             continue;
         }
         wave.push(spool.claim(&record)?);
@@ -466,45 +458,22 @@ pub(crate) fn drain_round(
     }
 
     // per-job runner options: checkpoints route through the spool's fs
-    // seam, and preemptible batch jobs get a preemption flag, raised before
-    // the wave starts when intake deferred a high job: the yield step then
-    // never depends on when the watcher below is first scheduled
-    let mut opts: Vec<RunOptions> = Vec::with_capacity(wave.len());
-    let mut batch_flags: Vec<Arc<AtomicBool>> = Vec::new();
-    for record in &wave {
-        let mut o = config.run.clone();
-        o.fs = spool.fs();
-        if config.preempt_batch && record.spec.priority == Priority::Batch {
-            let flag = Arc::new(AtomicBool::new(high_deferred));
-            batch_flags.push(Arc::clone(&flag));
-            o.preempt = Some(flag);
-        }
-        opts.push(o);
-    }
-
-    // while the wave runs, a watcher raises the preemption flags the moment
-    // a high-priority job lands in submitted/
-    let stop = Arc::new(AtomicBool::new(false));
-    let watcher = (!batch_flags.is_empty() && !high_deferred).then(|| {
-        let spool = spool.clone();
-        let stop = Arc::clone(&stop);
-        let flags = batch_flags;
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
-                let high_waiting = spool
-                    .list(JobState::Submitted)
-                    .map(|subs| subs.iter().any(|r| r.spec.priority == Priority::High))
-                    .unwrap_or(false);
-                if high_waiting {
-                    for flag in &flags {
-                        flag.store(true, Ordering::SeqCst);
-                    }
-                    return;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(2));
+    // seam, and a preemptible batch job asks the spool at each checkpoint
+    // boundary whether a `high` record waits. A record deferred past this
+    // wave waits from its start, so its batch partners yield at their first
+    // boundary; one a `submit` drops in mid-wave is seen at the next
+    let opts: Vec<RunOptions> = wave
+        .iter()
+        .map(|record| {
+            let mut o = config.run.clone();
+            o.fs = spool.fs();
+            if config.preempt_batch && record.spec.priority == Priority::Batch {
+                let spool = spool.clone();
+                o.preempt = Some(Arc::new(move || spool.high_waiting()));
             }
+            o
         })
-    });
+        .collect();
 
     // the wave runs concurrently; results come back in wave order because
     // par::run_tasks preserves task order
@@ -514,10 +483,6 @@ pub(crate) fn drain_round(
             .map(|(record, o)| || run_with_retry(spool, record, config, o))
             .collect(),
     );
-    stop.store(true, Ordering::SeqCst);
-    if let Some(w) = watcher {
-        w.join().ok();
-    }
 
     // finalization is sequential and in wave order: spool and cache
     // mutations are identical for every host thread count
@@ -535,12 +500,9 @@ pub(crate) fn drain_round(
                     record.error = Some(msg.clone());
                     spool.transition(&record, JobState::Running, JobState::Failed)?;
                     JobReport {
-                        id: record.id.clone(),
-                        hash_hex: record.hash_hex.clone(),
-                        outcome: JobOutcome::Failed(msg),
-                        retries: wave_result.retries,
                         resumed_from: result.resumed_from,
                         verified: Some(false),
+                        ..JobReport::new(&record, JobOutcome::Failed(msg), wave_result.retries)
                     }
                 } else {
                     let dir = spool.job_dir(&record.hash_hex);
@@ -553,12 +515,9 @@ pub(crate) fn drain_round(
                     remove_checkpoints(spool.fs().as_ref(), &dir)
                         .map_err(|e| JobError::io(dir.display().to_string(), e))?;
                     JobReport {
-                        id: record.id.clone(),
-                        hash_hex: record.hash_hex.clone(),
-                        outcome: JobOutcome::Computed,
-                        retries: wave_result.retries,
                         resumed_from: result.resumed_from,
                         verified: wave_result.verified,
+                        ..JobReport::new(&record, JobOutcome::Computed, wave_result.retries)
                     }
                 }
             }
@@ -568,27 +527,13 @@ pub(crate) fn drain_round(
                 record.attempts = record.attempts.saturating_sub(1 + wave_result.retries);
                 record.error = None;
                 spool.transition(&record, JobState::Running, JobState::Submitted)?;
-                JobReport {
-                    id: record.id.clone(),
-                    hash_hex: record.hash_hex.clone(),
-                    outcome: JobOutcome::Preempted,
-                    retries: wave_result.retries,
-                    resumed_from: 0,
-                    verified: None,
-                }
+                JobReport::new(&record, JobOutcome::Preempted, wave_result.retries)
             }
             WaveOutcome::Crashed => {
                 // leave the record in running/ exactly as a dead server
                 // would; Spool::open requeues it
                 crashed = true;
-                JobReport {
-                    id: record.id.clone(),
-                    hash_hex: record.hash_hex.clone(),
-                    outcome: JobOutcome::Crashed,
-                    retries: wave_result.retries,
-                    resumed_from: 0,
-                    verified: None,
-                }
+                JobReport::new(&record, JobOutcome::Crashed, wave_result.retries)
             }
             WaveOutcome::Failed(err) => {
                 let msg = err.to_string();
@@ -596,37 +541,16 @@ pub(crate) fn drain_round(
                 let supervisable = config.supervise && !matches!(err, JobError::Verification(_));
                 if supervisable && record.attempts < config.max_job_attempts {
                     spool.transition(&record, JobState::Running, JobState::Submitted)?;
-                    JobReport {
-                        id: record.id.clone(),
-                        hash_hex: record.hash_hex.clone(),
-                        outcome: JobOutcome::Requeued(msg),
-                        retries: wave_result.retries,
-                        resumed_from: 0,
-                        verified: None,
-                    }
+                    JobReport::new(&record, JobOutcome::Requeued(msg), wave_result.retries)
                 } else if supervisable {
                     let msg =
                         format!("[poisoned] {} attempts exhausted; last: {msg}", record.attempts);
                     record.error = Some(msg.clone());
                     spool.transition(&record, JobState::Running, JobState::Poisoned)?;
-                    JobReport {
-                        id: record.id.clone(),
-                        hash_hex: record.hash_hex.clone(),
-                        outcome: JobOutcome::Poisoned(msg),
-                        retries: wave_result.retries,
-                        resumed_from: 0,
-                        verified: None,
-                    }
+                    JobReport::new(&record, JobOutcome::Poisoned(msg), wave_result.retries)
                 } else {
                     spool.transition(&record, JobState::Running, JobState::Failed)?;
-                    JobReport {
-                        id: record.id.clone(),
-                        hash_hex: record.hash_hex.clone(),
-                        outcome: JobOutcome::Failed(msg),
-                        retries: wave_result.retries,
-                        resumed_from: 0,
-                        verified: None,
-                    }
+                    JobReport::new(&record, JobOutcome::Failed(msg), wave_result.retries)
                 }
             }
         };
@@ -658,9 +582,14 @@ pub fn drain(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::is_checkpoint_name;
+    use crate::fsx::{CrashFs, SpoolFs};
     use crate::spec::{JobSpec, Priority};
     use nbody_core::testutil::ScratchDir;
     use plans::prelude::PlanKind;
+    use std::path::{Path, PathBuf};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Mutex;
     use workloads::spec::WorkloadSpec;
 
     fn spec(n: usize, seed: u64) -> JobSpec {
@@ -818,8 +747,8 @@ mod tests {
     #[test]
     fn a_deferred_high_twin_preempts_the_batch_partner_at_its_first_checkpoint() {
         // the twin waits in submitted/ from the start of the wave, so the
-        // partner's yield step is fixed at intake, not by when the watcher
-        // thread first runs; repeated, because a race shows only sometimes
+        // partner's first boundary check sees it at every thread count;
+        // repeated, because a race shows only sometimes
         let restore = par::threads();
         for threads in [1usize, 4].repeat(5) {
             par::set_threads(threads);
@@ -853,6 +782,84 @@ mod tests {
             assert_eq!(spool.count(JobState::Submitted), 2, "the twin and the partner wait");
         }
         par::set_threads(restore);
+    }
+
+    /// A counting seam that logs renames and drops a malformed record into
+    /// `submitted/` as the first checkpoint lands: mid-wave, after intake
+    /// listed the queue, just before the job's preemption check.
+    #[derive(Debug)]
+    struct MidWaveDrop {
+        counter: Arc<CrashFs>,
+        malformed: PathBuf,
+        dropped: AtomicBool,
+        renames: Mutex<Vec<(PathBuf, PathBuf)>>,
+    }
+
+    impl SpoolFs for MidWaveDrop {
+        fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
+            self.counter.create_dir_all(path)
+        }
+        fn write(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+            self.counter.write(path, bytes)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            self.counter.rename(from, to)?;
+            self.renames.lock().unwrap().push((from.to_path_buf(), to.to_path_buf()));
+            let checkpoint =
+                to.file_name().is_some_and(|n| is_checkpoint_name(&n.to_string_lossy()));
+            if checkpoint && !self.dropped.swap(true, Ordering::SeqCst) {
+                std::fs::write(&self.malformed, "{not a record").unwrap();
+            }
+            Ok(())
+        }
+        fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+            self.counter.remove_file(path)
+        }
+    }
+
+    #[test]
+    fn the_preemption_check_never_mutates_the_spool() {
+        let scratch = ScratchDir::new("server");
+        let root = scratch.join("read-only-check");
+        let seam = Arc::new(MidWaveDrop {
+            counter: CrashFs::counting(),
+            malformed: root.join("submitted").join("job-zzz.json"),
+            dropped: AtomicBool::new(false),
+            renames: Mutex::new(Vec::new()),
+        });
+        let (spool, _) = Spool::open_with(&root, seam.clone()).unwrap();
+        let mut batch = spec(64, 60);
+        batch.priority = Priority::Batch;
+        spool.submit(&batch).unwrap();
+        seam.renames.lock().unwrap().clear();
+        let config = ServerConfig { preempt_batch: true, ..Default::default() };
+        let mut summary = DrainSummary { reports: Vec::new(), recovery: SpoolRecovery::default() };
+        drain_round(&spool, &spool.cache(), &config, &mut summary).unwrap();
+
+        // the check at the batch job's boundary met the malformed record,
+        // skipped it, found no high job, and let the job finish
+        assert!(seam.dropped.load(Ordering::SeqCst), "no checkpoint landed");
+        assert_eq!(summary.reports.len(), 1);
+        assert_eq!(summary.reports[0].outcome, JobOutcome::Computed);
+        assert!(seam.malformed.exists(), "the wave left the malformed record in submitted/");
+        assert_eq!(spool.count(JobState::Failed), 0);
+        let (submitted, failed) = (spool.dir(JobState::Submitted), spool.dir(JobState::Failed));
+        let renames = seam.renames.lock().unwrap().clone();
+        assert!(
+            renames
+                .iter()
+                .all(|(from, to)| !from.starts_with(&submitted) && !to.starts_with(&failed)),
+            "the round renamed a queued record: {renames:?}"
+        );
+
+        // the next round's intake quarantines it, with one rename
+        let before = seam.counter.ops_used();
+        let round = drain_round(&spool, &spool.cache(), &config, &mut summary).unwrap();
+        assert_eq!(round, RoundResult::Idle);
+        assert_eq!(seam.counter.ops_used() - before, 1);
+        assert!(!seam.malformed.exists());
+        assert!(failed.join("job-zzz.json").exists());
+        std::fs::remove_dir_all(spool.root()).ok();
     }
 
     #[test]

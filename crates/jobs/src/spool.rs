@@ -33,7 +33,7 @@
 
 use crate::error::JobError;
 use crate::fsx::{real_fs, SpoolFs};
-use crate::spec::JobSpec;
+use crate::spec::{JobSpec, Priority};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -366,6 +366,21 @@ impl Spool {
         }
         records.sort_by_key(|r| (r.spec.priority.rank(), r.seq));
         Ok(records)
+    }
+
+    /// True when a `high` record waits in `submitted/`: a preemptible
+    /// attempt asks this at each checkpoint boundary. Read-only, so it is
+    /// safe off the scheduler thread: a record it cannot read or parse is
+    /// skipped, never quarantined; that stays [`Spool::list`]'s job at
+    /// intake.
+    pub fn high_waiting(&self) -> bool {
+        let dir = self.dir(JobState::Submitted);
+        self.file_names(JobState::Submitted).into_iter().any(|name| {
+            std::fs::read_to_string(dir.join(name))
+                .ok()
+                .and_then(|text| serde_json::from_str::<JobRecord>(&text).ok())
+                .is_some_and(|record| record.spec.priority == Priority::High)
+        })
     }
 
     /// Counts records in `state`.

@@ -32,7 +32,7 @@ use gpu_sim::device::Device;
 use gpu_sim::prelude::{DeviceSpec, TransferModel};
 use nbody_core::body::ParticleSet;
 use nbody_core::gravity::GravityParams;
-use nbody_core::soa::{accelerations_pp_tiled_parallel, accelerations_pp_tiled_with, SoaBodies};
+use nbody_core::soa::{accelerations_pp_tiled_parallel, SoaBodies};
 use nbody_core::vec3::Vec3;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -262,12 +262,7 @@ impl HostBackend {
         self.soa.fill_from(set);
         let view = self.soa.view();
         let tile = self.config.block_size.min(nbody_core::soa::MAX_TILE);
-        let threads = par::threads();
-        if threads <= 1 {
-            accelerations_pp_tiled_with(view, params, tile, acc);
-        } else {
-            accelerations_pp_tiled_parallel(view, params, tile, threads, acc);
-        }
+        accelerations_pp_tiled_parallel(view, params, tile, par::threads(), acc);
     }
 
     /// Returns `(interactions, shards used)`.
