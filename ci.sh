@@ -48,6 +48,13 @@ test "$evals" -eq 3 || { echo "FAIL: sharded trace has $evals force-eval markers
 if grep -q 'tree-pipeline:' "$out/sharded.csv"; then
     echo "FAIL: host-tree sharded trace carries a tree-pipeline label"; exit 1
 fi
+# A traced launch under faults: seed 3 at N = 1024 corrupts one launch,
+# which runs on the traced device and is rolled back, so the trace must
+# carry a result-corruption fault row beside its launch rows.
+cargo run --release -p harness --bin trace -- --n 1024 --plan all --faults 3 --out "$out/faulted.csv"
+grep -q ',fault,[0-9]*,result-corruption,' "$out/faulted.csv" || {
+    echo "FAIL: faulted trace has no result-corruption row"; exit 1; }
+grep -q ',launch,' "$out/faulted.csv" || { echo "FAIL: faulted trace has no launch row"; exit 1; }
 
 echo "==> float writer identity test (release, 10^7 random bit patterns)"
 # serde_json's Ryu-style writer must print every finite f64 exactly as

@@ -16,17 +16,17 @@
 //! The fallible API (`try_launch`, `try_upload_*`, `try_download_*`) is
 //! where faults fire; the infallible methods are the same operations with
 //! faults treated as unrecoverable. With no fault plan installed the
-//! fallible methods take the exact pre-existing code path.
+//! fallible methods never fail. Every launch, faulted or not, traced or
+//! not, race-checked or not, runs the same execute-then-schedule path
+//! (`launch_inner`).
 
 use crate::buffer::{BufF32, BufU32, BufU64, BufferPool};
-use crate::exec::{execute_launch, execute_launch_checked, execute_launch_profiled};
+use crate::exec::execute_launch;
 use crate::fault::{CuHealth, FaultDecision, FaultError, FaultKind, FaultPlan};
 use crate::kernel::{Kernel, NdRange};
 use crate::pcie::TransferModel;
 use crate::race::Race;
-use crate::sched::{
-    schedule_launch, schedule_launch_degraded, schedule_launch_placed, LaunchTiming,
-};
+use crate::sched::{schedule_launch, LaunchTiming};
 use crate::spec::DeviceSpec;
 use crate::trace::{
     FaultTrace, GroupSpan, LaunchTrace, MarkerTrace, PhaseSummary, TraceSink, TransferTrace,
@@ -130,9 +130,9 @@ impl Device {
 
     /// Installs a trace sink: subsequent launches, transfers, and
     /// annotations are recorded as structured events (see the [`trace`
-    /// module](crate::trace)). While no sink is installed the device runs
-    /// the untraced code path — no per-phase profiling, no placement
-    /// capture.
+    /// module](crate::trace)). The launch path is the same either way: the
+    /// sink only decides whether an event is built, and per-phase profiling
+    /// runs only while a sink is installed.
     pub fn set_trace_sink(&mut self, mut sink: Box<dyn TraceSink>) {
         sink.begin(&self.spec);
         self.trace = Some(sink);
@@ -361,9 +361,8 @@ impl Device {
             Some(plan) => plan.decide_launch(),
             None => FaultDecision::None,
         };
-        let check = self.race_checking;
         match decision {
-            FaultDecision::None => Ok(self.launch_dispatch(kernel, grid, check)),
+            FaultDecision::None => Ok(self.launch_inner(kernel, grid)),
             FaultDecision::Inject(FaultKind::LaunchFail) => {
                 let penalty = self.fault.as_ref().map_or(0.0, |p| p.config().launch_fail_penalty_s);
                 let at_s = self.device_seconds();
@@ -372,7 +371,7 @@ impl Device {
             FaultDecision::Inject(FaultKind::ResultCorruption) => {
                 let at_s = self.device_seconds();
                 let saved = self.pool.clone();
-                let timing = self.launch_dispatch(kernel, grid, check);
+                let timing = self.launch_inner(kernel, grid);
                 self.pool = saved;
                 // the wasted time already landed on the kernel clock
                 Err(self.emit_fault(
@@ -390,68 +389,26 @@ impl Device {
         }
     }
 
-    /// Routes a decided-to-run launch through the race-checked or plain
-    /// path.
-    fn launch_dispatch<K: Kernel>(
-        &mut self,
-        kernel: &K,
-        grid: NdRange,
-        check_races: bool,
-    ) -> LaunchTiming {
-        if check_races {
-            let (timing, races) = self.launch_inner(kernel, grid, true);
-            self.races.extend(races);
-            timing
-        } else {
-            self.launch_inner(kernel, grid, false).0
-        }
-    }
-
-    /// Like [`Device::launch`], but with intra-phase data-race detection.
-    /// Returns the timing plus every race found (see `race` module); racy
-    /// kernels still execute (in deterministic local-id order) so the
-    /// corrupted output can be inspected.
-    pub fn launch_checked<K: Kernel>(
-        &mut self,
-        kernel: &K,
-        grid: NdRange,
-    ) -> (LaunchTiming, Vec<Race>) {
-        let (timing, races) = self.launch_inner(kernel, grid, true);
-        self.races.extend(races.iter().cloned());
-        (timing, races)
-    }
-
     /// The one launch path: functional execution, scheduling, clock
-    /// accounting, and (when a sink is installed) trace emission. Untraced
-    /// launches take the original execute + schedule calls unchanged.
-    fn launch_inner<K: Kernel>(
-        &mut self,
-        kernel: &K,
-        grid: NdRange,
-        check_races: bool,
-    ) -> (LaunchTiming, Vec<Race>) {
+    /// accounting, race collection (when [`Device::set_race_checking`] is
+    /// on) and, when a sink is installed, trace emission. Per-phase
+    /// profiling runs only when traced; the sink decides only whether the
+    /// [`LaunchTrace`] is built, from the same outcome and placements every
+    /// launch computes.
+    fn launch_inner<K: Kernel>(&mut self, kernel: &K, grid: NdRange) -> LaunchTiming {
         let start_s = self.device_seconds();
-        let timing;
-        let races;
-        if self.trace.is_some() {
-            let (outcome, r) =
-                execute_launch_profiled(kernel, grid, &self.spec, &mut self.pool, check_races);
-            races = r;
-            let (t, placements) = match self.degraded_health() {
-                Some(health) => schedule_launch_degraded(
-                    &self.spec,
-                    grid.local,
-                    kernel.lds_words(),
-                    &outcome.group_costs,
-                    health,
-                ),
-                None => schedule_launch_placed(
-                    &self.spec,
-                    grid.local,
-                    kernel.lds_words(),
-                    &outcome.group_costs,
-                ),
-            };
+        let traced = self.trace.is_some();
+        let (outcome, races) =
+            execute_launch(kernel, grid, &self.spec, &mut self.pool, self.race_checking, traced);
+        self.races.extend(races);
+        let (timing, placements) = schedule_launch(
+            &self.spec,
+            grid.local,
+            kernel.lds_words(),
+            &outcome.group_costs,
+            self.degraded_health(),
+        );
+        if traced {
             let groups = placements
                 .iter()
                 .map(|p| GroupSpan {
@@ -482,7 +439,8 @@ impl Device {
             }
             phases.sort_by_key(|s| s.phase);
             let wavefronts_per_group = self.spec.waves_per_group(grid.local);
-            let wavefront_occupancy = (t.occupancy_groups_per_cu * wavefronts_per_group) as f64
+            let wavefront_occupancy = (timing.occupancy_groups_per_cu * wavefronts_per_group)
+                as f64
                 / f64::from(self.spec.max_waves_per_cu).max(1.0);
             let event = LaunchTrace {
                 launch_id: self.launches.len(),
@@ -492,39 +450,13 @@ impl Device {
                 start_s,
                 wavefronts_per_group,
                 wavefront_occupancy: wavefront_occupancy.min(1.0),
-                timing: t.clone(),
+                timing: timing.clone(),
                 groups,
                 phases,
             };
             if let Some(sink) = self.trace.as_mut() {
                 sink.launch(event);
             }
-            timing = t;
-        } else {
-            let (outcome, r) = if check_races {
-                execute_launch_checked(kernel, grid, &self.spec, &mut self.pool)
-            } else {
-                (execute_launch(kernel, grid, &self.spec, &mut self.pool), Vec::new())
-            };
-            races = r;
-            timing = match self.degraded_health() {
-                Some(health) => {
-                    schedule_launch_degraded(
-                        &self.spec,
-                        grid.local,
-                        kernel.lds_words(),
-                        &outcome.group_costs,
-                        health,
-                    )
-                    .0
-                }
-                None => schedule_launch(
-                    &self.spec,
-                    grid.local,
-                    kernel.lds_words(),
-                    &outcome.group_costs,
-                ),
-            };
         }
         self.kernel_seconds += timing.seconds;
         self.launches.push(LaunchRecord {
@@ -532,7 +464,7 @@ impl Device {
             grid,
             timing: timing.clone(),
         });
-        (timing, races)
+        timing
     }
 
     /// Simulated seconds spent in kernels since the last reset.
@@ -645,6 +577,33 @@ mod tests {
                 ctx.flops(1);
                 ctx.write_f32_coalesced(self.buf, i, v + 1.0);
             }
+        }
+        fn control(&self, _p: usize, _g: &mut (), _i: &GroupInfo) -> Control {
+            Control::Done
+        }
+    }
+
+    /// Uneven work per group (so placement matters) and an LDS race (every
+    /// item of a group writes LDS word 0 in the same phase).
+    struct RaggedRacy {
+        buf: BufF32,
+    }
+
+    impl Kernel for RaggedRacy {
+        type ItemRegs = ();
+        type GroupRegs = ();
+        fn name(&self) -> &str {
+            "ragged-racy"
+        }
+        fn lds_words(&self) -> usize {
+            1
+        }
+        fn phase(&self, _p: usize, ctx: &mut ItemCtx<'_>, _r: &mut (), _g: &()) {
+            let i = ctx.global_id;
+            let v = ctx.read_f32_coalesced(self.buf, i);
+            ctx.flops(1 + (ctx.group_id as u64 * 7 % 5) * 40);
+            ctx.lds_write(0, v);
+            ctx.write_f32_coalesced(self.buf, i, v * 2.0 + ctx.group_id as f32);
         }
         fn control(&self, _p: usize, _g: &mut (), _i: &GroupInfo) -> Control {
             Control::Done
@@ -922,5 +881,63 @@ mod tests {
         let trace = sink.snapshot();
         assert_eq!(trace.transfers.len(), 1);
         assert!(trace.launches.is_empty());
+    }
+
+    #[test]
+    fn every_launch_mode_agrees() {
+        use crate::fault::{FaultConfig, FaultPlan};
+        use crate::trace::MemoryTraceSink;
+        let spec = DeviceSpec::radeon_hd_5850();
+        let grid = NdRange { global: 256, local: 4 };
+        let input: Vec<f32> = (0..256).map(|i| i as f32 * 0.5).collect();
+        // seed 11 loses at least one of the 18 CUs and degrades another
+        let cu_faults = FaultPlan::new(11, FaultConfig::default().with_cu_faults(0.5, 0.25));
+        let mut installed = cu_faults.clone();
+        installed.install(&spec);
+        assert!(installed.cu_health().iter().any(|c| !c.alive));
+        assert!(installed.cu_health().iter().any(|c| c.alive && c.speed < 1.0));
+        for plan in [None, Some(cu_faults)] {
+            let mut runs = Vec::new();
+            for check_races in [false, true] {
+                for traced in [false, true] {
+                    let mut dev = Device::with_transfer_model(spec.clone(), TransferModel::free());
+                    if let Some(plan) = &plan {
+                        dev.set_fault_plan(plan.clone());
+                    }
+                    let sink = MemoryTraceSink::new();
+                    if traced {
+                        dev.set_trace_sink(Box::new(sink.clone()));
+                    }
+                    dev.set_race_checking(check_races);
+                    let buf = dev.alloc_f32(input.len());
+                    dev.try_upload_f32(buf, &input).unwrap();
+                    let timing = dev.try_launch(&RaggedRacy { buf }, grid).unwrap();
+                    let out: Vec<u32> =
+                        dev.try_download_f32(buf).unwrap().iter().map(|v| v.to_bits()).collect();
+                    let races: Vec<String> = dev.races().iter().map(ToString::to_string).collect();
+                    assert_eq!(races.is_empty(), !check_races, "races reported iff checked");
+                    if traced {
+                        let trace = sink.snapshot();
+                        let launch = &trace.launches[0];
+                        assert_eq!(launch.timing, timing);
+                        assert_eq!(launch.groups.len(), grid.num_groups());
+                        let health = dev.fault_plan().map(FaultPlan::cu_health);
+                        for span in &launch.groups {
+                            assert!(health.is_none_or(|h| h[span.cu].alive), "span on a lost CU");
+                        }
+                    }
+                    runs.push((check_races, timing, out, races));
+                }
+            }
+            let (_, timing, out, _) = &runs[0];
+            for run in &runs {
+                assert_eq!(&run.1, timing);
+                assert_eq!(&run.2, out);
+            }
+            for pair in runs.chunks(2) {
+                assert_eq!(pair[0].0, pair[1].0);
+                assert_eq!(pair[0].3, pair[1].3, "traced and untraced race reports differ");
+            }
+        }
     }
 }

@@ -681,7 +681,7 @@ fn record(
 }
 
 /// Aggregated cost of one phase index within one group, recorded only when
-/// phase profiling is on (see [`execute_launch_profiled`]). A phase inside a
+/// phase profiling is on (see [`execute_launch`]). A phase inside a
 /// `Jump` loop executes many times; `executions` counts them and `cost` sums
 /// their charges.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -717,47 +717,19 @@ impl ExecOutcome {
 
 /// Functionally executes every work-group of `grid` and records costs.
 ///
+/// With `check_races`, every tracked access is checked against the rule that
+/// no two work-items may touch the same word between barriers unless all
+/// accesses are reads; the detected races (capped at 64) come back beside
+/// the outcome. With `profile`, the outcome
+/// also carries a per-group, per-phase cost breakdown in
+/// [`ExecOutcome::phase_costs`] (what the execution-trace subsystem
+/// consumes). Neither switch changes memory, group costs or phase counts.
+///
 /// # Panics
 /// Panics if the grid is invalid, the local size exceeds the device limit,
 /// the kernel's LDS request exceeds the device LDS, or a group exceeds the
 /// phase budget (runaway loop).
 pub fn execute_launch<K: Kernel>(
-    kernel: &K,
-    grid: NdRange,
-    spec: &DeviceSpec,
-    pool: &mut BufferPool,
-) -> ExecOutcome {
-    let (outcome, _races) = execute_launch_opts(kernel, grid, spec, pool, false, false);
-    outcome
-}
-
-/// Like [`execute_launch`], but with intra-phase data-race detection: every
-/// tracked access is checked against the rule that no two work-items may
-/// touch the same word between barriers unless all accesses are reads.
-/// Returns the outcome plus all detected races (capped at 64).
-pub fn execute_launch_checked<K: Kernel>(
-    kernel: &K,
-    grid: NdRange,
-    spec: &DeviceSpec,
-    pool: &mut BufferPool,
-) -> (ExecOutcome, Vec<Race>) {
-    execute_launch_opts(kernel, grid, spec, pool, true, false)
-}
-
-/// Like [`execute_launch`], but additionally records a per-group, per-phase
-/// cost breakdown in [`ExecOutcome::phase_costs`] (what the execution-trace
-/// subsystem consumes). Race checking composes via `check_races`.
-pub fn execute_launch_profiled<K: Kernel>(
-    kernel: &K,
-    grid: NdRange,
-    spec: &DeviceSpec,
-    pool: &mut BufferPool,
-    check_races: bool,
-) -> (ExecOutcome, Vec<Race>) {
-    execute_launch_opts(kernel, grid, spec, pool, check_races, true)
-}
-
-fn execute_launch_opts<K: Kernel>(
     kernel: &K,
     grid: NdRange,
     spec: &DeviceSpec,
@@ -1034,7 +1006,7 @@ mod tests {
         }
         let k = DoubleKernel { input, output, n: 10 };
         let grid = NdRange::round_up(10, 4);
-        let out = execute_launch(&k, grid, &spec, &mut pool);
+        let out = execute_launch(&k, grid, &spec, &mut pool, false, false).0;
         for i in 0..10 {
             assert_eq!(pool.f32(output)[i], 2.0 * i as f32);
         }
@@ -1048,7 +1020,8 @@ mod tests {
         let input = pool.alloc_f32(8);
         let output = pool.alloc_f32(8);
         let k = DoubleKernel { input, output, n: 8 };
-        let out = execute_launch(&k, NdRange { global: 8, local: 4 }, &spec, &mut pool);
+        let out =
+            execute_launch(&k, NdRange { global: 8, local: 4 }, &spec, &mut pool, false, false).0;
         let total = out.total();
         assert_eq!(total.flops, 8.0);
         assert_eq!(total.read_bytes, 32.0);
@@ -1069,7 +1042,7 @@ mod tests {
         // rounded up to 8 items; items 5..8 must not touch the buffers
         let grid = NdRange::round_up(5, 4);
         assert_eq!(grid.global, 8);
-        let out = execute_launch(&k, grid, &spec, &mut pool);
+        let out = execute_launch(&k, grid, &spec, &mut pool, false, false).0;
         assert_eq!(out.total().flops, 5.0);
     }
 
@@ -1079,7 +1052,8 @@ mod tests {
         let mut pool = BufferPool::new();
         let output = pool.alloc_f32(2);
         let k = LoopKernel { output, rounds: 3 };
-        let out = execute_launch(&k, NdRange { global: 8, local: 4 }, &spec, &mut pool);
+        let out =
+            execute_launch(&k, NdRange { global: 8, local: 4 }, &spec, &mut pool, false, false).0;
         // each round: 4 items write round+1 -> sum = 4*(round+1); 3 rounds: 4*(1+2+3)=24
         assert_eq!(pool.f32(output), &[24.0, 24.0]);
         // each group executed 2 phases × 3 rounds = 6 barriers
@@ -1097,7 +1071,7 @@ mod tests {
         let mut pool = BufferPool::new();
         let output = pool.alloc_f32(2);
         let k = LoopKernel { output, rounds: 1 };
-        execute_launch(&k, NdRange { global: 8, local: 4 }, &spec, &mut pool);
+        execute_launch(&k, NdRange { global: 8, local: 4 }, &spec, &mut pool, false, false);
         assert_eq!(pool.f32(output)[0], pool.f32(output)[1]);
     }
 
@@ -1109,7 +1083,7 @@ mod tests {
         let input = pool.alloc_f32(1);
         let output = pool.alloc_f32(1);
         let k = DoubleKernel { input, output, n: 1 };
-        execute_launch(&k, NdRange { global: 32, local: 16 }, &spec, &mut pool);
+        execute_launch(&k, NdRange { global: 32, local: 16 }, &spec, &mut pool, false, false);
     }
 
     #[test]
@@ -1132,7 +1106,7 @@ mod tests {
         }
         let spec = spec();
         let mut pool = BufferPool::new();
-        execute_launch(&Greedy, NdRange { global: 4, local: 4 }, &spec, &mut pool);
+        execute_launch(&Greedy, NdRange { global: 4, local: 4 }, &spec, &mut pool, false, false);
     }
 
     #[test]
@@ -1150,10 +1124,26 @@ mod tests {
                 pool.f32_mut(input)[i] = (i as f32).sin();
             }
             let d = DoubleKernel { input, output, n: 64 };
-            let out_d = execute_launch(&d, NdRange { global: 64, local: 4 }, &spec, &mut pool);
+            let out_d = execute_launch(
+                &d,
+                NdRange { global: 64, local: 4 },
+                &spec,
+                &mut pool,
+                false,
+                false,
+            )
+            .0;
             let loop_out = pool.alloc_f32(16);
             let l = LoopKernel { output: loop_out, rounds: 3 };
-            let out_l = execute_launch(&l, NdRange { global: 64, local: 4 }, &spec, &mut pool);
+            let out_l = execute_launch(
+                &l,
+                NdRange { global: 64, local: 4 },
+                &spec,
+                &mut pool,
+                false,
+                false,
+            )
+            .0;
             (
                 pool.f32(output).to_vec(),
                 pool.f32(loop_out).to_vec(),
@@ -1367,7 +1357,7 @@ mod tests {
         let grid = NdRange { global: items, local };
         // profiled, so each phase's own charges are compared too: a sum
         // taken in another order can round back to the same group total
-        let (outcome, races) = execute_launch_profiled(&kernel, grid, &spec, &mut pool, checked);
+        let (outcome, races) = execute_launch(&kernel, grid, &spec, &mut pool, checked, true);
         let f32_bits = |b| pool.f32(b).iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let bits = [rows, out, scattered].map(|b| format!("{:?}", f32_bits(b)));
         let cost_bits = |c: &GroupCost| {
@@ -1429,6 +1419,6 @@ mod tests {
         let input = pool.alloc_f32(1);
         let output = pool.alloc_f32(1);
         let k = DoubleKernel { input, output, n: 1 };
-        execute_launch(&k, NdRange { global: 5, local: 4 }, &spec, &mut pool);
+        execute_launch(&k, NdRange { global: 5, local: 4 }, &spec, &mut pool, false, false);
     }
 }

@@ -21,7 +21,7 @@
 //!   detect-and-retry cycle;
 //! * **per-CU degradation/loss** — rolled once per device at install time;
 //!   degraded CUs run slower and lost CUs receive no work (timing changes
-//!   only, never results — see `sched::schedule_launch_degraded`);
+//!   only, never results — see [`schedule_launch`](crate::sched::schedule_launch));
 //! * **device loss** — permanent; every subsequent operation fails with
 //!   [`FaultKind::DeviceLost`].
 //!

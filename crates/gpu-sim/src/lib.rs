@@ -73,10 +73,7 @@ pub mod prelude {
     pub use crate::kernel::{Control, GroupInfo, Kernel, NdRange};
     pub use crate::pcie::TransferModel;
     pub use crate::race::{Race, RaceDetector, Space};
-    pub use crate::sched::{
-        schedule_launch, schedule_launch_degraded, schedule_launch_placed, GroupPlacement,
-        LaunchTiming,
-    };
+    pub use crate::sched::{schedule_launch, GroupPlacement, LaunchTiming};
     pub use crate::spec::DeviceSpec;
     pub use crate::trace::{FaultTrace, LaunchTrace, MemoryTraceSink, Trace, TraceSink};
 }

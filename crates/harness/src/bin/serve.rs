@@ -4,7 +4,7 @@
 //! cargo run -p harness --release --bin serve -- --spool <dir> \
 //!     [--daemon] [--threads N] [--max-parallel P] [--throttle-ms M] \
 //!     [--crash-after K] [--shed-budget-s S] [--max-attempts A] \
-//!     [--watchdog-s W] [--max-ticks T] [--exit-when-idle] [--no-preempt]
+//!     [--watchdog-s W] [--max-ticks T] [--exit-when-idle]
 //! ```
 //!
 //! Without `--daemon`: opens the spool (recovering whatever a previous
@@ -84,7 +84,7 @@ fn main() {
             eprintln!(
                 "usage: serve --spool <dir> [--daemon] [--threads N] [--max-parallel P] \
                  [--throttle-ms M] [--crash-after K] [--shed-budget-s S] [--max-attempts A] \
-                 [--watchdog-s W] [--max-ticks T] [--exit-when-idle] [--no-preempt]"
+                 [--watchdog-s W] [--max-ticks T] [--exit-when-idle]"
             );
             std::process::exit(2);
         }
@@ -120,7 +120,7 @@ fn main() {
     if daemon_mode {
         install_signal_handlers();
         config.supervise = true;
-        config.preempt_batch = !args.iter().any(|a| a == "--no-preempt");
+        config.preempt_batch = true;
         let daemon_config = DaemonConfig {
             server: config,
             max_ticks: parsed(&args, "--max-ticks"),

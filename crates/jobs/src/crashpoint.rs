@@ -6,11 +6,12 @@
 //! removing its source, and [`Spool::open`] repairs every intermediate
 //! state. This module turns the induction into an exhaustive test. A
 //! scripted job lifecycle — submit → run → preempt at a checkpoint
-//! boundary → resume → complete → cache-hit resubmission, with artifacts
-//! and a daemon heartbeat — is first executed on a counting
-//! [`crate::fsx::CrashFs`] to number its durable mutations `1..=M`; then,
-//! for each prefix length `k`, the lifecycle is replayed on a fresh
-//! directory with a [`CrashFs`] that dies after `k` mutations. That leaves
+//! boundary → a torn checkpoint `.tmp` left beside it → resume → complete →
+//! cache-hit resubmission, with artifacts and a daemon heartbeat — is first
+//! executed on a counting [`crate::fsx::CrashFs`] to number its durable
+//! mutations `1..=M`; then, for each prefix length `k`, the lifecycle is
+//! replayed on a fresh directory with a [`CrashFs`] that dies after `k`
+//! mutations. That leaves
 //! on disk exactly the state a `kill -9` after the `k`-th syscall would
 //! leave. Recovery is then asserted:
 //!
@@ -69,7 +70,7 @@ fn lifecycle_config() -> ServerConfig {
 /// the mutation sequence is identical on every run — which is what makes
 /// prefix `k` meaningful.
 fn lifecycle(root: &Path, fs: Arc<dyn SpoolFs>, acked: &mut Vec<String>) -> Result<(), JobError> {
-    let (spool, _) = Spool::open_with(root, fs)?;
+    let (spool, _) = Spool::open_with(root, fs.clone())?;
     let config = lifecycle_config();
     let cache = spool.cache();
 
@@ -81,6 +82,11 @@ fn lifecycle(root: &Path, fs: Arc<dyn SpoolFs>, acked: &mut Vec<String>) -> Resu
     preempting.run.preempt = Some(Arc::new(|| true));
     let mut scratch = DrainSummary { reports: Vec::new(), recovery: SpoolRecovery::default() };
     drain_round(&spool, &cache, &preempting, &mut scratch)?;
+
+    // a crash between a checkpoint's write and its rename leaves a torn
+    // `.tmp` sibling; the resume's scan removes it, through the seam too
+    let torn = spool.job_dir(&batch_spec().hash_hex()).join("ckpt-00003.snap.tmp");
+    fs.write(&torn, b"torn").map_err(|e| JobError::io(torn.display().to_string(), e))?;
 
     // a high-priority job arrives; the next drain runs it first, then
     // resumes the preempted batch job from its checkpoint and verifies it

@@ -218,42 +218,38 @@ pub fn run_job(spec: &JobSpec, dir: &Path, opts: &RunOptions) -> Result<RunStatu
         if on_cadence && opts.preempt.as_ref().is_some_and(|check| check()) {
             return Ok(RunStatus::Preempted { at_step: step });
         }
-        if let Some(deadline_s) = spec.deadline_s {
+        // a deadline or watchdog yield lands one checkpoint at the step it
+        // stopped, so the retry resumes there; the deadline wins if both fired
+        let deadline = spec.deadline_s.and_then(|deadline_s| {
             let simulated_s = eng.simulated_total_seconds();
-            if step < spec.steps && simulated_s > deadline_s {
-                if !on_cadence {
-                    save_checkpoint_with(
-                        opts.fs.as_ref(),
-                        dir,
-                        &spec.label(),
-                        step as f64 * spec.dt,
-                        step,
-                        &set,
-                    )?;
-                }
-                return Err(JobError::DeadlineExceeded {
-                    step,
-                    simulated_s,
-                    deadline_s,
-                    progressed: step > start_step,
-                });
-            }
-        }
-        if let Some(watchdog_s) = opts.watchdog_s {
+            (simulated_s > deadline_s).then_some(JobError::DeadlineExceeded {
+                step,
+                simulated_s,
+                deadline_s,
+                progressed: step > start_step,
+            })
+        });
+        let limit = deadline.or_else(|| {
+            let watchdog_s = opts.watchdog_s?;
             let elapsed_s = started.elapsed().as_secs_f64();
-            if step < spec.steps && elapsed_s > watchdog_s {
-                if !on_cadence {
-                    save_checkpoint_with(
-                        opts.fs.as_ref(),
-                        dir,
-                        &spec.label(),
-                        step as f64 * spec.dt,
-                        step,
-                        &set,
-                    )?;
-                }
-                return Err(JobError::WatchdogTimeout { step, elapsed_s, watchdog_s });
+            (elapsed_s > watchdog_s).then_some(JobError::WatchdogTimeout {
+                step,
+                elapsed_s,
+                watchdog_s,
+            })
+        });
+        if let Some(err) = limit.filter(|_| step < spec.steps) {
+            if !on_cadence {
+                save_checkpoint_with(
+                    opts.fs.as_ref(),
+                    dir,
+                    &spec.label(),
+                    step as f64 * spec.dt,
+                    step,
+                    &set,
+                )?;
             }
+            return Err(err);
         }
         if opts.throttle_ms > 0 {
             std::thread::sleep(std::time::Duration::from_millis(opts.throttle_ms));

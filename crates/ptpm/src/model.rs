@@ -272,7 +272,7 @@ fn uniform_launch_s(
     if groups == 0 {
         return 0.0;
     }
-    schedule_launch(spec, local, lds_words, &vec![per_group; groups]).seconds
+    schedule_launch(spec, local, lds_words, &vec![per_group; groups], None).0.seconds
 }
 
 /// Forecasts the on-device tree pipeline from its measured shape: every

@@ -97,7 +97,7 @@ fn scheduler_makespan_bounds() {
         let costs: Vec<f64> = (0..n).map(|_| rng.uniform(0.0, 1e6)).collect();
         let group_costs: Vec<GroupCost> =
             costs.iter().map(|&f| GroupCost { flops: f, ..Default::default() }).collect();
-        let t = schedule_launch(&spec, 64, 0, &group_costs);
+        let t = schedule_launch(&spec, 64, 0, &group_costs, None).0;
         let per_group: Vec<f64> =
             costs.iter().map(|&f| f / spec.charged_flops_per_cycle_per_cu).collect();
         let total: f64 = per_group.iter().sum();

@@ -80,7 +80,9 @@ fn racy_kernel_is_caught() {
     let output = dev.alloc_f32(2);
     dev.upload_f32(input, &[1.0; 8]);
     let k = RacyReduction { input, output };
-    let (_timing, races) = dev.launch_checked(&k, NdRange { global: 8, local: 4 });
+    dev.set_race_checking(true);
+    let _ = dev.launch(&k, NdRange { global: 8, local: 4 });
+    let races = dev.races().to_vec();
     assert!(!races.is_empty(), "the unsynchronized reduction must be flagged");
     // the report names LDS word 0
     let r = &races[0];

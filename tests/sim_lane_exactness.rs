@@ -20,7 +20,7 @@
 //! The lanes only vectorize in optimized builds, so CI also runs this file
 //! with `--release`.
 
-use gpu_sim::exec::{execute_launch, execute_launch_checked, ExecOutcome};
+use gpu_sim::exec::{execute_launch, ExecOutcome};
 use gpu_sim::prelude::*;
 use nbody_core::body::ParticleSet;
 use nbody_core::gravity::GravityParams;
@@ -361,11 +361,8 @@ fn launch(
     let kernel =
         TileKernel { targets, sources, out, sources_len, local, eps_sq: 1e-4, lanes, racy };
     let grid = NdRange { global: items, local };
-    let (outcome, races): (ExecOutcome, Vec<Race>) = if checked {
-        execute_launch_checked(&kernel, grid, &spec, &mut pool)
-    } else {
-        (execute_launch(&kernel, grid, &spec, &mut pool), Vec::new())
-    };
+    let (outcome, races): (ExecOutcome, Vec<Race>) =
+        execute_launch(&kernel, grid, &spec, &mut pool, checked, false);
     Run {
         out: pool.f32(out).iter().map(|v| v.to_bits()).collect(),
         costs: outcome.group_costs,
