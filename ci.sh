@@ -196,6 +196,18 @@ done
 ./target/release/serve --spool "$spool" | tee "$out/serve-cached.log"
 grep -q 'completed=3 computed=0 cache-hits=3' "$out/serve-cached.log" || {
     echo "FAIL: resubmitted batch was not served entirely from cache"; exit 1; }
+# cache entries store only the checksummed state (JSON snapshot v3): no
+# entry may carry the final accelerations
+test "$(ls "$spool"/cache/*.json | wc -l)" -eq 3 || { echo "FAIL: want 3 cache entries"; exit 1; }
+if grep -l '"acc"' "$spool"/cache/*.json; then
+    echo "FAIL: cache entries store accelerations"; exit 1
+fi
+# an unknown flag is a usage error (2), not a silently ignored argument
+set +e
+./target/release/serve --spool "$spool" --bogus-flag >/dev/null 2>&1
+bogus_code=$?
+set -e
+test "$bogus_code" -eq 2 || { echo "FAIL: serve --bogus-flag exited $bogus_code, want 2"; exit 1; }
 
 echo "==> supervised daemon smoke test (SIGKILL mid-wave, restart, poison, SIGTERM drain)"
 # Typed exit codes first: missing --spool is a configuration error (2),

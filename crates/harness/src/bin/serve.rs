@@ -25,7 +25,8 @@
 //! |------|---------|
 //! | 0    | clean (`JOBS OK`; for a daemon, includes SIGTERM drain)    |
 //! | 1    | degraded: a resumed job diverged, or an untyped failure    |
-//! | 2    | usage or configuration error (bad flag, missing `--spool`) |
+//! | 2    | usage or configuration error (unknown argument, malformed  |
+//! |      | or missing flag value, missing `--spool`)                  |
 //! | 3    | spool corruption: unreadable records, I/O, bad snapshots   |
 
 use jobs::prelude::*;
@@ -53,18 +54,55 @@ fn install_signal_handlers() {
 #[cfg(not(unix))]
 fn install_signal_handlers() {}
 
+/// Every flag `serve` accepts, and whether it takes a value.
+const FLAGS: [(&str, bool); 11] = [
+    ("--spool", true),
+    ("--daemon", false),
+    ("--threads", true),
+    ("--max-parallel", true),
+    ("--throttle-ms", true),
+    ("--crash-after", true),
+    ("--shed-budget-s", true),
+    ("--max-attempts", true),
+    ("--watchdog-s", true),
+    ("--max-ticks", true),
+    ("--exit-when-idle", false),
+];
+
+const USAGE: &str = "usage: serve --spool <dir> [--daemon] [--threads N] [--max-parallel P] \
+                     [--throttle-ms M] [--crash-after K] [--shed-budget-s S] [--max-attempts A] \
+                     [--watchdog-s W] [--max-ticks T] [--exit-when-idle]";
+
+/// A usage or configuration error: exits 2, distinct from runtime failures.
+fn usage_error(err: impl std::fmt::Display) -> ! {
+    eprintln!("error: {err}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
+/// Refuses any argument that is not a flag in [`FLAGS`]; a flag that
+/// takes a value consumes the next argument, which must be present.
+fn check_flags(args: &[String]) {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match FLAGS.iter().find(|(flag, _)| flag == arg) {
+            Some((_, true)) if rest.next().is_none() => usage_error(format!("{arg} needs a value")),
+            Some(_) => {}
+            None => usage_error(format!("unknown argument `{arg}`")),
+        }
+    }
+}
+
 /// Parses `--flag value`, exiting 2 (configuration error) on a malformed
 /// value — distinct from runtime failures.
 fn parsed<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
     let pos = args.iter().position(|a| a == flag)?;
-    let value = args.get(pos + 1).cloned().unwrap_or_default();
-    match value.parse() {
-        Ok(v) => Some(v),
-        Err(_) => {
-            eprintln!("error: {flag} got malformed value `{value}`");
-            std::process::exit(2);
-        }
-    }
+    let value = &args[pos + 1];
+    Some(
+        value
+            .parse()
+            .unwrap_or_else(|_| usage_error(format!("{flag} got malformed value `{value}`"))),
+    )
 }
 
 /// Spool corruption (I/O, unparseable records, bad snapshots) exits 3;
@@ -78,18 +116,14 @@ fn exit_code_for(err: &JobError) -> i32 {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let spool_dir = match args.iter().position(|a| a == "--spool") {
-        Some(pos) => args.get(pos + 1).cloned().unwrap_or_default(),
-        None => {
-            eprintln!(
-                "usage: serve --spool <dir> [--daemon] [--threads N] [--max-parallel P] \
-                 [--throttle-ms M] [--crash-after K] [--shed-budget-s S] [--max-attempts A] \
-                 [--watchdog-s W] [--max-ticks T] [--exit-when-idle]"
-            );
-            std::process::exit(2);
-        }
+    check_flags(&args);
+    let Some(spool_dir) = parsed::<String>(&args, "--spool") else {
+        usage_error("missing --spool");
     };
-    harness::apply_threads_flag(&args);
+    match harness::try_threads_from_args(&args) {
+        Ok(threads) => threads.into_iter().for_each(par::set_threads),
+        Err(e) => usage_error(e),
+    }
     let daemon_mode = args.iter().any(|a| a == "--daemon");
 
     let mut config = ServerConfig::default();

@@ -10,11 +10,19 @@
 //! faults produces bit-identical physics, so it may serve a later fault-free
 //! resubmission.
 //!
+//! An entry is the JSON of a [`JobResult`], whose final snapshot is JSON
+//! snapshot v3: the time, `pos`, `vel` and `mass`, and their content
+//! checksum. The final accelerations are not stored (no reader needs
+//! them, and the checksum does not cover them), so a hit's snapshot has
+//! zero `acc`; legacy v2 entries still load, their `acc` skipped.
+//!
 //! Lookups re-verify the snapshot content checksum before trusting an entry:
 //! the cache entry embeds a [`Snapshot`] through derived deserialization,
 //! which skips the validating [`Snapshot::from_json`] path, and a cache that
-//! silently served bit-rotted physics would defeat its own purpose. A corrupt
-//! entry is treated as a miss and deleted.
+//! silently served bit-rotted physics would defeat its own purpose. Since
+//! every stored float is covered, no unchecked number is ever served. An
+//! entry that is corrupt, or that cannot describe a particle set (ragged
+//! arrays, an invalid mass), is treated as a miss and deleted.
 
 use crate::error::JobError;
 use crate::fsx::{real_fs, SpoolFs};
@@ -32,7 +40,8 @@ pub struct JobResult {
     pub hash_hex: String,
     /// The spec that produced this result.
     pub spec: JobSpec,
-    /// Final particle state at `steps × dt`.
+    /// Final particle state at `steps × dt`. Accelerations are not
+    /// stored: a result read back from the cache has zero `acc`.
     pub final_snapshot: Snapshot,
     /// Copy of the snapshot's content checksum, re-verified on every lookup.
     pub result_checksum: u64,
@@ -166,7 +175,8 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nbody_core::testutil::ScratchDir;
+    use nbody_core::testutil::{stored_bits, ScratchDir};
+    use nbody_core::vec3::Vec3;
     use plans::prelude::{BackendKind, PlanKind};
     use workloads::spec::WorkloadSpec;
 
@@ -194,12 +204,57 @@ mod tests {
     fn store_then_lookup_roundtrips() {
         let scratch = ScratchDir::new("cache");
         let cache = ResultCache::new(scratch.join("roundtrip"));
-        let r = result(16, 1);
+        let mut r = result(16, 1);
+        r.final_snapshot.set.acc_mut().fill(Vec3::new(1.0, -2.0, 0.5));
         assert!(cache.lookup(&r.hash_hex).unwrap().is_none(), "miss before store");
         cache.store(&r).unwrap();
+        let text = std::fs::read_to_string(cache.dir().join(format!("{}.json", r.hash_hex)));
+        assert!(!text.unwrap().contains("\"acc\""), "entries store no accelerations");
         let hit = cache.lookup(&r.hash_hex).unwrap().expect("hit after store");
-        assert_eq!(hit, r);
+        let (got, want) = (&hit.final_snapshot, &r.final_snapshot);
+        assert_eq!(stored_bits(&got.set), stored_bits(&want.set));
+        assert_eq!(got.set.acc(), vec![Vec3::ZERO; 16], "a hit has zero acc");
+        assert_eq!((got.time.to_bits(), got.checksum), (want.time.to_bits(), want.checksum));
+        let mut stored = r.clone();
+        stored.final_snapshot.set.clear_acc();
+        assert_eq!(hit, stored, "every other field round-trips");
         assert_eq!(cache.len(), 1);
+        std::fs::remove_dir_all(cache.dir()).ok();
+    }
+
+    #[test]
+    fn a_flipped_digit_in_any_stored_array_is_evicted() {
+        let scratch = ScratchDir::new("cache");
+        let cache = ResultCache::new(scratch.join("digits"));
+        let r = result(16, 7);
+        let path = cache.dir().join(format!("{}.json", r.hash_hex));
+        for array in ["\"pos\":[", "\"vel\":[", "\"mass\":["] {
+            cache.store(&r).unwrap();
+            let mut text = std::fs::read_to_string(&path).unwrap().into_bytes();
+            let start = text.windows(array.len()).position(|w| w == array.as_bytes()).unwrap();
+            let digit = start + text[start..].iter().position(u8::is_ascii_digit).unwrap();
+            text[digit] = if text[digit] == b'9' { b'8' } else { text[digit] + 1 };
+            std::fs::write(&path, text).unwrap();
+            assert!(cache.lookup(&r.hash_hex).unwrap().is_none(), "{array} digit: a miss");
+            assert!(!path.exists(), "{array} digit: the entry is deleted");
+        }
+        std::fs::remove_dir_all(cache.dir()).ok();
+    }
+
+    #[test]
+    fn a_ragged_entry_is_evicted_not_a_panic() {
+        let scratch = ScratchDir::new("cache");
+        let cache = ResultCache::new(scratch.join("ragged"));
+        let r = result(16, 8);
+        cache.store(&r).unwrap();
+        // drop the last velocity: still valid JSON, one element short
+        let path = cache.dir().join(format!("{}.json", r.hash_hex));
+        let text = std::fs::read_to_string(&path).unwrap();
+        let vel_end = text.find("],\"mass\":").unwrap();
+        let last = text[..vel_end].rfind(",{").unwrap();
+        std::fs::write(&path, format!("{}{}", &text[..last], &text[vel_end..])).unwrap();
+        assert!(cache.lookup(&r.hash_hex).unwrap().is_none(), "a ragged entry is a miss");
+        assert!(!path.exists(), "a ragged entry is deleted");
         std::fs::remove_dir_all(cache.dir()).ok();
     }
 

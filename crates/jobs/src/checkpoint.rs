@@ -183,6 +183,7 @@ mod tests {
     use super::*;
     use nbody_core::testutil::ScratchDir;
     use nbody_core::testutil::XorShift64;
+    use workloads::snapshot::SNAPSHOT_VERSION;
     use workloads::spec::WorkloadSpec;
 
     /// A fresh `name` directory inside the test's unique scratch dir.
@@ -202,10 +203,13 @@ mod tests {
         dir.join(format!("ckpt-{step:05}.json"))
     }
 
-    /// The JSON text a checkpoint for `step` had before the binary format.
+    /// The JSON text a checkpoint for `step` had before the binary format
+    /// (schema version 2).
     fn legacy_json(step: usize) -> String {
         let set = WorkloadSpec::plummer(16, 42).generate();
-        Snapshot::new("test", step as f64 * 1e-3, set).to_json()
+        let mut snap = Snapshot::new("test", step as f64 * 1e-3, set);
+        snap.version = 2;
+        snap.to_json()
     }
 
     #[test]
@@ -360,7 +364,8 @@ mod tests {
                         std::fs::write(&json, &full[..cut]).unwrap();
                     }
                     2 => {
-                        let v = format!("\"version\":{}", 3 + rng.next_u64() % 100);
+                        let v = rng.next_u64() % 100;
+                        let v = format!("\"version\":{}", u64::from(SNAPSHOT_VERSION) + 1 + v);
                         std::fs::write(&json, full.replacen("\"version\":2", &v, 1)).unwrap();
                     }
                     3 => {

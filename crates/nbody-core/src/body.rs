@@ -6,7 +6,7 @@
 //! targets: the force kernels stream positions and masses with unit stride.
 
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Deserializer, Serialize, Serializer};
 
 /// A single gravitating body (AoS view).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -50,7 +50,12 @@ impl Body {
 /// Invariants maintained by all constructors and mutators:
 /// * `pos`, `vel`, `acc`, `mass` all have the same length;
 /// * every mass is finite and non-negative.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// The serialized form holds `pos`, `vel` and `mass` only: accelerations
+/// are derived state, which every force engine recomputes from positions
+/// and masses, so they are neither written nor read (a decoded set has
+/// zero `acc`).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ParticleSet {
     pos: Vec<Vec3>,
     vel: Vec<Vec3>,
@@ -83,19 +88,33 @@ impl ParticleSet {
         set
     }
 
-    /// Builds a set from parallel component vectors.
+    /// Builds a set from parallel component vectors, with zero
+    /// accelerations.
     ///
     /// # Panics
-    /// Panics if the vectors have different lengths or any mass is negative
-    /// or non-finite.
+    /// Panics where [`ParticleSet::try_from_parts`] returns an error.
     pub fn from_parts(pos: Vec<Vec3>, vel: Vec<Vec3>, mass: Vec<f64>) -> Self {
-        assert_eq!(pos.len(), vel.len(), "pos/vel length mismatch");
-        assert_eq!(pos.len(), mass.len(), "pos/mass length mismatch");
-        for (i, &m) in mass.iter().enumerate() {
-            assert!(m.is_finite() && m >= 0.0, "invalid mass {m} at index {i}");
-        }
+        Self::try_from_parts(pos, vel, mass).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds a set from parallel component vectors, with zero
+    /// accelerations, or says which invariant they break: the vectors have
+    /// different lengths, or a mass is negative or non-finite.
+    pub fn try_from_parts(
+        pos: Vec<Vec3>,
+        vel: Vec<Vec3>,
+        mass: Vec<f64>,
+    ) -> Result<Self, PartsError> {
         let n = pos.len();
-        Self { pos, vel, acc: vec![Vec3::ZERO; n], mass }
+        for (component, len) in [("vel", vel.len()), ("mass", mass.len())] {
+            if len != n {
+                return Err(PartsError::Ragged { component, len, n });
+            }
+        }
+        if let Some(index) = mass.iter().position(|m| !(m.is_finite() && *m >= 0.0)) {
+            return Err(PartsError::Mass { index, mass: mass[index] });
+        }
+        Ok(Self { pos, vel, acc: vec![Vec3::ZERO; n], mass })
     }
 
     /// Number of particles.
@@ -284,6 +303,78 @@ impl ParticleSet {
             out.push(self.mass[i] as f32);
         }
         out
+    }
+}
+
+/// Why parallel component vectors cannot form a [`ParticleSet`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PartsError {
+    /// A component vector's length differs from the positions'.
+    Ragged {
+        /// The ragged component, `"vel"` or `"mass"`.
+        component: &'static str,
+        /// Its length.
+        len: usize,
+        /// The number of positions.
+        n: usize,
+    },
+    /// A mass is negative or non-finite.
+    Mass {
+        /// Index of the first such mass.
+        index: usize,
+        /// Its value.
+        mass: f64,
+    },
+}
+
+impl std::fmt::Display for PartsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PartsError::Ragged { component, len, n } => {
+                write!(f, "pos/{component} length mismatch ({n} positions, {len} {component})")
+            }
+            PartsError::Mass { index, mass } => write!(f, "invalid mass {mass} at index {index}"),
+        }
+    }
+}
+
+impl std::error::Error for PartsError {}
+
+/// Writes `pos`, `vel` and `mass`, in that order: exactly the components a
+/// snapshot's content checksum covers.
+impl Serialize for ParticleSet {
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.begin_object();
+        s.key("pos");
+        self.pos.serialize(s);
+        s.key("vel");
+        self.vel.serialize(s);
+        s.key("mass");
+        self.mass.serialize(s);
+        s.end_object();
+    }
+}
+
+/// Reads `pos`, `vel` and `mass` through [`ParticleSet::try_from_parts`],
+/// so a ragged or invalid set is an error, never a panic. As in derived
+/// impls, the first of duplicate keys wins and unknown keys are skipped;
+/// that includes the `acc` older writers stored.
+impl Deserialize for ParticleSet {
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Self, DeError> {
+        let (mut pos, mut vel, mut mass) = (None, None, None);
+        d.begin_object()?;
+        while let Some(key) = d.next_key()? {
+            match key {
+                "pos" if pos.is_none() => pos = Some(serde::field(d, "pos")?),
+                "vel" if vel.is_none() => vel = Some(serde::field(d, "vel")?),
+                "mass" if mass.is_none() => mass = Some(serde::field(d, "mass")?),
+                _ => d.skip_value()?,
+            }
+        }
+        let pos = pos.map_or_else(|| serde::missing_field("pos"), Ok)?;
+        let vel = vel.map_or_else(|| serde::missing_field("vel"), Ok)?;
+        let mass = mass.map_or_else(|| serde::missing_field("mass"), Ok)?;
+        Self::try_from_parts(pos, vel, mass).map_err(|e| DeError::new(e.to_string()))
     }
 }
 

@@ -68,6 +68,19 @@ pub fn random_set(n: usize, seed: u64) -> ParticleSet {
         .collect()
 }
 
+/// The bit patterns of every stored component, body by body: `pos.xyz`,
+/// `vel.xyz` and `mass`, the order a snapshot's content checksum hashes
+/// them. Sets with equal stored bits encode to identical snapshots; their
+/// accelerations, which no snapshot stores, may still differ.
+pub fn stored_bits(set: &ParticleSet) -> Vec<u64> {
+    (0..set.len())
+        .flat_map(|i| {
+            let (p, v, m) = (set.pos()[i], set.vel()[i], set.mass()[i]);
+            [p.x, p.y, p.z, v.x, v.y, v.z, m].map(f64::to_bits)
+        })
+        .collect()
+}
+
 /// A deterministic equal-mass cloud; total mass is exactly `n as f64`.
 pub fn equal_mass_set(n: usize, seed: u64) -> ParticleSet {
     let mut rng = XorShift64::new(seed);

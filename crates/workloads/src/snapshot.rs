@@ -4,13 +4,17 @@
 //!
 //! Two encodings share one [`content_checksum`] (FNV-1a over the
 //! simulation time, the body count, and every particle's position,
-//! velocity and mass bit patterns):
+//! velocity and mass bit patterns), and both store exactly what it covers:
+//! accelerations are not stored, because every resumer re-primes forces
+//! from the restored positions, so a decoded set has zero `acc`.
 //!
-//! * **JSON**, schema version 2 ([`Snapshot::to_json`]). Result-cache
+//! * **JSON**, schema version 3 ([`Snapshot::to_json`]). Result-cache
 //!   entries embed snapshots this way. Version 2 added the checksum, so
 //!   silent corruption is caught at load time instead of propagating
-//!   NaN-free-but-wrong state into a resumed run; version-1 files (no
-//!   checksum) still load.
+//!   NaN-free-but-wrong state into a resumed run; version 3 dropped the
+//!   unchecked `acc` array, so no stored float escapes the checksum.
+//!   Version-1 files (no checksum) and version-2 files still load; their
+//!   `acc` arrays are skipped.
 //! * **Binary v3** ([`Snapshot::to_bytes`]), what [`Snapshot::save`] and
 //!   checkpoints write. A fixed little-endian layout:
 //!
@@ -30,14 +34,14 @@
 //!   trailing checksum is [`content_checksum`] continued over the label
 //!   length and label bytes, so every byte of the file is covered by some
 //!   check: the magic and format number by value, N and L by the file
-//!   length, everything else by the checksum. Accelerations are not
-//!   stored: the checksum never covered them, and every resumer re-primes
-//!   forces from the restored positions, so a decoded set has zero `acc`.
+//!   length, everything else by the checksum.
 //!
 //! [`Snapshot::from_bytes`] (and [`Snapshot::load`]) read both encodings:
-//! anything that does not open with the magic is parsed as JSON.
+//! anything that does not open with the magic is parsed as JSON. Neither
+//! decoder panics: a set whose arrays differ in length or whose masses are
+//! invalid is an error (see `ParticleSet::try_from_parts`).
 
-use nbody_core::body::ParticleSet;
+use nbody_core::body::{ParticleSet, PartsError};
 use nbody_core::vec3::Vec3;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -46,8 +50,8 @@ use std::path::Path;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Snapshot {
     /// JSON schema version for forward compatibility. A snapshot decoded
-    /// from binary v3 reports [`SNAPSHOT_VERSION`]: the binary format
-    /// number lives only in the file header.
+    /// from binary v3 reports [`SNAPSHOT_VERSION`], which holds the same
+    /// content; the binary format number lives only in the file header.
     pub version: u32,
     /// Free-form label (workload spec string, experiment id, ...).
     pub label: String,
@@ -59,8 +63,9 @@ pub struct Snapshot {
     pub checksum: Option<u64>,
 }
 
-/// Current JSON snapshot schema version.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// Current JSON snapshot schema version: `pos`, `vel` and `mass`, no
+/// `acc`.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Oldest JSON schema version this crate still reads.
 pub const SNAPSHOT_MIN_VERSION: u32 = 1;
@@ -131,7 +136,7 @@ impl Snapshot {
         serde_json::to_string(self).expect("snapshot serializes")
     }
 
-    /// Parses from JSON, validating the schema version and (for v2 files)
+    /// Parses from JSON, validating the schema version and (from v2 on)
     /// the content checksum.
     pub fn from_json(s: &str) -> Result<Self, SnapshotError> {
         let snap: Snapshot = serde_json::from_str(s).map_err(SnapshotError::Parse)?;
@@ -196,7 +201,7 @@ impl Snapshot {
     }
 
     /// Parses either encoding: binary v3 when `bytes` opens with
-    /// [`BINARY_MAGIC`], JSON (v1/v2, through [`Snapshot::from_json`])
+    /// [`BINARY_MAGIC`], JSON (v1–v3, through [`Snapshot::from_json`])
     /// otherwise. Never panics, whatever the input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
         if !bytes.starts_with(&BINARY_MAGIC) {
@@ -245,14 +250,14 @@ impl Snapshot {
             vel.push(Vec3::new(c(3), c(4), c(5)));
             mass.push(c(6));
         }
-        if !time.is_finite() || !mass.iter().all(|m| m.is_finite()) {
-            return Err(SnapshotError::NonFinite);
-        }
-        if mass.iter().any(|&m| m < 0.0) {
-            return Err(SnapshotError::Invalid("negative mass"));
-        }
-        let set = ParticleSet::from_parts(pos, vel, mass);
-        if !set.all_finite() {
+        let set = ParticleSet::try_from_parts(pos, vel, mass).map_err(|e| match e {
+            PartsError::Mass { mass, .. } if mass.is_finite() => {
+                SnapshotError::Invalid("negative mass")
+            }
+            PartsError::Mass { .. } => SnapshotError::NonFinite,
+            PartsError::Ragged { .. } => SnapshotError::Invalid("ragged particle arrays"),
+        })?;
+        if !time.is_finite() || !set.all_finite() {
             return Err(SnapshotError::NonFinite);
         }
         Ok(Snapshot {
@@ -344,18 +349,59 @@ impl std::error::Error for SnapshotError {}
 mod tests {
     use super::*;
     use crate::plummer::{plummer, PlummerParams};
-    use nbody_core::testutil::ScratchDir;
+    use nbody_core::testutil::{stored_bits, ScratchDir};
+
+    /// `plummer(n, .., seed)` with nonzero accelerations, which no encoding
+    /// stores.
+    fn accelerated(n: usize, seed: u64) -> ParticleSet {
+        let mut set = plummer(n, PlummerParams::default(), seed);
+        for (i, a) in set.acc_mut().iter_mut().enumerate() {
+            *a = Vec3::new(i as f64, -1.5, 0.25);
+        }
+        set
+    }
 
     #[test]
     fn roundtrip_exact() {
-        let set = plummer(64, PlummerParams::default(), 9);
+        let set = accelerated(64, 9);
         let snap = Snapshot::new("test", 1.25, set.clone());
-        let back = Snapshot::from_json(&snap.to_json()).unwrap();
-        assert_eq!(back.set, set);
-        assert_eq!(back.time, 1.25);
+        let json = snap.to_json();
+        assert!(!json.contains("\"acc\""), "JSON v3 stores no accelerations");
+        let back = Snapshot::from_json(&json).unwrap();
+        assert_eq!(stored_bits(&back.set), stored_bits(&set));
+        assert_eq!(back.set.acc(), vec![Vec3::ZERO; 64], "decoded acc is zero");
+        assert_eq!(back.time.to_bits(), 1.25f64.to_bits());
         assert_eq!(back.label, "test");
-        assert_eq!(back.version, SNAPSHOT_VERSION);
-        assert!(back.checksum.is_some());
+        assert_eq!((back.version, SNAPSHOT_VERSION), (3, 3));
+        assert_eq!(back.checksum, Some(content_checksum(1.25, &set)));
+        assert_eq!(back.to_json(), json, "re-encoding is byte-identical");
+    }
+
+    #[test]
+    fn v2_acc_is_skipped_and_ragged_or_invalid_sets_are_errors() {
+        // a hand-written v2 file, with the `acc` array older writers stored
+        let set = ParticleSet::from_parts(
+            vec![Vec3::new(1.0, 2.0, 3.0); 2],
+            vec![Vec3::X; 2],
+            vec![1.0, 0.5],
+        );
+        let sum = content_checksum(0.5, &set);
+        let file = |pos: &str, vel: &str, mass: &str| {
+            format!(
+                r#"{{"version":2,"label":"l","time":0.5,"set":{{"pos":[{pos}],"vel":[{vel}],"acc":[{{"x":7,"y":7,"z":7}}],"mass":[{mass}]}},"checksum":{sum}}}"#
+            )
+        };
+        let (p, v) = (r#"{"x":1,"y":2,"z":3}"#, r#"{"x":1,"y":0,"z":0}"#);
+        let (p2, v2) = (format!("{p},{p}"), format!("{v},{v}"));
+        let back = Snapshot::from_bytes(file(&p2, &v2, "1,0.5").as_bytes()).unwrap();
+        assert_eq!(stored_bits(&back.set), stored_bits(&set));
+        assert_eq!(back.set.acc(), vec![Vec3::ZERO; 2], "a v2 file's acc is skipped");
+        for (pos, vel, mass) in
+            [(p, &*v2, "1,0.5"), (&p2, v, "1,0.5"), (&p2, &v2, "1"), (&p2, &v2, "1,-0.5")]
+        {
+            let err = Snapshot::from_bytes(file(pos, vel, mass).as_bytes()).unwrap_err();
+            assert!(matches!(err, SnapshotError::Parse(_)), "{pos} {vel} {mass}: {err}");
+        }
     }
 
     #[test]
@@ -444,10 +490,7 @@ mod tests {
 
     #[test]
     fn binary_roundtrip_drops_only_acc() {
-        let mut set = plummer(32, PlummerParams::default(), 16);
-        for (i, a) in set.acc_mut().iter_mut().enumerate() {
-            *a = Vec3::new(i as f64, -1.5, 0.25);
-        }
+        let set = accelerated(32, 16);
         let snap = Snapshot::new("bin", 0.375, set.clone());
         let back = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
         assert_eq!(

@@ -128,7 +128,13 @@ fn steady_state_steps_perform_zero_heap_allocations() {
         let decode = allocs_of_step(0, || {
             back = Some(serde_json::from_str::<jobs::cache::JobResult>(&text).unwrap())
         });
-        assert_eq!(back.as_ref(), Some(&result), "N = {n}: the entry round-trips");
+        let back = back.unwrap();
+        let (got, want) = (&back.final_snapshot, &result.final_snapshot);
+        let bits = nbody_core::testutil::stored_bits;
+        assert_eq!(bits(&got.set), bits(&want.set), "N = {n}: the entry round-trips");
+        assert_eq!(got.set.acc(), vec![Vec3::ZERO; n], "N = {n}: no acc is stored");
+        assert_eq!((got.time.to_bits(), got.checksum), (want.time.to_bits(), want.checksum));
+        assert_eq!(back.result_checksum, result.result_checksum);
         (encode, decode)
     };
     let (encode_small, decode_small) = json_allocs(256);

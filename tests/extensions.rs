@@ -88,7 +88,10 @@ fn snapshot_roundtrips_an_evolved_state() {
 
     let snap = Snapshot::new("evolved-collision", 0.01, set.clone());
     let restored = Snapshot::from_json(&snap.to_json()).unwrap();
-    assert_eq!(restored.set, set);
+    let bits = nbody_core::testutil::stored_bits;
+    assert_eq!(bits(&restored.set), bits(&set));
+    assert_eq!(restored.set.acc(), vec![Vec3::ZERO; 200], "acc is not stored");
+    assert_eq!((restored.time.to_bits(), restored.checksum), (0.01f64.to_bits(), snap.checksum));
 
     // the restored state continues identically to the original
     let mut a = set.clone();

@@ -3,12 +3,15 @@
 //! * Binary v3 snapshots (checkpoints): every f64 bit pattern survives a
 //!   round trip, and no truncation or single-byte corruption of a file
 //!   decodes, or panics.
-//! * Legacy JSON snapshots (v1, v2) still load, and checkpoint discovery
+//! * JSON snapshots are v3 (`pos`, `vel`, `mass`, no `acc`); legacy v1 and
+//!   v2 files still load with their `acc` skipped, and checkpoint discovery
 //!   resumes from the newest valid file across `.snap` and `.json` names.
 //! * Result-cache entries are JSON and must stay byte-identical:
-//!   `tests/golden/cache_entry_n8.json` is the entry of a tiny job, and a
-//!   crash-resumed run of that job (through v3 checkpoints) reproduces its
-//!   final snapshot, accelerations included.
+//!   `tests/golden/cache_entry_n8_v3.json` is the entry of a tiny job, and
+//!   a crash-resumed run of that job (through v3 checkpoints) reproduces
+//!   the fresh run's final state bit for bit, accelerations included. The
+//!   v2 entry of the same job, `tests/golden/cache_entry_n8.json`, still
+//!   loads through `ResultCache::lookup` to the same bits.
 
 mod common;
 
@@ -16,6 +19,7 @@ use common::ScratchDir;
 use jobs::checkpoint::{checkpoint_path, save_checkpoint, scan};
 use jobs::prelude::*;
 use nbody_core::body::ParticleSet;
+use nbody_core::testutil::stored_bits as bits;
 use nbody_core::vec3::Vec3;
 use plans::prelude::PlanKind;
 use workloads::snapshot::{content_checksum, Snapshot, SnapshotError, BINARY_MAGIC};
@@ -39,16 +43,6 @@ fn hard_set(n: usize) -> ParticleSet {
         *a = Vec3::new(1.0, 2.0, 3.0);
     }
     set
-}
-
-/// The seven checksummed components of every body, as bit patterns.
-fn bits(set: &ParticleSet) -> Vec<u64> {
-    (0..set.len())
-        .flat_map(|i| {
-            let (p, v, m) = (set.pos()[i], set.vel()[i], set.mass()[i]);
-            [p.x, p.y, p.z, v.x, v.y, v.z, m].map(f64::to_bits)
-        })
-        .collect()
 }
 
 #[test]
@@ -103,12 +97,15 @@ fn legacy_json_snapshots_still_load() {
         let path = dir.join(name);
         std::fs::write(&path, snap.to_json()).unwrap();
         let back = Snapshot::load(&path).unwrap();
-        assert_eq!(&back, snap, "{name}: JSON keeps every field, acc included");
+        assert_eq!((back.version, back.checksum), (snap.version, snap.checksum), "{name}");
+        assert_eq!((back.label.as_str(), back.time.to_bits()), ("legacy v2", 0.5f64.to_bits()));
         assert_eq!(bits(&back.set), bits(&set), "{name}");
+        assert_eq!(back.set.acc(), vec![Vec3::ZERO; 8], "{name}: acc is not stored");
     }
 
     // hand-written text, independent of the writer: integers where floats
-    // go, exponent forms, a v1 file without a checksum key
+    // go, exponent forms, a v1 file without a checksum key, and the `acc`
+    // array that v1 and v2 writers stored, which is skipped
     let set = ParticleSet::from_parts(
         vec![Vec3::new(1.0, -0.5, 2.5e-8), Vec3::new(0.0, 3.0, -1.0)],
         vec![Vec3::new(0.25, 0.0, 0.0), Vec3::new(-0.25, 1e300, 0.0)],
@@ -116,7 +113,7 @@ fn legacy_json_snapshots_still_load() {
     );
     let body = r#""set":{"pos":[{"x":1,"y":-0.5,"z":2.5e-8},{"x":0.0,"y":3,"z":-1}],
         "vel":[{"x":0.25,"y":0,"z":0},{"x":-0.25,"y":1e300,"z":0}],
-        "acc":[{"x":0,"y":0,"z":0},{"x":0,"y":0,"z":0}],"mass":[1,0.5]}"#;
+        "acc":[{"x":9,"y":-9,"z":1e9},{"x":0,"y":0,"z":0}],"mass":[1,0.5]}"#;
     let v1 = format!(r#"{{"version":1,"label":"v1","time":0.5,{body}}}"#);
     let snap = Snapshot::from_json(&v1).unwrap();
     assert_eq!((snap.version, snap.checksum, snap.time), (1, None, 0.5));
@@ -173,16 +170,25 @@ fn complete(status: RunStatus) -> JobResult {
     }
 }
 
+/// The cache entry of [`golden_spec`]'s run: v3, and the legacy v2 form
+/// that carried the final accelerations.
+const GOLDEN: &str = include_str!("golden/cache_entry_n8_v3.json");
+const GOLDEN_V2: &str = include_str!("golden/cache_entry_n8.json");
+
 #[test]
 fn cache_entry_is_byte_identical_to_golden() {
-    const GOLDEN: &str = include_str!("golden/cache_entry_n8.json");
     let dir = ScratchDir::new("snapshot-format-golden");
     let spec = golden_spec();
     let result = complete(run_job(&spec, &dir.join("plain"), &RunOptions::default()).unwrap());
     assert_eq!(serde_json::to_string(&result).unwrap(), GOLDEN);
+    // v3 is v2 without the `acc` member
+    let acc = GOLDEN_V2.find("\"acc\":[").unwrap();
+    let acc_end = acc + GOLDEN_V2[acc..].find("],").unwrap() + 2;
+    let v2_minus_acc = format!("{}{}", &GOLDEN_V2[..acc], &GOLDEN_V2[acc_end..]);
+    assert_eq!(v2_minus_acc.replacen("\"version\":2,", "\"version\":3,", 1), GOLDEN);
 
     // crash after the first checkpoint, resume from the v3 file: the final
-    // snapshot, re-primed accelerations included, is the golden one
+    // state, re-primed accelerations included, is the fresh run's bit for bit
     let crash = RunOptions { crash_after: Some(2), ..Default::default() };
     let resumed_dir = dir.join("resumed");
     match run_job(&spec, &resumed_dir, &crash).unwrap() {
@@ -190,7 +196,39 @@ fn cache_entry_is_byte_identical_to_golden() {
         other => panic!("expected a crash at step 2, got {other:?}"),
     }
     let resumed = complete(run_job(&spec, &resumed_dir, &RunOptions::default()).unwrap());
-    let golden: JobResult = serde_json::from_str(GOLDEN).unwrap();
     assert_eq!(resumed.resumed_from, 2);
-    assert_eq!(resumed.final_snapshot, golden.final_snapshot);
+    let (fresh, resumed) = (&result.final_snapshot.set, &resumed.final_snapshot.set);
+    assert_eq!(bits(resumed), bits(fresh));
+    let acc_bits = |set: &ParticleSet| {
+        set.acc().iter().flat_map(|a| [a.x, a.y, a.z].map(f64::to_bits)).collect::<Vec<_>>()
+    };
+    assert!(fresh.acc().iter().all(|a| *a != Vec3::ZERO), "the run ends with primed forces");
+    assert_eq!(acc_bits(resumed), acc_bits(fresh));
+}
+
+#[test]
+fn a_legacy_v2_cache_entry_loads_to_the_same_bits() {
+    let dir = ScratchDir::new("snapshot-format-legacy-entry");
+    let spec = golden_spec();
+    let cache = ResultCache::new(dir.join("cache"));
+    std::fs::create_dir_all(cache.dir()).unwrap();
+    let path = cache.dir().join(format!("{}.json", spec.hash_hex()));
+    let current: JobResult = serde_json::from_str(GOLDEN).unwrap();
+    // the v2 `acc` digits are not covered by the checksum: altered, they
+    // still load, as zeros, so no unchecked number is ever served
+    let acc = GOLDEN_V2.find("\"acc\":[").unwrap();
+    let digit = acc + GOLDEN_V2[acc..].find(|c: char| c.is_ascii_digit()).unwrap();
+    let mut altered = GOLDEN_V2.as_bytes().to_vec();
+    altered[digit] = if altered[digit] == b'9' { b'8' } else { altered[digit] + 1 };
+    let altered = String::from_utf8(altered).unwrap();
+    for text in [GOLDEN_V2, &altered] {
+        std::fs::write(&path, text).unwrap();
+        let legacy = cache.lookup(&spec.hash_hex()).unwrap().expect("a v2 entry is a hit");
+        let (got, want) = (&legacy.final_snapshot, &current.final_snapshot);
+        assert_eq!(got.version, 2);
+        assert_eq!(bits(&got.set), bits(&want.set));
+        assert_eq!(got.set.acc(), vec![Vec3::ZERO; 8], "a v2 entry's acc is skipped");
+        assert_eq!((got.time.to_bits(), got.checksum), (want.time.to_bits(), want.checksum));
+        assert_eq!(legacy.result_checksum, current.result_checksum);
+    }
 }
